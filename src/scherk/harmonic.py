@@ -67,7 +67,7 @@ def analytic_parts(d):
 
 
 def _guard_poles(z, poles):
-    dmin = np.min([np.min(np.abs(np.asarray(z) - zk)) for zk in poles])
+    dmin = np.min(np.abs(np.subtract.outer(np.asarray(z), poles)))
     if dmin < TOL_POLE:
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
 

@@ -8,6 +8,7 @@ Newton inversion of the harmonic map.  None of them reuse the closed forms
 they are meant to test.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,14 +35,20 @@ class QuadratureConfig:
 _DEFAULT_CFG = QuadratureConfig()
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never mutated."""
+    return np.polynomial.legendre.leggauss(n_nodes)
+
+
 def _panel(fn, a, b, nodes, weights):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(nodes, weights))
+    return half * sum(w * v for w, v in zip(weights, fn(mid + half * nodes)))
 
 
-def _adaptive(fn, a, b, cfg, nodes, weights, depth):
-    whole = _panel(fn, a, b, nodes, weights)
+def _adaptive(fn, a, b, whole, cfg, nodes, weights, depth):
+    # whole is the panel over [a, b], already computed by the caller
     mid = 0.5 * (a + b)
     left = _panel(fn, a, mid, nodes, weights)
     right = _panel(fn, mid, b, nodes, weights)
@@ -50,29 +57,33 @@ def _adaptive(fn, a, b, cfg, nodes, weights, depth):
     if depth >= cfg.max_depth:
         raise ToleranceNotMet(
             f"quadrature stalled on [{a}, {b}] at depth {depth}")
-    return (_adaptive(fn, a, mid, cfg, nodes, weights, depth + 1)
-            + _adaptive(fn, mid, b, cfg, nodes, weights, depth + 1))
+    return (_adaptive(fn, a, mid, left, cfg, nodes, weights, depth + 1)
+            + _adaptive(fn, mid, b, right, cfg, nodes, weights, depth + 1))
 
 
 def adaptive_quad(fn, a, b, cfg=None):
     """Adaptive Gauss-Legendre integral of fn over [a, b].
 
-    fn may return complex values; the halve-and-compare error estimate is
-    applied to the combined value.
+    fn is evaluated elementwise on a numpy array of the cfg.n_nodes nodes
+    of one panel per call, so it must be written with numpy operations
+    (np.exp, not math.exp).  It may return complex values; the
+    halve-and-compare error estimate is applied to the combined value.
     """
     cfg = cfg or _DEFAULT_CFG
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.n_nodes)
-    return _adaptive(fn, a, b, cfg, nodes, weights, 0)
+    nodes, weights = _gauss_legendre(cfg.n_nodes)
+    whole = _panel(fn, a, b, nodes, weights)
+    return _adaptive(fn, a, b, whole, cfg, nodes, weights, 0)
 
 
 def composite_quad(fn, a, b, n_panels, cfg=None):
     """Fixed composite Gauss-Legendre rule with n_panels equal panels.
 
     Non-adaptive companion of adaptive_quad used to observe convergence
-    under panel halving.
+    under panel halving.  Like adaptive_quad, fn is evaluated elementwise
+    on a numpy array of one panel's nodes per call.
     """
     cfg = cfg or _DEFAULT_CFG
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.n_nodes)
+    nodes, weights = _gauss_legendre(cfg.n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
     return sum(_panel(fn, lo, hi, nodes, weights)
                for lo, hi in zip(edges[:-1], edges[1:]))
@@ -83,7 +94,8 @@ def poisson_extension(z, boundary, cfg=None):
 
     Integrates the Poisson kernel (1 - |z|^2) / |e^{it} - z|^2 over each
     constant arc of `boundary` separately, so arc endpoints never fall
-    inside a quadrature panel.
+    inside a quadrature panel.  The kernel is evaluated elementwise on a
+    numpy array of one panel's angles per call.
     """
     z = complex(z)
     r2 = abs(z) ** 2
@@ -98,7 +110,11 @@ def poisson_extension(z, boundary, cfg=None):
 
 
 def contour_height(z, kernel, cfg=None):
-    """Height at z as 2 Im of the kernel integral along the segment [0, z]."""
+    """Height at z as 2 Im of the kernel integral along the segment [0, z].
+
+    kernel is evaluated elementwise on a numpy array of the points of one
+    quadrature panel per call, so it must be written with numpy operations.
+    """
     z = complex(z)
 
     def integrand(tau):
@@ -112,14 +128,15 @@ def numeric_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
 
     The mean of (z - pole) fn(z) over a circle of radius eps equals the
     residue plus an O(eps) bias from the neighbouring poles; Richardson
-    extrapolation over the two radii removes the linear term.
+    extrapolation over the two radii removes the linear term.  fn is
+    evaluated elementwise on a numpy array of the n_angles circle points,
+    once per radius, so it must be written with numpy operations.
     """
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
 
     def mean(radius):
         zs = pole + radius * np.exp(1j * angles)
-        vals = np.array([(z - pole) * fn(z) for z in zs])
-        return vals.mean()
+        return ((zs - pole) * fn(zs)).mean()
 
     e1, e2 = eps
     return (e1 * mean(e2) - e2 * mean(e1)) / (e1 - e2)
@@ -199,11 +216,6 @@ def graph_height_function(d):
         return height_T(newton_invert(d, w), d)
 
     return height_at
-
-
-def graph_laplacian_defect(d, z, h=1e-3):
-    """FD Laplacian of the conformal height pulled back to the disk at z."""
-    return fd_laplacian(lambda u: height_T(u, d), z, h=h)
 
 
 def kernel_contour_height(z, d, cfg=None):

@@ -75,13 +75,12 @@ def vertex_form_E(z, w):
     return (u * v - 3.0 * v * x - 3.0 * u * y + x * y) / den
 
 
-def moebius_center(c, p=None):
+def moebius_center(c):
     """Double zero z0 of g' in the open disk (the Moebius center).
 
     Numerically stable product form: a unimodular factor times
     tanh((k + i m)/2), which also exhibits |z0|^2 = (cosh k - cos m)/
-    (cosh k + cos m) directly.  The angle p is accepted for signature
-    symmetry with the vertex-form route but is not needed here.
+    (cosh k + cos m) directly.
     """
     ej = cmath.exp(-c.j)
     unimod = (1.0 + 1j * ej) / (1.0 - 1j * ej)
@@ -145,7 +144,7 @@ def weierstrass_constants(c, p):
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c."""
     p, e_ip = angle_parameter(c)
-    z0 = moebius_center(c, p)
+    z0 = moebius_center(c)
     X, sqrtX = unimodular_factor(c)
     B, Z, A, C = weierstrass_constants(c, p)
     return ScherkData(p, e_ip, z0, X, sqrtX, B, Z, A, C, c)

@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximity
-from .harmonic import harmonic_map
+from .harmonic import _guard_poles, harmonic_map
 from .params import ScherkData
-
-TOL_POLE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,7 @@ def kernel_K(z, d):
     Equals h'(z) q(z) identically; the rational form is what the residue
     bookkeeping and the height antiderivative use.
     """
-    dmin = np.min([np.min(np.abs(np.asarray(z) - zk)) for zk in d.poles])
-    if dmin < TOL_POLE:
-        raise PoleProximity(f"kernel evaluated {dmin:.2e} from a pole")
+    _guard_poles(z, d.poles)
     return (d.C * (z - d.z0) * (1.0 - z * np.conj(d.z0))
             / ((1.0 - z * z) * (d.e_2ip - z * z)))
 

@@ -119,6 +119,27 @@ def test_verify_passes_both_profiles(capsys):
         assert "FAIL" not in out
 
 
+def test_verify_reports_newton_divergence_as_fail_rows(capsys):
+    # Newton inversion of the map diverges on this valid surface; the checks
+    # that need it fail with err=inf and every other check still runs
+    code, out, err = run(capsys, "verify", "--params", "1.4,8.02,7.98")
+    assert code == 1
+    lines = out.splitlines()[:-1]
+    assert len(lines) == 21
+    newton_checks = {"graph_normal_vs_fd", "mixed_derivative_vs_fd",
+                     "aligned_mixed_derivative_zero"}
+    notes = err.splitlines()
+    diverged = {ln.split(":")[1].strip() for ln in notes}
+    assert "mixed_derivative_vs_fd" in diverged <= newton_checks
+    assert all(": NewtonDiverged: " in ln for ln in notes)
+    assert len(notes) == len(diverged)
+    status = {ln.split()[1]: (ln.split()[0],
+                              float(ln.split("err=")[1].split()[0]))
+              for ln in lines}
+    for name in diverged:
+        assert status[name] == ("FAIL", math.inf)
+
+
 def test_verify_runtime_budget():
     q, _, _, _ = build_case(0.3, 1.0, 0.3)
     start = time.perf_counter()

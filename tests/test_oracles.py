@@ -7,8 +7,8 @@ import pytest
 
 from scherk import (NewtonDiverged, QuadratureConfig, StencilOutOfDomain,
                     ToleranceNotMet, adaptive_quad, composite_quad,
-                    fd_laplacian, fd_mixed, harmonic_map, newton_invert,
-                    numeric_residue, poisson_extension)
+                    fd_laplacian, fd_mixed, harmonic_map, kernel_K,
+                    newton_invert, numeric_residue, poisson_extension)
 from scherk.harmonic import StepBoundary
 
 
@@ -68,6 +68,65 @@ def test_numeric_residue_simple_poles():
 def test_numeric_residue_with_analytic_part():
     fn = lambda z: -3.5j / (z - 0.5) + np.exp(z) * z ** 2
     assert abs(numeric_residue(fn, 0.5) + 3.5j) < 1e-9
+
+
+class _Recorder:
+    """Integrand wrapper that records the argument of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.args = []
+
+    def __call__(self, x):
+        self.args.append(x)
+        return self.fn(x)
+
+
+def test_quadrature_calls_fn_on_node_arrays():
+    cfg = QuadratureConfig(n_nodes=7)
+    for quad in (lambda fn: adaptive_quad(fn, 0.0, 1.0, cfg),
+                 lambda fn: composite_quad(fn, 0.0, 1.0, 3, cfg)):
+        rec = _Recorder(np.cos)
+        assert abs(quad(rec) - math.sin(1.0)) < 1e-14
+        assert rec.args
+        for x in rec.args:
+            assert isinstance(x, np.ndarray) and x.shape == (7,)
+
+
+def test_adaptive_quad_evaluates_each_panel_once():
+    # a degree-5 polynomial is exact on every panel: whole, left, right
+    rec = _Recorder(lambda x: x ** 5)
+    adaptive_quad(rec, 0.0, 1.0)
+    assert len(rec.args) == 3
+
+
+def test_numeric_residue_one_call_per_radius():
+    rec = _Recorder(lambda z: 2.0 / (z - 1j))
+    numeric_residue(rec, 1j, n_angles=64)
+    assert len(rec.args) == 2
+    assert all(isinstance(z, np.ndarray) and z.shape == (64,)
+               for z in rec.args)
+
+
+def test_numeric_residue_matches_scalar_loop(case1):
+    # reference: the same Richardson circle mean, one scalar call per point
+    _, _, _, d = case1
+
+    def scalar_residue(pole, n_angles=64, eps=(1e-4, 1e-5)):
+        def mean(radius):
+            vals = []
+            for k in range(n_angles):
+                z = pole + radius * complex(math.cos(2 * math.pi * k / n_angles),
+                                            math.sin(2 * math.pi * k / n_angles))
+                vals.append((z - pole) * complex(kernel_K(z, d)))
+            return sum(vals) / n_angles
+
+        e1, e2 = eps
+        return (e1 * mean(e2) - e2 * mean(e1)) / (e1 - e2)
+
+    for pole in d.poles:
+        got = numeric_residue(lambda z: kernel_K(z, d), pole)
+        assert abs(got - scalar_residue(pole)) < 1e-12
 
 
 def test_fd_laplacian_known_fields():
