@@ -31,7 +31,7 @@ from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       poisson_extension)
 from .params import (ScherkData, angle_parameter, moebius_center,
                      moebius_center_vertex_form, scherk_data,
-                     unimodular_factor, vertex_form_E, weierstrass_constants)
+                     unimodular_factor, vertex_form_E)
 from .weierstrass import (HeightKernel, asymptotic_constants, gauss_map_q,
                           height_T, kernel_K, residues, surface_point)
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoRootFound
-from .geometry import hyperbolic_coordinates, normalize
 from .harmonic import h_prime, harmonic_center
-from .params import scherk_data
 
 ROTATION_RESIDUAL_TOL = 1e-8
 
@@ -118,14 +116,14 @@ def center_mixed_derivative(d):
     return rotated_mixed_derivative(d, 0.0)
 
 
-def curvature_bound(q, tol=1e-8):
-    """Sharp center-curvature bound of the graph over the quadrilateral q.
+def curvature_bound(d, q):
+    """Sharp center-curvature bound of the surface d over the quadrilateral q.
 
     pi^2 cos^2 m coth^2 j sech^4 k / |b1 - b3|^2; the constructed surface
-    attains it in absolute value at the harmonic center.
+    attains it in absolute value at the harmonic center. d must be the
+    record built from q's normalized frame; that is not checked.
     """
-    frame, _, _ = normalize(q)
-    c = hyperbolic_coordinates(frame.z, frame.w, tol=tol)
+    c = d.coords
     scale2 = abs(q.b1 - q.b3) ** 2
     return (math.pi ** 2 * math.cos(c.m) ** 2
             / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4) / scale2)
@@ -158,19 +156,15 @@ def aligning_rotation(d):
     return min(roots)
 
 
-def center_report(q, tol=1e-8):
-    """Assemble the full CenterReport for a validated quadrilateral.
+def center_report(d, frame, q):
+    """Assemble the full CenterReport of the surface d over the quadrilateral q.
 
-    tol is forwarded to the confocal-membership check, so quadrilaterals
-    accepted under a loosened side-sum tolerance stay analyzable.
+    frame is the NormalizedFrame of q that d was built in.
     """
-    frame, _, _ = normalize(q)
-    coords = hyperbolic_coordinates(frame.z, frame.w, tol=tol)
-    d = scherk_data(coords)
     q0, q0p, h0p = center_data(d)
     curv_norm = gauss_curvature(0.0 + 0.0j, d)
     curv_orig = curv_norm * abs(frame.scale) ** 2
-    bound = curvature_bound(q, tol=tol)
+    bound = curvature_bound(d, q)
     return CenterReport(
         c0=complex(harmonic_center(d, frame)),
         q0=q0, q0_prime=q0p, h0_prime=h0p,

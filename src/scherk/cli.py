@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        validate_quadrilateral)
 from .harmonic import (dilatation, harmonic_center, harmonic_map, jacobian,
                        step_boundary)
-from .mesh import export_csv, export_obj, radial_trace, sample_disk
+from .mesh import _obj_text, export_csv, export_obj, radial_trace, sample_disk
 from .oracles import (fd_laplacian, fd_mixed, graph_height_function,
                       kernel_contour_height, newton_invert, numeric_residue,
                       poisson_extension)
@@ -129,50 +128,29 @@ def _setup(q, tol=1e-8):
 # analyze
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """All closed-form data of one surface, ready for serialization."""
-    quad: dict
-    normalization: dict
-    coordinates: dict
-    parameters: dict
-    growth: dict
-    center: dict
-
-    def to_dict(self):
-        return {
-            "quad": self.quad,
-            "normalization": self.normalization,
-            "coordinates": self.coordinates,
-            "parameters": self.parameters,
-            "growth": self.growth,
-            "center": self.center,
-        }
-
-
 def build_report(q, tol=1e-8):
-    """Assemble the AnalysisReport for a validated quadrilateral."""
+    """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
     frame, coords, d = _setup(q, tol)
     lam, c1, c2, c3, c4 = asymptotic_constants(d)
-    rep = center_report(q, tol=tol)
-    return AnalysisReport(
-        quad={
+    rep = center_report(d, frame, q)
+    return {
+        "quad": {
             "vertices": [[b.real, b.imag] for b in q.vertices],
             "pitot_residual": q.pitot_residual,
             "perimeter": q.perimeter(),
             "reversed_input": q.reversed_input,
         },
-        normalization={
+        "normalization": {
             "scale": frame.scale, "shift": frame.shift,
             "z": frame.z, "w": frame.w, "relabeled": frame.relabeled,
         },
-        coordinates={"m": coords.m, "s": coords.s, "t": coords.t,
-                     "j": coords.j, "k": coords.k},
-        parameters={"p": d.p, "e_ip": d.e_ip, "z0": d.z0, "X": d.X,
-                    "sqrt_X": d.sqrtX, "B": d.B, "Z": d.Z, "A": d.A,
-                    "C": d.C},
-        growth={"lam": lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
-        center={
+        "coordinates": {"m": coords.m, "s": coords.s, "t": coords.t,
+                        "j": coords.j, "k": coords.k},
+        "parameters": {"p": d.p, "e_ip": d.e_ip, "z0": d.z0, "X": d.X,
+                       "sqrt_X": d.sqrtX, "B": d.B, "Z": d.Z, "A": d.A,
+                       "C": d.C},
+        "growth": {"lam": lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
+        "center": {
             "c0": rep.c0,
             "c0_normalized": harmonic_center(d),
             "q0": rep.q0,
@@ -186,7 +164,7 @@ def build_report(q, tol=1e-8):
             "mixed_derivative": rep.mixed_derivative,
             "alpha": rep.alpha,
         },
-    )
+    }
 
 
 def _emit(text, out):
@@ -203,7 +181,7 @@ def _emit(text, out):
 def cmd_analyze(args):
     q = load_quad(args)
     report = build_report(q, tol=_coord_tol(args))
-    _emit(canonical_json(report.to_dict()) + "\n", args.out)
+    _emit(canonical_json(report) + "\n", args.out)
     return 0
 
 
@@ -301,7 +279,7 @@ def run_checks(q, profile="default", seed=0, tol=1e-8):
         / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4)
     add("center_curvature_closed_form", abs(k0 - closed) / abs(closed),
         (1e-12, 1e-13))
-    bound = curvature_bound(q)
+    bound = curvature_bound(d, q)
     attained = abs(k0) * abs(frame.scale) ** 2
     add("curvature_bound_attained", abs(attained - bound) / bound,
         (1e-12, 1e-13))
@@ -408,9 +386,7 @@ def cmd_mesh(args):
             f"wrote {len(mesh.vertices)} vertices, {len(mesh.faces)} faces "
             f"to {args.out} ({mesh.metadata['clamped']} heights clamped)\n")
     else:
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-        lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(_obj_text(mesh))
     return 0
 
 

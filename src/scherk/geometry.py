@@ -142,8 +142,11 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
         raise DegenerateVertices("all vertices coincide")
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(b[i] - b[j]) <= 1e-12 * diam:
-                raise DegenerateVertices(f"vertices {i + 1} and {j + 1} coincide")
+            sep = abs(b[i] - b[j])
+            if sep <= 1e-12 * diam:
+                raise DegenerateVertices(
+                    f"vertices {i + 1} and {j + 1} are {sep:.3e} apart, within "
+                    f"1e-12 x the quadrilateral's diameter {diam:.3e}")
 
     area2 = _shoelace(b)
     if abs(area2) <= 1e-12 * diam ** 2:

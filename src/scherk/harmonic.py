@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleProximity
-from .params import TWO_PI_I, normalized_vertices
+from .params import normalized_vertices
 
 TOL_POLE = 1e-9
 
@@ -31,16 +31,10 @@ class StepBoundary:
 
 @dataclass(frozen=True)
 class AnalyticParts:
-    """Pole/residue tables of h' and g' plus integration constants.
-
-    h0 = h(0) = f(0) (the harmonic center in the normalized frame) and
-    g0 = g(0) = 0 fix the antiderivatives.
-    """
+    """Pole/residue tables of h' and g'."""
     poles: tuple
     h_residues: tuple
     g_residues: tuple
-    h0: complex
-    g0: complex
 
 
 def step_boundary(d):
@@ -52,18 +46,13 @@ def step_boundary(d):
 
 
 def analytic_parts(d):
-    """Residues of h' and g' at the four boundary poles.
+    """Residues of h' and g' at the four boundary poles, read from the record.
 
     The residue at each pole is the jump of the step function there divided
     by 2 pi i; the g' residues are the negated conjugates.  Both sets sum
     to zero, which is what makes f single-valued.
     """
-    b1, b2, b3, b4 = normalized_vertices(d.coords)
-    hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
-            (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I)
-    gres = tuple(-r.conjugate() for r in hres)
-    c0 = d.p * (b2 + b4) / (2 * math.pi)
-    return AnalyticParts(d.poles, hres, gres, c0, 0.0 + 0.0j)
+    return AnalyticParts(d.poles, d.h_residues, d.g_residues)
 
 
 def _guard_poles(z, poles):
@@ -79,9 +68,8 @@ def h_prime(z, d, frame=None):
     NormalizedFrame returns the analytic derivative of the de-normalized
     map (division by the frame scale).
     """
-    parts = analytic_parts(d)
-    _guard_poles(z, parts.poles)
-    val = sum(c / (z - zk) for c, zk in zip(parts.h_residues, parts.poles))
+    _guard_poles(z, d.poles)
+    val = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
     if frame is not None:
         val = val / frame.scale
     return val
@@ -89,9 +77,8 @@ def h_prime(z, d, frame=None):
 
 def g_prime(z, d, frame=None):
     """Derivative of the co-analytic part g (see h_prime for frame)."""
-    parts = analytic_parts(d)
-    _guard_poles(z, parts.poles)
-    val = sum(c / (z - zk) for c, zk in zip(parts.g_residues, parts.poles))
+    _guard_poles(z, d.poles)
+    val = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
     if frame is not None:
         val = val / np.conj(frame.scale)
     return val
@@ -102,17 +89,21 @@ def dilatation(z, d):
     return g_prime(z, d) / h_prime(z, d)
 
 
+def _pole_logs(z, d):
+    """The four principal logs Log(1 - z/pole) that h, g and the height share."""
+    return [np.log(1.0 - z / zk) for zk in d.poles]
+
+
 def harmonic_map(z, d, frame=None):
     """Value of f = h + conj(g) at z (|z| < 1).
 
-    Evaluated through principal-branch logs of 1 - z/pole.  frame maps the
-    value back to the original vertex coordinates.
+    Evaluated through principal-branch logs of 1 - z/pole, with h(0) = h0
+    and g(0) = 0.  frame maps the value back to the original vertex
+    coordinates.
     """
-    parts = analytic_parts(d)
-    h = parts.h0 + sum(c * np.log(1.0 - z / zk)
-                       for c, zk in zip(parts.h_residues, parts.poles))
-    g = sum(c * np.log(1.0 - z / zk)
-            for c, zk in zip(parts.g_residues, parts.poles))
+    logs = _pole_logs(z, d)
+    h = d.h0 + sum(c * lg for c, lg in zip(d.h_residues, logs))
+    g = sum(c * lg for c, lg in zip(d.g_residues, logs))
     val = h + np.conj(g)
     if frame is not None:
         val = val / frame.scale + frame.shift
@@ -121,8 +112,7 @@ def harmonic_map(z, d, frame=None):
 
 def harmonic_center(d, frame=None):
     """f(0): the arc-length weighted vertex average p (z + w)/(2 pi)."""
-    b1, b2, b3, b4 = normalized_vertices(d.coords)
-    c0 = d.p * (b2 + b4) / (2 * math.pi)
+    c0 = d.h0
     if frame is not None:
         c0 = frame.invert(c0)
     return c0

@@ -1,6 +1,5 @@
 """Triangulated samples of the surface and radial boundary traces."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,9 +11,10 @@ from .weierstrass import height_T
 
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Triangle mesh with 0-based faces and sampling metadata."""
-    vertices: list
-    faces: list
+    """Triangle mesh: an (n, 3) float array of vertices (x, y, height), an
+    (m, 3) integer array of 0-based faces, and sampling metadata."""
+    vertices: np.ndarray
+    faces: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
@@ -40,21 +40,19 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     hs = height_T(zs, d)
     if frame is not None:
         hs = hs / abs(frame.scale)
-    xs, ys = np.real(fz), np.imag(fz)
     clamped = int(np.count_nonzero(np.abs(hs) > h_max))
     hs = np.clip(hs, -h_max, h_max)
-    vertices = [(float(x), float(y), float(h)) for x, y, h in zip(xs, ys, hs)]
+    vertices = np.column_stack((np.real(fz), np.imag(fz), hs))
 
-    def vid(ring, a):
-        return 1 + ring * n_theta + a % n_theta
-
-    faces = []
-    for a in range(n_theta):
-        faces.append((0, vid(0, a), vid(0, a + 1)))
-    for ring in range(n_r - 1):
-        for a in range(n_theta):
-            faces.append((vid(ring, a), vid(ring + 1, a), vid(ring + 1, a + 1)))
-            faces.append((vid(ring, a), vid(ring + 1, a + 1), vid(ring, a + 1)))
+    # Ring i (from 0) holds vertices 1 + i n_theta + a, a = 0 .. n_theta - 1.
+    a = np.arange(n_theta)
+    a_next = (a + 1) % n_theta
+    fan = np.column_stack((np.zeros_like(a), 1 + a, 1 + a_next))
+    inner = 1 + n_theta * np.arange(n_r - 1)[:, None]
+    i0, i1 = inner + a, inner + a_next
+    o0, o1 = i0 + n_theta, i1 + n_theta
+    quads = np.stack((i0, o0, o1, i0, o1, i1), axis=-1).reshape(-1, 3)
+    faces = np.concatenate((fan, quads))
 
     c = d.coords
     metadata = {
@@ -78,16 +76,20 @@ def radial_trace(d, pole_index, r_list):
     return [(float(r), float(height_T(r * zeta, d))) for r in r_list]
 
 
+def _obj_text(mesh):
+    """Wavefront OBJ text of the mesh (1-based face indices)."""
+    v_lines = "v %.17g %.17g %.17g\n" * len(mesh.vertices)
+    f_lines = "f %d %d %d\n" * len(mesh.faces)
+    return (v_lines % tuple(mesh.vertices.ravel().tolist())
+            + f_lines % tuple((mesh.faces + 1).ravel().tolist()))
+
+
 def export_obj(mesh, path):
     """Write the mesh as a Wavefront OBJ file (1-based face indices)."""
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i, j, k in mesh.faces:
-        lines.append(f"f {i + 1} {j + 1} {k + 1}")
+    text = _obj_text(mesh)
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write OBJ file {path}: {exc}") from exc
 

@@ -20,16 +20,19 @@ TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class ScherkData:
-    """All scalar data of one surface in the normalized frame."""
+    """All scalar data of one surface in the normalized frame; h_residues
+    are the residues of h' at the poles (1, e^{ip}, -1, -e^{ip}), and
+    h0 = h(0) = f(0)."""
     p: float
     e_ip: complex
     z0: complex
     X: complex
     sqrtX: complex
     B: complex
-    Z: complex
-    A: complex
     C: complex
+    poles: tuple
+    h_residues: tuple
+    h0: complex
     coords: HyperbolicCoords
 
     @property
@@ -37,9 +40,17 @@ class ScherkData:
         return self.e_ip * self.e_ip
 
     @property
-    def poles(self):
-        """The four boundary poles (1, e^{ip}, -1, -e^{ip})."""
-        return (1.0 + 0.0j, self.e_ip, -1.0 + 0.0j, -self.e_ip)
+    def Z(self):
+        return self.X
+
+    @property
+    def A(self):
+        return self.B * self.X
+
+    @property
+    def g_residues(self):
+        """Residues of g': the negated conjugates of the h' residues."""
+        return tuple(-r.conjugate() for r in self.h_residues)
 
 
 def normalized_vertices(c):
@@ -121,30 +132,22 @@ def unimodular_factor(c):
     return X, sqrtX
 
 
-def weierstrass_constants(c, p):
-    """Scaling constants (B, Z, A, C) of the analytic derivatives.
-
-    B = e^{2ip} h'(0) (h'(0) evaluated from the residue table), Z = X,
-    A = B Z, C = B sqrt(X).
-    """
-    b1, b2, b3, b4 = normalized_vertices(c)
-    eip = cmath.exp(1j * p)
-    poles = (1.0 + 0.0j, eip, -1.0 + 0.0j, -eip)
-    res = [(b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
-           (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I]
-    h0 = -sum(ck / zk for ck, zk in zip(res, poles))
-    X, sqrtX = unimodular_factor(c)
-    B = eip * eip * h0
-    Z = X
-    A = B * Z
-    C = B * sqrtX
-    return B, Z, A, C
-
-
 def scherk_data(c):
-    """Assemble the full ScherkData record for hyperbolic coordinates c."""
+    """Assemble the full ScherkData record for hyperbolic coordinates c.
+
+    B = e^{2ip} h'(0), Z = X, A = B Z and C = B sqrt(X).
+    """
     p, e_ip = angle_parameter(c)
-    z0 = moebius_center(c)
+    b1, b2, b3, b4 = normalized_vertices(c)
+    hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
+            (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I)
+    # exp(ip), not e_ip: they differ in the last bits; B, A, C keep theirs.
+    eip = cmath.exp(1j * p)
+    exp_poles = (1.0 + 0.0j, eip, -1.0 + 0.0j, -eip)
+    h_prime0 = -sum(ck / zk for ck, zk in zip(hres, exp_poles))
+    B = eip * eip * h_prime0
     X, sqrtX = unimodular_factor(c)
-    B, Z, A, C = weierstrass_constants(c, p)
-    return ScherkData(p, e_ip, z0, X, sqrtX, B, Z, A, C, c)
+    return ScherkData(
+        p=p, e_ip=e_ip, z0=moebius_center(c), X=X, sqrtX=sqrtX, B=B,
+        C=B * sqrtX, poles=(1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip),
+        h_residues=hres, h0=p * (b2 + b4) / (2 * math.pi), coords=c)

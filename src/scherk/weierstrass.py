@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import _guard_poles, harmonic_map
-from .params import ScherkData
+from .harmonic import _guard_poles, _pole_logs, harmonic_map
 
 
 @dataclass(frozen=True)
@@ -25,9 +24,6 @@ class HeightKernel:
     -i lam |1 -+ z0 e^{-ip}|^2 at +-e^{ip}.  cj are the four products
     lam * modulus^2, which are the logarithmic growth rates of T/2.
     """
-    C: complex
-    z0: complex
-    e_2ip: complex
     poles: tuple
     residues: tuple
     lam: float
@@ -69,7 +65,7 @@ def residues(d):
     mods = (abs(1.0 - z0) ** 2, abs(1.0 - z0 / eip) ** 2,
             abs(1.0 + z0) ** 2, abs(1.0 + z0 / eip) ** 2)
     cj = tuple(lam * mm for mm in mods)
-    return HeightKernel(d.C, z0, e2, d.poles, tuple(res), lam, cj)
+    return HeightKernel(d.poles, tuple(res), lam, cj)
 
 
 def height_T(z, d):
@@ -82,7 +78,7 @@ def height_T(z, d):
     if np.max(np.abs(z)) > 1.0 - 1e-9:
         raise ValueError("height requires |z| <= 1 - 1e-9")
     hk = residues(d)
-    acc = sum(r * np.log(1.0 - z / zk) for r, zk in zip(hk.residues, hk.poles))
+    acc = sum(r * lg for r, lg in zip(hk.residues, _pole_logs(z, d)))
     return 2.0 * np.imag(acc)
 
 

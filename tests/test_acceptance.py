@@ -297,9 +297,9 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
         moved = [(1.5 - 0.5j) * v + (2.0 + 1.0j) for v in q.vertices]
         quads.append(validate_quadrilateral(moved))
     for q in quads:
-        rep = center_report(q)
         frame, _, _ = normalize(q)
         c = hyperbolic_coordinates(frame.z, frame.w)
+        rep = center_report(scherk_data(c), frame, q)
         coth_j = math.cosh(c.j) / math.sinh(c.j)
         closed = (-(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2
                   * coth_j ** 2 / math.cosh(c.k) ** 4)

@@ -10,9 +10,9 @@ from scherk import (NoRootFound, aligning_rotation, center_data,
                     center_mixed_derivative, center_normal, center_report,
                     curvature_bound, fd_mixed, gauss_curvature, gauss_map_q,
                     graph_height_function, graph_normal, h_prime,
-                    harmonic_center, height_T, newton_invert, normalize,
-                    rotated_mixed_derivative, scherk_data,
-                    validate_quadrilateral)
+                    harmonic_center, height_T, hyperbolic_coordinates,
+                    newton_invert, normalize, rotated_mixed_derivative,
+                    scherk_data, validate_quadrilateral)
 from conftest import build_case
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
@@ -72,16 +72,18 @@ def test_curvature_vs_graph_finite_differences(case1, case2):
 
 def test_curvature_bound_attained_and_covariant(sweep_cases):
     for q, frame, c, d in sweep_cases[:50]:
-        bound = curvature_bound(q)
+        bound = curvature_bound(d, q)
         attained = abs(gauss_curvature(0.0 + 0.0j, d)) * abs(frame.scale) ** 2
         assert abs(attained - bound) < 1e-12 * bound
 
 
 def test_curvature_bound_scales_like_inverse_area():
-    q, _, _, _ = build_case(0.4, 1.1, -0.2)
-    bound = curvature_bound(q)
+    q, _, _, d = build_case(0.4, 1.1, -0.2)
+    bound = curvature_bound(d, q)
     bigger = validate_quadrilateral([3.0 * v for v in q.vertices])
-    assert abs(curvature_bound(bigger) - bound / 9.0) < 1e-12 * bound
+    fb, _, _ = normalize(bigger)
+    db = scherk_data(hyperbolic_coordinates(fb.z, fb.w))
+    assert abs(curvature_bound(db, bigger) - bound / 9.0) < 1e-12 * bound
 
 
 def test_center_normal_closed_form(sweep_cases):
@@ -209,7 +211,7 @@ def test_aligning_rotation_zeroes_fd(case1):
 
 def test_center_report_assembly(case1):
     q, frame, c, d = case1
-    rep = center_report(q)
+    rep = center_report(d, frame, q)
     assert abs(rep.c0 - harmonic_center(d, frame)) < 1e-15
     assert abs(rep.curvature_normalized - gauss_curvature(0j, d)) < 1e-15
     assert abs(rep.curvature_original

@@ -3,10 +3,16 @@
 import io
 import json
 import math
+import re
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import scherk
+from scherk import sample_disk
 from scherk.cli import build_report, canonical_json, load_quad, main, run_checks
 from conftest import build_case
 
@@ -95,6 +101,13 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
     # missing file
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2 and "IoError" in err
+    # vertices 1 and 3 are 2 apart, but the diameter is about 5e12: the
+    # message gives the separation, the diameter and the relative threshold
+    for params in ("0.3,30,29", "0.3,-30,-29"):
+        code, _, err = run(capsys, "analyze", "--params", params)
+        assert code == 2 and "DegenerateVertices" in err
+        assert "2.000e+00 apart" in err and "1e-12" in err
+        assert "diameter 5.343e+12" in err
 
 
 def test_tol_pitot_flag(capsys, monkeypatch):
@@ -172,6 +185,57 @@ def test_mesh_command(capsys, tmp_path):
     assert out.startswith("v ")
 
 
+def test_mesh_stdout_matches_out_file(capsys, tmp_path):
+    argv = ("mesh", "--params", "0.7,0.9,-1.1", "--nr", "4", "--ntheta", "7")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.obj"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    _, frame, _, d = build_case(0.7, 0.9, -1.1)
+    mesh = sample_disk(d, frame, n_r=4, n_theta=7)
+    assert mesh.vertices.shape == (1 + 4 * 7, 3)
+    assert mesh.vertices.dtype == np.float64
+    assert mesh.faces.shape == (7 + 2 * 3 * 7, 3)
+    assert np.issubdtype(mesh.faces.dtype, np.integer)
+    assert np.array_equal(np.unique(mesh.faces), np.arange(1 + 4 * 7))
+
+
+def test_each_command_builds_its_surface_once(capsys, monkeypatch, tmp_path):
+    counts = {}
+    for name in ("scherk_data", "normalize", "hyperbolic_coordinates"):
+        original = getattr(scherk, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "scherk" \
+                    and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    for argv in (["analyze"], ["verify"],
+                 ["mesh", "--nr", "2", "--ntheta", "6", "--out",
+                  str(tmp_path / "m.obj")],
+                 ["asymptotics"]):
+        counts.update(scherk_data=0, normalize=0, hyperbolic_coordinates=0)
+        code, _, _ = run(capsys, *argv, "--params", "0.3,1.0,0.3")
+        assert code == 0
+        assert counts == {"scherk_data": 1, "normalize": 1,
+                          "hyperbolic_coordinates": 1}, argv[0]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert abs(namespace["f0"] - namespace["d"].h0) < 1e-15
+    assert namespace["mesh"].vertices.shape[1] == 3
+
+
 def test_asymptotics_command(capsys, tmp_path):
     csv = tmp_path / "trace.csv"
     code, out, _ = run(capsys, "asymptotics", "--params", "0.3,1.0,0.3",
@@ -191,8 +255,7 @@ def test_build_report_and_load_quad_helpers(tmp_path):
         tol_pitot = None
 
     q = load_quad(Args())
-    rep = build_report(q)
-    doc = rep.to_dict()
+    doc = build_report(q)
     assert set(doc) == {"quad", "normalization", "coordinates", "parameters",
                         "growth", "center"}
     assert doc["growth"]["lam"] > 0

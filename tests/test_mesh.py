@@ -28,6 +28,21 @@ def test_vertex_and_face_counts(case1):
     assert used == set(range(len(mesh.vertices)))
 
 
+def test_faces_match_ring_loop(case1):
+    _, _, _, d = case1
+    for n_r, n_theta in ((1, 3), (4, 7)):
+        def vid(ring, a):
+            return 1 + ring * n_theta + a % n_theta
+
+        want = [(0, vid(0, a), vid(0, a + 1)) for a in range(n_theta)]
+        for ring in range(n_r - 1):
+            for a in range(n_theta):
+                want.append((vid(ring, a), vid(ring + 1, a), vid(ring + 1, a + 1)))
+                want.append((vid(ring, a), vid(ring + 1, a + 1), vid(ring, a + 1)))
+        mesh = sample_disk(d, n_r=n_r, n_theta=n_theta)
+        assert mesh.faces.tolist() == [list(f) for f in want]
+
+
 def test_center_vertex_and_metadata(case1):
     _, _, c, d = case1
     mesh = sample_disk(d, n_r=3, n_theta=12, r_max=0.9, h_max=2.5)
@@ -101,7 +116,7 @@ def test_obj_export_round_trip(case1, tmp_path):
     assert len(vs) == len(mesh.vertices) and len(fs) == len(mesh.faces)
     assert min(i for f in fs for i in f) == 1   # OBJ indices are 1-based
     for got, want in zip(vs, mesh.vertices):
-        assert got == want   # .17g round-trips float64 exactly
+        assert got == tuple(want)   # .17g round-trips float64 exactly
     for got, want in zip(fs, mesh.faces):
         assert got == tuple(i + 1 for i in want)
 
