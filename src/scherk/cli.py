@@ -335,8 +335,8 @@ def run_checks(q, profile="default", seed=0, tol=1e-8):
     # component harmonicity / height harmonicity by finite differences
     err = 0.0
     for z in (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.35j):
-        err = max(err, abs(fd_laplacian(lambda u: harmonic_map(u, d).real, z)))
-        err = max(err, abs(fd_laplacian(lambda u: harmonic_map(u, d).imag, z)))
+        lap = fd_laplacian(lambda u: harmonic_map(u, d), z)
+        err = max(err, abs(lap.real), abs(lap.imag))
         err = max(err, abs(fd_laplacian(lambda u: height_T(u, d), z)))
     add("laplacian_defect_fd", err, (1e-4, 5e-5))
 
@@ -386,7 +386,7 @@ def cmd_mesh(args):
             f"wrote {len(mesh.vertices)} vertices, {len(mesh.faces)} faces "
             f"to {args.out} ({mesh.metadata['clamped']} heights clamped)\n")
     else:
-        sys.stdout.write(_obj_text(mesh))
+        sys.stdout.writelines(_obj_text(mesh))
     return 0
 
 

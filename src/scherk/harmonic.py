@@ -56,7 +56,7 @@ def analytic_parts(d):
 
 
 def _guard_poles(z, poles):
-    dmin = np.min(np.abs(np.subtract.outer(np.asarray(z), poles)))
+    dmin = np.abs(np.subtract.outer(z, poles)).min()
     if dmin < TOL_POLE:
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
 

@@ -8,6 +8,9 @@ from .errors import IoError
 from .harmonic import harmonic_map
 from .weierstrass import height_T
 
+# Lines of OBJ text formatted per block: bounds the text held in memory.
+_OBJ_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SurfaceMesh:
@@ -77,19 +80,20 @@ def radial_trace(d, pole_index, r_list):
 
 
 def _obj_text(mesh):
-    """Wavefront OBJ text of the mesh (1-based face indices)."""
-    v_lines = "v %.17g %.17g %.17g\n" * len(mesh.vertices)
-    f_lines = "f %d %d %d\n" * len(mesh.faces)
-    return (v_lines % tuple(mesh.vertices.ravel().tolist())
-            + f_lines % tuple((mesh.faces + 1).ravel().tolist()))
+    """Wavefront OBJ text of the mesh (1-based face indices), yielded in
+    blocks of _OBJ_BLOCK lines with one %-format call each."""
+    for fmt, rows in (("v %.17g %.17g %.17g\n", mesh.vertices),
+                      ("f %d %d %d\n", mesh.faces + 1)):
+        for i in range(0, len(rows), _OBJ_BLOCK):
+            block = rows[i:i + _OBJ_BLOCK]
+            yield fmt * len(block) % tuple(block.ravel().tolist())
 
 
 def export_obj(mesh, path):
     """Write the mesh as a Wavefront OBJ file (1-based face indices)."""
-    text = _obj_text(mesh)
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(_obj_text(mesh))
     except OSError as exc:
         raise IoError(f"cannot write OBJ file {path}: {exc}") from exc
 

@@ -33,6 +33,8 @@ class QuadratureConfig:
 
 
 _DEFAULT_CFG = QuadratureConfig()
+# Unit offsets of the five-point Laplacian stencil; the center comes last.
+_STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,14 +145,20 @@ def numeric_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
 
 
 def fd_laplacian(field, z, h=1e-3, domain_radius=None):
-    """Five-point finite-difference Laplacian of a real field at z."""
+    """Five-point finite-difference Laplacian of a field at z.
+
+    field is called once, on a numpy array of the five stencil points
+    (z + h, z - h, z + ih, z - ih, z), so it must be written with numpy
+    operations.  A complex field gives the Laplacians of its real and
+    imaginary parts as the real and imaginary parts of the result.
+    """
     z = complex(z)
     if domain_radius is not None and abs(z) + h >= domain_radius:
         raise StencilOutOfDomain(
             f"stencil of half-width {h} at |z| = {abs(z):.6g} leaves the "
             f"domain of radius {domain_radius:.6g}")
-    return (field(z + h) + field(z - h) + field(z + 1j * h) + field(z - 1j * h)
-            - 4.0 * field(z)) / h ** 2
+    v = field(z + h * _STENCIL)
+    return (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / h ** 2
 
 
 def fd_mixed(fn, point, h=1e-4):

@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivisionDegenerate, EqualRapidities
 from .geometry import HyperbolicCoords, hyperbola_point
 
@@ -20,9 +22,13 @@ TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class ScherkData:
-    """All scalar data of one surface in the normalized frame; h_residues
-    are the residues of h' at the poles (1, e^{ip}, -1, -e^{ip}), and
-    h0 = h(0) = f(0)."""
+    """All scalar data of one surface in the normalized frame.
+
+    h_residues, g_residues and k_residues are the residues of h', g' and
+    the height kernel K = h' q at the poles (1, e^{ip}, -1, -e^{ip});
+    lam is the kernel's growth scale and cj the four growth rates of T/2
+    (see weierstrass.HeightKernel); h0 = h(0) = f(0).
+    """
     p: float
     e_ip: complex
     z0: complex
@@ -32,6 +38,10 @@ class ScherkData:
     C: complex
     poles: tuple
     h_residues: tuple
+    g_residues: tuple
+    k_residues: tuple
+    lam: float
+    cj: tuple
     h0: complex
     coords: HyperbolicCoords
 
@@ -46,11 +56,6 @@ class ScherkData:
     @property
     def A(self):
         return self.B * self.X
-
-    @property
-    def g_residues(self):
-        """Residues of g': the negated conjugates of the h' residues."""
-        return tuple(-r.conjugate() for r in self.h_residues)
 
 
 def normalized_vertices(c):
@@ -110,10 +115,11 @@ def moebius_center_vertex_form(z, w, p):
     return -zc
 
 
-def unimodular_factor(c):
+def unimodular_factor(c, z0, c1):
     """Unimodular factor X of the dilatation and its sign-resolved root.
 
-    The square root's sign is fixed so that the residue of h'(z) q(z) at
+    z0 is the Moebius center and c1 the residue of h' at z = 1.  The
+    square root's sign is fixed so that the residue of h'(z) q(z) at
     z = 1 is +i times a positive real number; this orients the height
     function (which sides of the quadrilateral blow up to -infinity).
     """
@@ -123,13 +129,29 @@ def unimodular_factor(c):
     ek = math.exp(c.k)
     X = ((1j + ej) / (1.0 + 1j * ej)) ** 2 * ((1.0 + emk) / (em + ek)) ** 2
     sqrtX = cmath.sqrt(X)
-    z0 = moebius_center(c)
-    w = hyperbola_point(c.m, c.s)
-    c1 = (1.0 - w) / TWO_PI_I
     q1 = sqrtX * (1.0 - z0) / (1.0 - z0.conjugate())
     if (c1 * q1).imag < 0.0:
         sqrtX = -sqrtX
     return X, sqrtX
+
+
+def _kernel_residues(c, C, z0, e_ip, poles):
+    """Residues of K = h' q at the poles, its growth scale lam and rates cj.
+
+    Residues come from N(pole)/D'(pole) of the rational form of K, so they
+    are exact for the kernel as implemented; lam and cj give the
+    equivalent sign-split closed form +-i cj (checked in the tests).
+    """
+    e2 = e_ip * e_ip
+    res = []
+    for zk in poles:
+        num = C * (zk - z0) * (1.0 - zk * np.conj(z0))
+        dprime = -2.0 * zk * (e2 - zk * zk) - 2.0 * zk * (1.0 - zk * zk)
+        res.append(num / dprime)
+    lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
+    mods = (abs(1.0 - z0) ** 2, abs(1.0 - z0 / e_ip) ** 2,
+            abs(1.0 + z0) ** 2, abs(1.0 + z0 / e_ip) ** 2)
+    return tuple(res), lam, tuple(lam * mm for mm in mods)
 
 
 def scherk_data(c):
@@ -146,8 +168,13 @@ def scherk_data(c):
     exp_poles = (1.0 + 0.0j, eip, -1.0 + 0.0j, -eip)
     h_prime0 = -sum(ck / zk for ck, zk in zip(hres, exp_poles))
     B = eip * eip * h_prime0
-    X, sqrtX = unimodular_factor(c)
+    z0 = moebius_center(c)
+    X, sqrtX = unimodular_factor(c, z0, hres[0])
+    C = B * sqrtX
+    poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
+    kres, lam, cj = _kernel_residues(c, C, z0, e_ip, poles)
     return ScherkData(
-        p=p, e_ip=e_ip, z0=moebius_center(c), X=X, sqrtX=sqrtX, B=B,
-        C=B * sqrtX, poles=(1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip),
-        h_residues=hres, h0=p * (b2 + b4) / (2 * math.pi), coords=c)
+        p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=C, poles=poles,
+        h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
+        k_residues=kres, lam=lam, cj=cj, h0=p * (b2 + b4) / (2 * math.pi),
+        coords=c)

@@ -7,7 +7,6 @@ whose residues drive Scherk-type logarithmic height growth toward the four
 sides of Q.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,23 +48,12 @@ def kernel_K(z, d):
 def residues(d):
     """Exact residues of K at (1, e^{ip}, -1, -e^{ip}) and the growth scale.
 
-    Residues come from N(pole)/D'(pole) of the rational form, so they are
-    exact for the kernel as implemented; lam and cj give the equivalent
-    sign-split closed form (checked against these in the tests).
+    Read from the record, where scherk_data computed them once from
+    N(pole)/D'(pole) of the rational form (exact for the kernel as
+    implemented); lam and cj give the equivalent sign-split closed form
+    (checked against these in the tests).
     """
-    c = d.coords
-    z0, e2 = d.z0, d.e_2ip
-    res = []
-    for zk in d.poles:
-        num = d.C * (zk - z0) * (1.0 - zk * np.conj(z0))
-        dprime = -2.0 * zk * (e2 - zk * zk) - 2.0 * zk * (1.0 - zk * zk)
-        res.append(num / dprime)
-    lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
-    eip = d.e_ip
-    mods = (abs(1.0 - z0) ** 2, abs(1.0 - z0 / eip) ** 2,
-            abs(1.0 + z0) ** 2, abs(1.0 + z0 / eip) ** 2)
-    cj = tuple(lam * mm for mm in mods)
-    return HeightKernel(d.poles, tuple(res), lam, cj)
+    return HeightKernel(d.poles, d.k_residues, d.lam, d.cj)
 
 
 def height_T(z, d):
@@ -75,10 +63,9 @@ def height_T(z, d):
     disk about 1.  Grows like +2 cj log(1-r) toward +-1 and -2 cj log(1-r)
     toward +-e^{ip}.
     """
-    if np.max(np.abs(z)) > 1.0 - 1e-9:
+    if np.abs(z).max() > 1.0 - 1e-9:
         raise ValueError("height requires |z| <= 1 - 1e-9")
-    hk = residues(d)
-    acc = sum(r * lg for r, lg in zip(hk.residues, _pole_logs(z, d)))
+    acc = sum(r * lg for r, lg in zip(d.k_residues, _pole_logs(z, d)))
     return 2.0 * np.imag(acc)
 
 
@@ -88,8 +75,7 @@ def asymptotic_constants(d):
     T(r zeta) ~ +2 C1 log(1-r) toward zeta = 1, -2 C2 toward e^{ip},
     +2 C3 toward -1, -2 C4 toward -e^{ip}.
     """
-    hk = residues(d)
-    return (hk.lam,) + hk.cj
+    return (d.lam,) + d.cj
 
 
 def surface_point(z, d, frame=None):

@@ -14,6 +14,7 @@ import pytest
 import scherk
 from scherk import sample_disk
 from scherk.cli import build_report, canonical_json, load_quad, main, run_checks
+from scherk.mesh import _obj_text
 from conftest import build_case
 
 
@@ -204,8 +205,10 @@ def test_mesh_stdout_matches_out_file(capsys, tmp_path):
 
 def test_each_command_builds_its_surface_once(capsys, monkeypatch, tmp_path):
     counts = {}
-    for name in ("scherk_data", "normalize", "hyperbolic_coordinates"):
-        original = getattr(scherk, name)
+    names = ("scherk_data", "normalize", "hyperbolic_coordinates",
+             "_kernel_residues")
+    for name in names:
+        original = getattr(scherk.params, name, None) or getattr(scherk, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -219,11 +222,30 @@ def test_each_command_builds_its_surface_once(capsys, monkeypatch, tmp_path):
                  ["mesh", "--nr", "2", "--ntheta", "6", "--out",
                   str(tmp_path / "m.obj")],
                  ["asymptotics"]):
-        counts.update(scherk_data=0, normalize=0, hyperbolic_coordinates=0)
+        counts.update(dict.fromkeys(names, 0))
         code, _, _ = run(capsys, *argv, "--params", "0.3,1.0,0.3")
         assert code == 0
-        assert counts == {"scherk_data": 1, "normalize": 1,
-                          "hyperbolic_coordinates": 1}, argv[0]
+        assert counts == dict.fromkeys(names, 1), argv[0]
+
+
+def test_mesh_obj_blocks_match_one_shot_format(capsys, tmp_path):
+    # 4 801 vertices and 9 520 faces: several OBJ blocks of each kind
+    _, frame, _, d = build_case(0.7, 0.9, -1.1)
+    mesh = sample_disk(d, frame, n_r=60, n_theta=80)
+    assert mesh.vertices.shape == (4801, 3) and mesh.faces.shape == (9520, 3)
+    want = (("v %.17g %.17g %.17g\n" * len(mesh.vertices))
+            % tuple(mesh.vertices.ravel().tolist())
+            + ("f %d %d %d\n" * len(mesh.faces))
+            % tuple((mesh.faces + 1).ravel().tolist())).encode()
+    assert len(list(_obj_text(mesh))) == 5  # 2 vertex and 3 face blocks
+    argv = ("mesh", "--params", "0.7,0.9,-1.1", "--nr", "60", "--ntheta", "80")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == want
+    path = tmp_path / "out.obj"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == want
 
 
 def test_readme_library_example_runs():

@@ -134,6 +134,13 @@ def test_fd_laplacian_known_fields():
     assert abs(fd_laplacian(lambda z: abs(z) ** 2, 0.3 + 0.1j) - 4.0) < 1e-8
 
 
+def test_fd_laplacian_one_call_on_stencil_array():
+    rec = _Recorder(lambda z: abs(z) ** 2)
+    fd_laplacian(rec, 0.3 + 0.1j)
+    assert len(rec.args) == 1
+    assert isinstance(rec.args[0], np.ndarray) and rec.args[0].shape == (5,)
+
+
 def test_fd_laplacian_stencil_guard():
     with pytest.raises(StencilOutOfDomain):
         fd_laplacian(lambda z: abs(z) ** 2, 0.9995, h=1e-3, domain_radius=1.0)

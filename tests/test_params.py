@@ -1,6 +1,7 @@
 """Scalar parameters: every constant has at least two independent routes."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -163,3 +164,13 @@ def test_normalized_vertices_match_frame(case1):
     assert b1 == -1.0 and b3 == 1.0
     assert abs(b2 - frame.z) < 1e-14
     assert abs(b4 - frame.w) < 1e-14
+
+
+def test_g_residues_stored_on_record(sweep_cases):
+    fields = {f.name for f in dataclasses.fields(sweep_cases[0][3])}
+    assert "g_residues" in fields
+    for _, _, _, d in sweep_cases:
+        assert isinstance(d.g_residues, tuple)
+        want = [-r.conjugate() for r in d.h_residues]
+        assert [(g.real.hex(), g.imag.hex()) for g in d.g_residues] \
+            == [(w.real.hex(), w.imag.hex()) for w in want]

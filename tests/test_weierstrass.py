@@ -64,6 +64,20 @@ def test_residue_sign_split(sweep_cases):
             assert abs(r - sg * cj) < 1e-13 * (1 + cj)
 
 
+def test_stored_kernel_residues_are_the_rational_form(sweep_cases):
+    # reference: N(pole)/D'(pole) of K's rational form, evaluated here
+    for _, _, _, d in sweep_cases:
+        want = []
+        for zk in d.poles:
+            num = d.C * (zk - d.z0) * (1.0 - zk * np.conj(d.z0))
+            dprime = (-2.0 * zk * (d.e_2ip - zk * zk)
+                      - 2.0 * zk * (1.0 - zk * zk))
+            want.append(num / dprime)
+        assert [(r.real.hex(), r.imag.hex()) for r in d.k_residues] \
+            == [(complex(w).real.hex(), complex(w).imag.hex()) for w in want]
+        assert residues(d).residues is d.k_residues
+
+
 def test_residue_sum_vanishes(sweep_cases):
     for _, _, _, d in sweep_cases:
         assert abs(sum(residues(d).residues)) < 1e-14
