@@ -30,8 +30,7 @@ from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       graph_height_function, newton_invert, numeric_residue,
                       poisson_extension)
 from .params import (ScherkData, angle_parameter, moebius_center,
-                     moebius_center_vertex_form, scherk_data,
-                     unimodular_factor, vertex_form_E)
+                     scherk_data, unimodular_factor)
 from .weierstrass import (HeightKernel, asymptotic_constants, gauss_map_q,
                           height_T, kernel_K, residues, surface_point)
 

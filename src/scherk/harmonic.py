@@ -61,6 +61,16 @@ def _guard_poles(z, poles):
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
 
 
+def _derivatives(z, d, frame=None):
+    """The pair (h'(z), g'(z)) behind one pole guard (see h_prime for frame)."""
+    _guard_poles(z, d.poles)
+    hp = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
+    gp = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
+    if frame is not None:
+        hp, gp = hp / frame.scale, gp / np.conj(frame.scale)
+    return hp, gp
+
+
 def h_prime(z, d, frame=None):
     """Derivative of the analytic part h.
 
@@ -68,25 +78,18 @@ def h_prime(z, d, frame=None):
     NormalizedFrame returns the analytic derivative of the de-normalized
     map (division by the frame scale).
     """
-    _guard_poles(z, d.poles)
-    val = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
-    if frame is not None:
-        val = val / frame.scale
-    return val
+    return _derivatives(z, d, frame)[0]
 
 
 def g_prime(z, d, frame=None):
     """Derivative of the co-analytic part g (see h_prime for frame)."""
-    _guard_poles(z, d.poles)
-    val = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
-    if frame is not None:
-        val = val / np.conj(frame.scale)
-    return val
+    return _derivatives(z, d, frame)[1]
 
 
 def dilatation(z, d):
     """Second complex dilatation g'(z)/h'(z); a perfect Moebius square."""
-    return g_prime(z, d) / h_prime(z, d)
+    hp, gp = _derivatives(z, d)
+    return gp / hp
 
 
 def _pole_logs(z, d):
@@ -120,6 +123,5 @@ def harmonic_center(d, frame=None):
 
 def jacobian(z, d):
     """Jacobian |h'|^2 - |g'|^2 of f; positive iff sense-preserving."""
-    hp = h_prime(z, d)
-    gp = g_prime(z, d)
+    hp, gp = _derivatives(z, d)
     return np.abs(hp) ** 2 - np.abs(gp) ** 2

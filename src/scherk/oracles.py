@@ -20,7 +20,7 @@ from .errors import (
     StencilOutOfDomain,
     ToleranceNotMet,
 )
-from .harmonic import g_prime, h_prime, harmonic_map
+from .harmonic import _derivatives, harmonic_map
 from .weierstrass import height_T, kernel_K
 
 
@@ -43,52 +43,81 @@ def _gauss_legendre(n_nodes):
     return np.polynomial.legendre.leggauss(n_nodes)
 
 
-def _panel(fn, a, b, nodes, weights):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * v for w, v in zip(weights, fn(mid + half * nodes)))
+def _panels(fn, a, b, owner, nodes, weights):
+    """Gauss-Legendre values of the panels [a[i], b[i]], one fn call for all.
+
+    fn gets the (n_nodes, n_panels) node array and each panel's interval
+    index.  Weighted node values are added one by one in node order, so a
+    panel's value does not depend on how many panels share the call.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = fn(mid + half * nodes[:, None], owner)
+    return half * np.add.accumulate(weights[:, None] * vals, axis=0)[-1]
 
 
-def _adaptive(fn, a, b, whole, cfg, nodes, weights, depth):
-    # whole is the panel over [a, b], already computed by the caller
-    mid = 0.5 * (a + b)
-    left = _panel(fn, a, mid, nodes, weights)
-    right = _panel(fn, mid, b, nodes, weights)
-    if abs(whole - (left + right)) < cfg.abs_tol:
-        return left + right
-    if depth >= cfg.max_depth:
-        raise ToleranceNotMet(
-            f"quadrature stalled on [{a}, {b}] at depth {depth}")
-    return (_adaptive(fn, a, mid, left, cfg, nodes, weights, depth + 1)
-            + _adaptive(fn, mid, b, right, cfg, nodes, weights, depth + 1))
+def _quad_levels(fn, a, b, cfg):
+    """Adaptive integrals of fn over the intervals [a[i], b[i]], level by level.
+
+    Each level halves every panel still pending, in all intervals, with one
+    fn call.  A halved panel is accepted when |whole - (left + right)| <
+    abs_tol; the accepted sums are then added up the tree of halvings, so
+    every value is the one a depth-first recursion on each interval gives.
+    """
+    nodes, weights = _gauss_legendre(cfg.n_nodes)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    owner = np.arange(a.size)
+    whole = _panels(fn, a, b, owner, nodes, weights)
+    levels = []
+    for depth in range(cfg.max_depth + 1):
+        # the two halves of each pending panel, left then right, in order
+        mid = 0.5 * (a + b)
+        a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
+        owner = np.repeat(owner, 2)
+        halves = _panels(fn, a, b, owner, nodes, weights)
+        pair = halves[0::2] + halves[1::2]
+        diff = whole - pair
+        # np.hypot rounds as a scalar complex abs does; np.abs may not
+        refine = ~(np.hypot(diff.real, diff.imag) < cfg.abs_tol)
+        levels.append((pair, refine))
+        if not refine.any():
+            break
+        if depth >= cfg.max_depth:
+            i = 2 * np.flatnonzero(refine)[0]
+            raise ToleranceNotMet(
+                f"quadrature stalled on [{a[i]}, {b[i + 1]}] at depth {depth}")
+        keep = np.repeat(refine, 2)
+        a, b, owner, whole = a[keep], b[keep], owner[keep], halves[keep]
+    total = levels.pop()[0]
+    for pair, refine in reversed(levels):
+        pair[refine] = total[0::2] + total[1::2]
+        total = pair
+    return total
 
 
 def adaptive_quad(fn, a, b, cfg=None):
     """Adaptive Gauss-Legendre integral of fn over [a, b].
 
-    fn is evaluated elementwise on a numpy array of the cfg.n_nodes nodes
-    of one panel per call, so it must be written with numpy operations
-    (np.exp, not math.exp).  It may return complex values; the
-    halve-and-compare error estimate is applied to the combined value.
+    Each halving level of the panels is one call of fn on a numpy array of
+    shape (cfg.n_nodes, n_panels) holding the nodes of every panel of that
+    level, so fn must be written with numpy operations (np.exp, not
+    math.exp).  It may return complex values; the halve-and-compare error
+    estimate is applied to the combined value.
     """
-    cfg = cfg or _DEFAULT_CFG
-    nodes, weights = _gauss_legendre(cfg.n_nodes)
-    whole = _panel(fn, a, b, nodes, weights)
-    return _adaptive(fn, a, b, whole, cfg, nodes, weights, 0)
+    return _quad_levels(lambda x, _: fn(x), [a], [b], cfg or _DEFAULT_CFG)[0]
 
 
 def composite_quad(fn, a, b, n_panels, cfg=None):
     """Fixed composite Gauss-Legendre rule with n_panels equal panels.
 
     Non-adaptive companion of adaptive_quad used to observe convergence
-    under panel halving.  Like adaptive_quad, fn is evaluated elementwise
-    on a numpy array of one panel's nodes per call.
+    under panel halving.  fn is called once, on the (cfg.n_nodes, n_panels)
+    array of all panels' nodes.
     """
     cfg = cfg or _DEFAULT_CFG
     nodes, weights = _gauss_legendre(cfg.n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
-    return sum(_panel(fn, lo, hi, nodes, weights)
-               for lo, hi in zip(edges[:-1], edges[1:]))
+    return sum(_panels(lambda x, _: fn(x), edges[:-1], edges[1:], None,
+                       nodes, weights))
 
 
 def poisson_extension(z, boundary, cfg=None):
@@ -96,49 +125,63 @@ def poisson_extension(z, boundary, cfg=None):
 
     Integrates the Poisson kernel (1 - |z|^2) / |e^{it} - z|^2 over each
     constant arc of `boundary` separately, so arc endpoints never fall
-    inside a quadrature panel.  The kernel is evaluated elementwise on a
-    numpy array of one panel's angles per call.
+    inside a quadrature panel.  z may be a scalar or an array of points;
+    all points and arcs are integrated together, with the kernel evaluated
+    on numpy arrays of panel angles.
     """
-    z = complex(z)
-    r2 = abs(z) ** 2
+    zs = [complex(v) for v in np.ravel(z)]
+    arcs = boundary.arcs
+    lo, hi = np.tile([span for span, _ in arcs], (len(zs), 1)).T
+    zk = np.repeat(zs, len(arcs))
+    # |z|^2 by Python's complex abs, as for one point; np.abs rounds differently
+    r2k = np.repeat([abs(v) ** 2 for v in zs], len(arcs))
 
-    def kernel(t):
-        return (1.0 - r2) / abs(np.exp(1j * t) - z) ** 2
+    def kernel(t, k):
+        return (1.0 - r2k[k]) / abs(np.exp(1j * t) - zk[k]) ** 2
 
-    total = 0.0 + 0.0j
-    for (lo, hi), value in boundary.arcs:
-        total += value * adaptive_quad(kernel, lo, hi, cfg)
-    return total / (2.0 * math.pi)
+    integrals = _quad_levels(kernel, lo, hi, cfg or _DEFAULT_CFG)
+    out = []
+    for row in integrals.reshape(len(zs), len(arcs)):
+        total = 0.0 + 0.0j
+        for (_, value), integral in zip(arcs, row):
+            total += value * integral
+        out.append(total / (2.0 * math.pi))
+    return out[0] if np.ndim(z) == 0 else np.reshape(out, np.shape(z))
 
 
 def contour_height(z, kernel, cfg=None):
     """Height at z as 2 Im of the kernel integral along the segment [0, z].
 
-    kernel is evaluated elementwise on a numpy array of the points of one
-    quadrature panel per call, so it must be written with numpy operations.
+    z may be a scalar or an array of points, all integrated together.
+    kernel is evaluated elementwise on numpy arrays of quadrature points,
+    so it must be written with numpy operations.
     """
-    z = complex(z)
+    zs = np.ravel(np.asarray(z, dtype=complex))
 
-    def integrand(tau):
-        return kernel(tau * z) * z
+    def integrand(tau, k):
+        return kernel(tau * zs[k]) * zs[k]
 
-    return 2.0 * (adaptive_quad(integrand, 0.0, 1.0, cfg)).imag
+    heights = 2.0 * _quad_levels(integrand, np.zeros(zs.size), np.ones(zs.size),
+                                 cfg or _DEFAULT_CFG).imag
+    return heights[0] if np.ndim(z) == 0 else heights.reshape(np.shape(z))
 
 
 def numeric_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
-    """Residue of fn at `pole` from small-circle averages.
+    """Residue of fn at `pole` (a scalar or an array of poles) from circles.
 
     The mean of (z - pole) fn(z) over a circle of radius eps equals the
     residue plus an O(eps) bias from the neighbouring poles; Richardson
     extrapolation over the two radii removes the linear term.  fn is
-    evaluated elementwise on a numpy array of the n_angles circle points,
-    once per radius, so it must be written with numpy operations.
+    evaluated elementwise on a numpy array of the n_angles points of every
+    pole's circle, once per radius, so it must be written with numpy
+    operations.
     """
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    poles = np.asarray(pole, dtype=complex)[..., None]
 
     def mean(radius):
-        zs = pole + radius * np.exp(1j * angles)
-        return ((zs - pole) * fn(zs)).mean()
+        zs = poles + radius * np.exp(1j * angles)
+        return ((zs - poles) * fn(zs)).mean(axis=-1)
 
     e1, e2 = eps
     return (e1 * mean(e2) - e2 * mean(e1)) / (e1 - e2)
@@ -185,8 +228,7 @@ def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50, frame=None):
         if abs(r) < tol:
             return z
         try:
-            hp = h_prime(z, d, frame)
-            gp = g_prime(z, d, frame)
+            hp, gp = _derivatives(z, d, frame)
         except PoleProximity as exc:
             # an out-of-image target drags the iterate into a boundary pole
             raise NewtonDiverged(f"iterate approached a boundary pole ({exc})")
@@ -198,11 +240,8 @@ def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50, frame=None):
         while True:
             z_new = z + step * dz
             if abs(z_new) < 1.0:
-                try:
-                    r_new = target - harmonic_map(z_new, d, frame)
-                except PoleProximity:
-                    r_new = None  # trial point hugs a boundary pole: reject
-                if r_new is not None and abs(r_new) < abs(r):
+                r_new = target - harmonic_map(z_new, d, frame)
+                if abs(r_new) < abs(r):
                     break
             step *= 0.5
             if step < 1e-14:

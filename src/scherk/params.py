@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionDegenerate, EqualRapidities
+from .errors import EqualRapidities
 from .geometry import HyperbolicCoords, hyperbola_point
 
 TWO_PI_I = 2j * math.pi
@@ -77,20 +77,6 @@ def angle_parameter(c):
     return p, complex(E, math.sqrt(1.0 - E * E))
 
 
-def vertex_form_E(z, w):
-    """cos p recomputed directly from the free vertices z = x+iy, w = u+iv.
-
-    Cross-check route; singular when (u+x)(v+y) vanishes (e.g. the
-    conjugate-symmetric case t = -s), where the rapidity form must be used.
-    """
-    x, y = complex(z).real, complex(z).imag
-    u, v = complex(w).real, complex(w).imag
-    den = (u + x) * (v + y)
-    if abs(den) <= 1e-12 * max(1.0, (abs(u) + abs(x)) * (abs(v) + abs(y))):
-        raise DivisionDegenerate("(u+x)(v+y) vanishes; use the rapidity form")
-    return (u * v - 3.0 * v * x - 3.0 * u * y + x * y) / den
-
-
 def moebius_center(c):
     """Double zero z0 of g' in the open disk (the Moebius center).
 
@@ -101,18 +87,6 @@ def moebius_center(c):
     ej = cmath.exp(-c.j)
     unimod = (1.0 + 1j * ej) / (1.0 - 1j * ej)
     return -unimod * cmath.tanh((c.k + 1j * c.m) / 2.0)
-
-
-def moebius_center_vertex_form(z, w, p):
-    """z0 recomputed from the free vertices and p (cross-check route)."""
-    x, y = complex(z).real, complex(z).imag
-    u, v = complex(w).real, complex(w).imag
-    eip = cmath.exp(1j * p)
-    den = (u - x - 2.0 + 1j * (y - v)) + eip * (x - u - 2.0 + 1j * (v - y))
-    if abs(den) <= 1e-12 * (4.0 + abs(z) + abs(w)):
-        raise DivisionDegenerate("vertex-form z0 denominator vanishes")
-    zc = 1j * eip * math.sin(p) * (-(x + u) + 1j * (y + v)) / den
-    return -zc
 
 
 def unimodular_factor(c, z0, c1):

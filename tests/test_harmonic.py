@@ -126,6 +126,51 @@ def test_frame_scaling_of_derivatives(case1, rng):
         assert abs(got - want) < 1e-13
 
 
+class _Counter:
+    """Wraps fn and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.n = fn, 0
+
+    def __call__(self, *args):
+        self.n += 1
+        return self.fn(*args)
+
+
+def test_derivative_pair_runs_one_pole_guard(case1, rng, monkeypatch):
+    import scherk.harmonic as harmonic
+    import scherk.oracles as oracles
+    q, _, _, d = case1
+    frame, _, _ = normalize(validate_quadrilateral(
+        [(2.0 + 1.0j) * v for v in q.vertices]))
+    zs = _disk_points(rng, 9)
+    for z in (zs, complex(zs[0])):
+        # the pair is bitwise the two single-derivative pole sums
+        hp = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
+        gp = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
+        hpf, gpf = hp / frame.scale, gp / np.conj(frame.scale)
+        for got, want in ((harmonic._derivatives(z, d), (hp, gp)),
+                          (harmonic._derivatives(z, d, frame), (hpf, gpf)),
+                          ((h_prime(z, d, frame), g_prime(z, d, frame)),
+                           (hpf, gpf))):
+            assert np.all(got[0] == want[0]) and np.all(got[1] == want[1])
+    guard = harmonic._guard_poles
+    calls = []
+    monkeypatch.setattr(harmonic, "_guard_poles",
+                        lambda *a: calls.append(1) or guard(*a))
+    for fn in (jacobian, dilatation):
+        calls.clear()
+        fn(zs, d)
+        assert len(calls) == 1
+    pairs = _Counter(harmonic._derivatives)
+    monkeypatch.setattr(oracles, "_derivatives", pairs)
+    calls.clear()
+    oracles.newton_invert(d, harmonic_map(0.4 - 0.3j, d))
+    assert pairs.n >= 3 and len(calls) == pairs.n   # one guard per step
+    with pytest.raises(PoleProximity):
+        harmonic._derivatives(d.e_ip * (1.0 - 1e-12), d)
+
+
 def test_array_evaluation_matches_scalar(case1, rng):
     _, _, _, d = case1
     zs = _disk_points(rng, 17)

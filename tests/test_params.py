@@ -7,10 +7,36 @@ import math
 import pytest
 
 from scherk import (DivisionDegenerate, angle_parameter, h_prime,
-                    moebius_center, moebius_center_vertex_form, scherk_data,
-                    unimodular_factor, vertex_form_E)
+                    moebius_center, scherk_data, unimodular_factor)
 from scherk.geometry import HyperbolicCoords
 from scherk.params import normalized_vertices
+
+
+def vertex_form_E(z, w):
+    """cos p recomputed directly from the free vertices z = x+iy, w = u+iv.
+
+    Test-local cross-check route; singular when (u+x)(v+y) vanishes (e.g. the
+    conjugate-symmetric case t = -s), where the rapidity form must be used.
+    """
+    x, y = complex(z).real, complex(z).imag
+    u, v = complex(w).real, complex(w).imag
+    den = (u + x) * (v + y)
+    if abs(den) <= 1e-12 * max(1.0, (abs(u) + abs(x)) * (abs(v) + abs(y))):
+        raise DivisionDegenerate("(u+x)(v+y) vanishes; use the rapidity form")
+    return (u * v - 3.0 * v * x - 3.0 * u * y + x * y) / den
+
+
+def moebius_center_vertex_form(z, w, p):
+    """z0 recomputed from the free vertices and p (test-local cross-check)."""
+    x, y = complex(z).real, complex(z).imag
+    u, v = complex(w).real, complex(w).imag
+    eip = cmath.exp(1j * p)
+    den = (u - x - 2.0 + 1j * (y - v)) + eip * (x - u - 2.0 + 1j * (v - y))
+    if abs(den) <= 1e-12 * (4.0 + abs(z) + abs(w)):
+        raise DivisionDegenerate("vertex-form z0 denominator vanishes")
+    zc = 1j * eip * math.sin(p) * (-(x + u) + 1j * (y + v)) / den
+    return -zc
+
 
 # frozen reference constants for (m, s, t) = (0.3, 1.0, 0.3)
 CASE1 = {
