@@ -31,8 +31,7 @@ from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       poisson_extension)
 from .params import (ScherkData, angle_parameter, moebius_center,
                      scherk_data, unimodular_factor)
-from .weierstrass import (HeightKernel, asymptotic_constants, gauss_map_q,
-                          height_T, kernel_K, residues, surface_point)
+from .weierstrass import HeightKernel, gauss_map_q, height_T, kernel_K, residues
 
 __version__ = "0.1.0"
 

@@ -116,15 +116,15 @@ def center_mixed_derivative(d):
     return rotated_mixed_derivative(d, 0.0)
 
 
-def curvature_bound(d, q):
-    """Sharp center-curvature bound of the surface d over the quadrilateral q.
+def curvature_bound(d, frame):
+    """Sharp center-curvature bound of the surface d over its quadrilateral.
 
-    pi^2 cos^2 m coth^2 j sech^4 k / |b1 - b3|^2; the constructed surface
-    attains it in absolute value at the harmonic center. d must be the
-    record built from q's normalized frame; that is not checked.
+    pi^2 cos^2 m coth^2 j sech^4 k / |b1 - b3|^2, with |b1 - b3| =
+    2/|frame.scale| read from the normalized frame d was built in; the
+    constructed surface attains it in absolute value at the harmonic center.
     """
     c = d.coords
-    scale2 = abs(q.b1 - q.b3) ** 2
+    scale2 = (2.0 / abs(frame.scale)) ** 2
     return (math.pi ** 2 * math.cos(c.m) ** 2
             / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4) / scale2)
 
@@ -156,15 +156,15 @@ def aligning_rotation(d):
     return min(roots)
 
 
-def center_report(d, frame, q):
-    """Assemble the full CenterReport of the surface d over the quadrilateral q.
+def center_report(d, frame):
+    """Assemble the full CenterReport of the surface d.
 
-    frame is the NormalizedFrame of q that d was built in.
+    frame is the NormalizedFrame of the quadrilateral that d was built in.
     """
     q0, q0p, h0p = center_data(d)
     curv_norm = gauss_curvature(0.0 + 0.0j, d)
     curv_orig = curv_norm * abs(frame.scale) ** 2
-    bound = curvature_bound(d, q)
+    bound = curvature_bound(d, frame)
     return CenterReport(
         c0=complex(harmonic_center(d, frame)),
         q0=q0, q0_prime=q0p, h0_prime=h0p,

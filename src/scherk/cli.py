@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Four subcommands over a common input format (a JSON file with "vertices"
-or "m","s","t", or --params m,s,t):
+Input and output only: four subcommands over a common input format (a
+JSON file with "vertices" or "m","s","t", or --params m,s,t), each of which
+builds the surface record once and formats what the library computes on it:
 
   analyze      closed-form report of the surface as canonical JSON
-  verify       run the self-check suite (closed forms vs numeric oracles)
+  verify       print the rows of the self-check suite (checks.CHECKS)
   mesh         export a triangulated sample of the graph as OBJ
   asymptotics  fit the logarithmic height growth along a boundary ray
 
@@ -19,21 +20,14 @@ import sys
 
 import numpy as np
 
-from .analysis import (aligning_rotation, center_mixed_derivative,
-                       center_report, curvature_bound, gauss_curvature,
-                       graph_normal)
-from .errors import IoError, NewtonDiverged, ScherkError
+from .analysis import center_report
+from .checks import run_checks
+from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
-from .harmonic import (dilatation, harmonic_center, harmonic_map, jacobian,
-                       step_boundary)
-from .mesh import _obj_text, export_csv, export_obj, radial_trace, sample_disk
-from .oracles import (fd_laplacian, fd_mixed, graph_height_function,
-                      kernel_contour_height, newton_invert, numeric_residue,
-                      poisson_extension)
+from .mesh import export_csv, export_obj, obj_text, radial_trace, sample_disk
 from .params import scherk_data
-from .weierstrass import asymptotic_constants, gauss_map_q, height_T, kernel_K, residues
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +125,8 @@ def _setup(q, tol=1e-8):
 def build_report(q, tol=1e-8):
     """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
     frame, coords, d = _setup(q, tol)
-    lam, c1, c2, c3, c4 = asymptotic_constants(d)
-    rep = center_report(d, frame, q)
+    c1, c2, c3, c4 = d.cj
+    rep = center_report(d, frame)
     return {
         "quad": {
             "vertices": [[b.real, b.imag] for b in q.vertices],
@@ -149,10 +143,10 @@ def build_report(q, tol=1e-8):
         "parameters": {"p": d.p, "e_ip": d.e_ip, "z0": d.z0, "X": d.X,
                        "sqrt_X": d.sqrtX, "B": d.B, "Z": d.Z, "A": d.A,
                        "C": d.C},
-        "growth": {"lam": lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
+        "growth": {"lam": d.lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
         "center": {
             "c0": rep.c0,
-            "c0_normalized": harmonic_center(d),
+            "c0_normalized": d.h0,
             "q0": rep.q0,
             "q0_prime": rep.q0_prime,
             "h0_prime": rep.h0_prime,
@@ -186,180 +180,13 @@ def cmd_analyze(args):
 
 
 # ---------------------------------------------------------------------------
-# verify
-
-
-def _interior_samples(rng, n, r_max=0.9):
-    r = r_max * np.sqrt(rng.uniform(0.0, 1.0, n))
-    th = rng.uniform(0.0, 2.0 * np.pi, n)
-    return r * np.exp(1j * th)
-
-
-def run_checks(q, profile="default", seed=0, tol=1e-8):
-    """Closed forms vs independent numerics; returns (name, err, tol, ok) rows.
-
-    Every check compares a formula implemented in this package against a
-    route that does not share code with it (quadrature, finite differences,
-    small-circle residues, Moebius/vertex identities).  The two profiles
-    share the checks and differ only in tolerances.  A check whose Newton
-    inversion of the map diverges is a FAIL row with err = inf, and a note
-    naming it goes to stderr.
-    """
-    frame, coords, d = _setup(q, tol)
-    rng = np.random.default_rng(seed)
-    pick = 0 if profile == "default" else 1
-    rows = []
-
-    def add(name, err, tols):
-        tol = tols[pick]
-        rows.append((name, float(err), float(tol), bool(err <= tol)))
-
-    def add_newton(name, check, tols):
-        try:
-            err = check()
-        except NewtonDiverged as exc:
-            print(f"note: {name}: NewtonDiverged: {exc}", file=sys.stderr)
-            err = math.inf
-        add(name, err, tols)
-
-    zs = _interior_samples(rng, 40)
-
-    # dilatation is exactly the square of the Moebius Gauss-map factor
-    err = np.max(np.abs(dilatation(zs, d) - gauss_map_q(zs, d) ** 2))
-    add("dilatation_is_moebius_square", err, (1e-10, 1e-12))
-
-    # X is unimodular
-    add("unimodular_factor_modulus", abs(abs(d.X) - 1.0), (1e-13, 1e-14))
-
-    # |z0|^2 law
-    c = coords
-    law = (math.cosh(c.k) - math.cos(c.m)) / (math.cosh(c.k) + math.cos(c.m))
-    add("center_modulus_squared_law", abs(abs(d.z0) ** 2 - law), (1e-13, 1e-14))
-
-    # C/(e^{2ip} - 1) collapses to a purely imaginary closed form
-    key = d.C / (d.e_2ip - 1.0)
-    target = -1j * math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (2 * math.pi)
-    add("kernel_scale_identity", abs(key - target), (1e-12, 1e-13))
-
-    # kernel residues: closed forms vs small-circle averages
-    hk = residues(d)
-    circle = numeric_residue(lambda u: kernel_K(u, d), np.array(hk.poles))
-    err = max(abs(r - rc) for r, rc in zip(hk.residues, circle))
-    add("kernel_residues_vs_circle_oracle", err, (1e-7, 1e-8))
-
-    # residues of a rational function vanishing at infinity sum to zero
-    add("kernel_residue_sum", abs(sum(hk.residues)), (1e-14, 1e-15))
-
-    # signed closed-form residues (+-i lam |...|^2) match the exact ones
-    signs = (1j, -1j, 1j, -1j)
-    err = max(abs(r - sg * cjv) for r, sg, cjv in zip(hk.residues, signs, hk.cj))
-    add("kernel_residue_sign_split", err, (1e-12, 1e-13))
-
-    # height via log sum vs contour integration of the kernel
-    pts = (0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j)
-    contour = kernel_contour_height(np.array(pts), d)
-    err = max(abs(height_T(z, d) - hc) for z, hc in zip(pts, contour))
-    add("height_vs_contour_quadrature", err, (1e-8, 1e-9))
-
-    add("height_zero_at_center", abs(height_T(0.0, d)), (1e-14, 1e-15))
-
-    # radial growth: fitted log slopes vs +-2 cj
-    rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
-    logs = np.log(1.0 - rs)
-    slope_signs = (1.0, -1.0, 1.0, -1.0)
-    slopes = np.polyfit(logs, height_T(np.outer(rs, hk.poles), d), 1)[0]
-    err = 0.0
-    for slope, sg, cjv in zip(slopes, slope_signs, hk.cj):
-        err = max(err, abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv))
-    add("radial_growth_slopes", err, (5e-3, 1e-3))
-
-    # center curvature closed form and bound attainment
-    k0 = gauss_curvature(0.0 + 0.0j, d)
-    closed = -(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2 \
-        / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4)
-    add("center_curvature_closed_form", abs(k0 - closed) / abs(closed),
-        (1e-12, 1e-13))
-    bound = curvature_bound(d, q)
-    attained = abs(k0) * abs(frame.scale) ** 2
-    add("curvature_bound_attained", abs(attained - bound) / bound,
-        (1e-12, 1e-13))
-
-    # center normal of the graph vs finite differences of the graph
-    F = graph_height_function(d)
-    c0n = harmonic_center(d)
-
-    def normal_err():
-        h = 1e-5
-        fu = (F(c0n + h) - F(c0n - h)) / (2 * h)
-        fv = (F(c0n + 1j * h) - F(c0n - 1j * h)) / (2 * h)
-        nvec = np.array((-fu, -fv, 1.0)) / math.sqrt(fu * fu + fv * fv + 1.0)
-        return np.max(np.abs(nvec - np.array(graph_normal(d))))
-
-    add_newton("graph_normal_vs_fd", normal_err, (1e-5, 1e-6))
-
-    # mixed derivative of the graph vs finite differences
-    add_newton("mixed_derivative_vs_fd",
-               lambda: abs(fd_mixed(F, c0n, h=1e-4)
-                           - center_mixed_derivative(d)),
-               (1e-3, 1e-4))
-
-    # aligning rotation really kills the rotated mixed derivative
-    alpha = aligning_rotation(d)
-    rot = np.exp(1j * alpha)
-
-    def F_rot(wp):
-        return height_T(newton_invert(d, wp / rot), d)
-
-    add_newton("aligned_mixed_derivative_zero",
-               lambda: abs(fd_mixed(F_rot, rot * c0n, h=1e-4)), (1e-3, 1e-4))
-
-    # harmonic map is sense-preserving
-    rr = np.linspace(0.03, 0.999, 30)
-    th = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
-    grid = np.outer(rr, np.exp(1j * th)).ravel()
-    minjac = float(np.min(jacobian(grid, d)))
-    add("jacobian_positive_on_grid", max(0.0, -minjac), (0.0, 0.0))
-
-    # boundary curve winds once around the center
-    circle = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
-    vals = harmonic_map(circle, d) - c0n
-    winding = float(np.sum(np.angle(vals[1:] / vals[:-1]))) / (2.0 * np.pi)
-    add("boundary_winding_number", abs(winding - 1.0), (1e-8, 1e-10))
-
-    # harmonic map vs Poisson integral of its boundary step
-    sb = step_boundary(d)
-    poisson = poisson_extension(np.array(pts), sb)
-    err = max(abs(harmonic_map(z, d) - pe) for z, pe in zip(pts, poisson))
-    add("poisson_extension_agreement", err, (1e-6, 1e-8))
-
-    # component harmonicity / height harmonicity by finite differences
-    err = 0.0
-    for z in (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.35j):
-        lap = fd_laplacian(lambda u: harmonic_map(u, d), z)
-        err = max(err, abs(lap.real), abs(lap.imag))
-        err = max(err, abs(fd_laplacian(lambda u: height_T(u, d), z)))
-    add("laplacian_defect_fd", err, (1e-4, 5e-5))
-
-    # f(0) equals the closed-form center
-    add("center_value_consistency",
-        abs(harmonic_map(0.0 + 0.0j, d) - c0n), (1e-14, 1e-15))
-
-    # radial boundary limits hit the step values mid-arc
-    r_near = 1.0 - 1e-6
-    mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in sb.arcs])
-    limits = harmonic_map(r_near * np.exp(1j * mids), d)
-    err = 0.0
-    for (_, value), limit in zip(sb.arcs, limits):
-        err = max(err, abs(limit - value))
-    add("boundary_step_values", err, (1e-3, 1e-4))
-
-    return rows
+# verify / mesh / asymptotics
 
 
 def cmd_verify(args):
     q = load_quad(args)
-    rows = run_checks(q, profile=args.tol_profile, seed=args.seed,
-                      tol=_coord_tol(args))
+    frame, _, d = _setup(q, _coord_tol(args))
+    rows = run_checks(d, frame, profile=args.tol_profile, seed=args.seed)
     width = max(len(name) for name, *_ in rows)
     lines = []
     for name, err, tol, ok in rows:
@@ -370,10 +197,6 @@ def cmd_verify(args):
                  f"(profile={args.tol_profile}, seed={args.seed})")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if n_ok == len(rows) else 1
-
-
-# ---------------------------------------------------------------------------
-# mesh / asymptotics
 
 
 def cmd_mesh(args):
@@ -387,7 +210,7 @@ def cmd_mesh(args):
             f"wrote {len(mesh.vertices)} vertices, {len(mesh.faces)} faces "
             f"to {args.out} ({mesh.metadata['clamped']} heights clamped)\n")
     else:
-        sys.stdout.writelines(_obj_text(mesh))
+        sys.stdout.writelines(obj_text(mesh))
     return 0
 
 
@@ -401,8 +224,7 @@ def cmd_asymptotics(args):
     logs = np.log1p(-np.array([r for r, _ in trace]))
     ts = np.array([t for _, t in trace])
     slope = float(np.polyfit(logs, ts, 1)[0])
-    lam, c1, c2, c3, c4 = asymptotic_constants(d)
-    target = (2 * c1, -2 * c2, 2 * c3, -2 * c4)[args.pole - 1]
+    target = (2, -2, 2, -2)[args.pole - 1] * d.cj[args.pole - 1]
     rel = abs(slope - target) / abs(target)
     sys.stdout.write(
         f"pole {args.pole}: fitted slope {slope:.12g} vs closed form "

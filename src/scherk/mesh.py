@@ -79,7 +79,7 @@ def radial_trace(d, pole_index, r_list):
     return [(float(r), float(height_T(r * zeta, d))) for r in r_list]
 
 
-def _obj_text(mesh):
+def obj_text(mesh):
     """Wavefront OBJ text of the mesh (1-based face indices), yielded in
     blocks of _OBJ_BLOCK lines with one %-format call each."""
     for fmt, rows in (("v %.17g %.17g %.17g\n", mesh.vertices),
@@ -93,7 +93,7 @@ def export_obj(mesh, path):
     """Write the mesh as a Wavefront OBJ file (1-based face indices)."""
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.writelines(_obj_text(mesh))
+            fh.writelines(obj_text(mesh))
     except OSError as exc:
         raise IoError(f"cannot write OBJ file {path}: {exc}") from exc
 

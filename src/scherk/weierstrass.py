@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import _guard_poles, _pole_logs, harmonic_map
+from .harmonic import _guard_poles, _pole_logs
 
 
 @dataclass(frozen=True)
@@ -67,28 +67,3 @@ def height_T(z, d):
         raise ValueError("height requires |z| <= 1 - 1e-9")
     acc = sum(r * lg for r, lg in zip(d.k_residues, _pole_logs(z, d)))
     return 2.0 * np.imag(acc)
-
-
-def asymptotic_constants(d):
-    """Growth data (lam, C1, C2, C3, C4) of the four logarithmic laws.
-
-    T(r zeta) ~ +2 C1 log(1-r) toward zeta = 1, -2 C2 toward e^{ip},
-    +2 C3 toward -1, -2 C4 toward -e^{ip}.
-    """
-    return (d.lam,) + d.cj
-
-
-def surface_point(z, d, frame=None):
-    """Point (x, y, height) of the graph over the quadrilateral.
-
-    frame de-normalizes: the in-plane value goes through the inverse
-    similarity and the height is scaled by the same length factor
-    |b3 - b1|/2, which keeps the surface minimal.
-    """
-    if abs(z) > 1.0 - 1e-6:
-        raise ValueError("surface sampling requires |z| <= 1 - 1e-6")
-    fz = harmonic_map(z, d, frame)
-    t = height_T(z, d)
-    if frame is not None:
-        t = t / abs(frame.scale)
-    return (float(np.real(fz)), float(np.imag(fz)), float(t))

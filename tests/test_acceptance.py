@@ -299,7 +299,7 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
     for q in quads:
         frame, _, _ = normalize(q)
         c = hyperbolic_coordinates(frame.z, frame.w)
-        rep = center_report(scherk_data(c), frame, q)
+        rep = center_report(scherk_data(c), frame)
         coth_j = math.cosh(c.j) / math.sinh(c.j)
         closed = (-(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2
                   * coth_j ** 2 / math.cosh(c.k) ** 4)

@@ -72,18 +72,18 @@ def test_curvature_vs_graph_finite_differences(case1, case2):
 
 def test_curvature_bound_attained_and_covariant(sweep_cases):
     for q, frame, c, d in sweep_cases[:50]:
-        bound = curvature_bound(d, q)
+        bound = curvature_bound(d, frame)
         attained = abs(gauss_curvature(0.0 + 0.0j, d)) * abs(frame.scale) ** 2
         assert abs(attained - bound) < 1e-12 * bound
 
 
 def test_curvature_bound_scales_like_inverse_area():
-    q, _, _, d = build_case(0.4, 1.1, -0.2)
-    bound = curvature_bound(d, q)
+    q, frame, _, d = build_case(0.4, 1.1, -0.2)
+    bound = curvature_bound(d, frame)
     bigger = validate_quadrilateral([3.0 * v for v in q.vertices])
     fb, _, _ = normalize(bigger)
     db = scherk_data(hyperbolic_coordinates(fb.z, fb.w))
-    assert abs(curvature_bound(db, bigger) - bound / 9.0) < 1e-12 * bound
+    assert abs(curvature_bound(db, fb) - bound / 9.0) < 1e-12 * bound
 
 
 def test_center_normal_closed_form(sweep_cases):
@@ -211,7 +211,7 @@ def test_aligning_rotation_zeroes_fd(case1):
 
 def test_center_report_assembly(case1):
     q, frame, c, d = case1
-    rep = center_report(d, frame, q)
+    rep = center_report(d, frame)
     assert abs(rep.c0 - harmonic_center(d, frame)) < 1e-15
     assert abs(rep.curvature_normalized - gauss_curvature(0j, d)) < 1e-15
     assert abs(rep.curvature_original

@@ -13,8 +13,9 @@ import pytest
 
 import scherk
 from scherk import sample_disk
-from scherk.cli import build_report, canonical_json, load_quad, main, run_checks
-from scherk.mesh import _obj_text
+from scherk.checks import CHECKS, run_checks
+from scherk.cli import build_report, canonical_json, load_quad, main
+from scherk.mesh import obj_text
 from conftest import build_case
 
 
@@ -155,12 +156,28 @@ def test_verify_reports_newton_divergence_as_fail_rows(capsys):
 
 
 def test_verify_runtime_budget():
-    q, _, _, _ = build_case(0.3, 1.0, 0.3)
+    _, frame, _, d = build_case(0.3, 1.0, 0.3)
     start = time.perf_counter()
-    rows = run_checks(q, profile="default", seed=0)
+    rows = run_checks(d, frame, profile="default", seed=0)
     elapsed = time.perf_counter() - start
     assert all(ok for *_, ok in rows)
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("name, tols, err_of", CHECKS,
+                         ids=[name for name, *_ in CHECKS])
+def test_check_row_passes_both_profiles(name, tols, err_of, case1, case2):
+    for _, frame, _, d in (case1, case2):
+        err = err_of(d, frame, 0)
+        assert all(err <= tol for tol in tols), f"{name}: err {err:.3e}"
+
+
+def test_verify_prints_check_rows_in_table_order(capsys):
+    names = [name for name, *_ in CHECKS]
+    assert len(names) == len(set(names)) == 21
+    code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
+    assert code == 0
+    assert [ln.split()[1] for ln in out.splitlines()[:-1]] == names
 
 
 def test_verify_seed_changes_samples_not_outcome(capsys):
@@ -237,7 +254,7 @@ def test_mesh_obj_blocks_match_one_shot_format(capsys, tmp_path):
             % tuple(mesh.vertices.ravel().tolist())
             + ("f %d %d %d\n" * len(mesh.faces))
             % tuple((mesh.faces + 1).ravel().tolist())).encode()
-    assert len(list(_obj_text(mesh))) == 5  # 2 vertex and 3 face blocks
+    assert len(list(obj_text(mesh))) == 5  # 2 vertex and 3 face blocks
     argv = ("mesh", "--params", "0.7,0.9,-1.1", "--nr", "60", "--ntheta", "80")
     code, out, _ = run(capsys, *argv)
     assert code == 0

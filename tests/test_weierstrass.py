@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, adaptive_quad, asymptotic_constants,
-                    g_prime, gauss_map_q, h_prime, harmonic_map, height_T,
-                    kernel_K, normalize, numeric_residue, residues,
-                    surface_point, validate_quadrilateral)
+from scherk import (PoleProximity, adaptive_quad, g_prime, gauss_map_q,
+                    h_prime, height_T, kernel_K, numeric_residue, residues)
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
 T_CASE2 = -0.0290030310528531549374134814678   # T(0.3 + 0.2i), case 2
@@ -48,8 +46,10 @@ def test_partial_fraction_reconstruction(sweep_cases, rng):
 def test_residues_match_circle_oracle(case1, case2):
     for _, _, _, d in (case1, case2):
         hk = residues(d)
-        for r, zk in zip(hk.residues, hk.poles):
+        for r, zk, cj in zip(hk.residues, hk.poles, hk.cj):
             assert abs(r - numeric_residue(lambda u: kernel_K(u, d), zk)) < 1e-10
+            # the growth rates are the residue moduli
+            assert abs(cj - abs(r)) < 1e-15
 
 
 def test_residue_sign_split(sweep_cases):
@@ -123,15 +123,6 @@ def test_height_sign_pattern_toward_poles(case1, case2):
         assert t2 > 1.0 and t4 > 1.0
 
 
-def test_asymptotic_constants_are_residue_moduli(case1):
-    _, _, _, d = case1
-    lam, c1, c2, c3, c4 = asymptotic_constants(d)
-    hk = residues(d)
-    assert (c1, c2, c3, c4) == hk.cj
-    for cj, r in zip((c1, c2, c3, c4), hk.residues):
-        assert abs(cj - abs(r)) < 1e-15
-
-
 def test_fitted_slopes_match_residues(case1, case2):
     rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
     logs = np.log1p(-rs)
@@ -159,20 +150,3 @@ def test_kernel_pole_guard_and_height_domain(case1):
         kernel_K(d.e_ip * (1 - 1e-12), d)
     with pytest.raises(ValueError):
         height_T(1.0 - 1e-10, d)
-
-
-def test_surface_point_composition(case1, rng):
-    q, _, _, d = case1
-    a = 0.5 + 2.0j
-    moved = validate_quadrilateral([a * v for v in q.vertices])
-    frame, _, _ = normalize(moved)
-    for z in _disk_points(rng, 5, r_max=0.8):
-        z = complex(z)
-        x, y, t = surface_point(z, d)
-        assert abs(complex(x, y) - harmonic_map(z, d)) < 1e-15
-        assert abs(t - height_T(z, d)) < 1e-15
-        xo, yo, to = surface_point(z, d, frame)
-        assert abs(complex(xo, yo) - frame.invert(complex(x, y))) < 1e-13
-        assert abs(to - t / abs(frame.scale)) < 1e-15
-    with pytest.raises(ValueError):
-        surface_point(0.9999995, d)
