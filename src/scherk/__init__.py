@@ -8,10 +8,9 @@ the harmonic center — all in closed form, each formula cross-checked
 against independent numeric oracles.
 """
 
-from .analysis import (CenterReport, aligning_rotation, center_data,
-                       center_mixed_derivative, center_normal, center_report,
-                       curvature_bound, gauss_curvature, graph_normal,
-                       rotated_mixed_derivative)
+from .analysis import (aligning_rotation, center_mixed_derivative,
+                       center_normal, center_report, curvature_bound,
+                       gauss_curvature, graph_normal, rotated_mixed_derivative)
 from .errors import (DegenerateRightAngle, DegenerateVertices,
                      DivisionDegenerate, EqualRapidities, FociCoincide,
                      IoError, NewtonDiverged, NoRootFound, NotPitot,
@@ -22,8 +21,8 @@ from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
 from .harmonic import (AnalyticParts, StepBoundary, analytic_parts,
-                       dilatation, g_prime, h_prime, harmonic_center,
-                       harmonic_map, jacobian, step_boundary)
+                       dilatation, g_prime, h_prime, harmonic_map, jacobian,
+                       step_boundary)
 from .mesh import SurfaceMesh, export_csv, export_obj, radial_trace, sample_disk
 from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       contour_height, fd_laplacian, fd_mixed,

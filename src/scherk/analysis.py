@@ -6,38 +6,19 @@ stereographic image of the Gauss-map value q(0) (the conventional closed
 form), and `graph_normal`, the upward normal of the height graph itself,
 which the finite-difference oracle reproduces; the two differ by a swap
 and sign flip of the horizontal components (see the tests).
+
+q(0), q'(0) and h'(0) are read from the record (d.q0, d.q0_prime,
+d.h0_prime).  All of it is in the normalized frame except curvature_bound
+and center_report, which take the frame to map results back.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NoRootFound
-from .harmonic import h_prime, harmonic_center
+from .harmonic import h_prime
 
 ROTATION_RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CenterReport:
-    """Closed-form center data of one surface.
-
-    curvature_normalized refers to the canonical (-1, z, 1, w) frame;
-    curvature_original and curvature_bound are de-normalized (divided by
-    the squared half-diagonal scale).  alpha is the rotation of the
-    quadrilateral that zeroes the mixed derivative at the center.
-    """
-    c0: complex
-    q0: complex
-    q0_prime: complex
-    h0_prime: complex
-    curvature_normalized: float
-    curvature_original: float
-    curvature_bound: float
-    normal: tuple
-    graph_normal: tuple
-    mixed_derivative: float
-    alpha: float
 
 
 def gauss_curvature(z, d):
@@ -47,22 +28,6 @@ def gauss_curvature(z, d):
     q = d.sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
     hp = h_prime(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
-
-
-def center_data(d):
-    """Closed forms of (q(0), q'(0), h'(0)) in the rapidity parameters.
-
-    Each agrees with direct evaluation of the Moebius/rational formulas at
-    z = 0 (asserted in the tests).
-    """
-    c = d.coords
-    half = (c.k - 1j * c.m) / 2.0
-    q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
-    ej = math.exp(c.j)
-    q0p = -(1.0 + 1j * ej) * math.cos(c.m) / ((1j + ej) * cmath.cosh(half) ** 2)
-    h0p = 2j * (math.exp(2.0 * c.j) - 1.0) * (1.0 + cmath.cosh(c.k - 1j * c.m)) \
-        / ((1j + ej) ** 2 * math.pi)
-    return q0, q0p, h0p
 
 
 def _stereo(w):
@@ -77,8 +42,7 @@ def center_normal(d):
     closed-form direction associated with the Gauss-map value; the actual
     upward normal of the height graph is graph_normal.
     """
-    q0, _, _ = center_data(d)
-    return _stereo(q0)
+    return _stereo(d.q0)
 
 
 def graph_normal(d):
@@ -88,8 +52,7 @@ def graph_normal(d):
     (cos m tanh k, -sin m, cos m sech k); cross-checked against finite
     differences of the graph and against the tangent cross product.
     """
-    q0, _, _ = center_data(d)
-    return _stereo(-1j * q0.conjugate())
+    return _stereo(-1j * d.q0.conjugate())
 
 
 def rotated_mixed_derivative(d, alpha):
@@ -100,7 +63,7 @@ def rotated_mixed_derivative(d, alpha):
     finite-difference oracle on the rotated graph.  alpha = 0 gives the
     center mixed derivative itself.
     """
-    q0, q0p, h0p = center_data(d)
+    q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
     den = abs(h0p) ** 2 * (1.0 - abs(q0) ** 2) ** 3 * (1.0 + abs(q0) ** 2)
     ea = cmath.exp(1j * alpha)
     num = (ea * h0p) * (1.0 - (q0 / ea) ** 4) * ((q0p / ea).conjugate())
@@ -157,22 +120,19 @@ def aligning_rotation(d):
 
 
 def center_report(d, frame):
-    """Assemble the full CenterReport of the surface d.
+    """The "center" object of the analyze report of the surface d.
 
-    frame is the NormalizedFrame of the quadrilateral that d was built in.
+    frame is the NormalizedFrame of the quadrilateral that d was built in;
+    c0, curvature and curvature_bound are in the original coordinates.
     """
-    q0, q0p, h0p = center_data(d)
     curv_norm = gauss_curvature(0.0 + 0.0j, d)
-    curv_orig = curv_norm * abs(frame.scale) ** 2
-    bound = curvature_bound(d, frame)
-    return CenterReport(
-        c0=complex(harmonic_center(d, frame)),
-        q0=q0, q0_prime=q0p, h0_prime=h0p,
-        curvature_normalized=curv_norm,
-        curvature_original=curv_orig,
-        curvature_bound=bound,
-        normal=center_normal(d),
-        graph_normal=graph_normal(d),
-        mixed_derivative=center_mixed_derivative(d),
-        alpha=aligning_rotation(d),
-    )
+    return {
+        "c0": complex(frame.invert(d.h0)), "c0_normalized": d.h0,
+        "q0": d.q0, "q0_prime": d.q0_prime, "h0_prime": d.h0_prime,
+        "curvature": curv_norm * abs(frame.scale) ** 2,
+        "curvature_normalized": curv_norm,
+        "curvature_bound": curvature_bound(d, frame),
+        "normal": list(center_normal(d)), "graph_normal": list(graph_normal(d)),
+        "mixed_derivative": center_mixed_derivative(d),
+        "alpha": aligning_rotation(d),
+    }

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
-from .errors import NewtonDiverged
+from .errors import ScherkError
 from .harmonic import dilatation, harmonic_map, jacobian, step_boundary
 from .oracles import (fd_laplacian, fd_mixed, graph_height_function,
                       kernel_contour_height, numeric_residue, poisson_extension)
@@ -186,16 +186,16 @@ def run_checks(d, frame, profile="default", seed=0):
 
     d is the surface record and frame the normalized frame it was built
     in; the two profiles share the checks and differ only in tolerances.
-    A check whose Newton inversion of the map diverges is a FAIL row with
-    err = inf, and a note naming it goes to stderr.
+    A check that raises a ScherkError is a FAIL row with err = inf, and a
+    note naming the check and the error goes to stderr.
     """
     pick = 0 if profile == "default" else 1
     rows = []
     for name, tols, err_of in CHECKS:
         try:
             err = float(err_of(d, frame, seed))
-        except NewtonDiverged as exc:
-            print(f"note: {name}: NewtonDiverged: {exc}", file=sys.stderr)
+        except ScherkError as exc:
+            print(f"note: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             err = math.inf
         rows.append((name, err, tols[pick], err <= tols[pick]))
     return rows

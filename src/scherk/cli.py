@@ -126,7 +126,6 @@ def build_report(q, tol=1e-8):
     """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
     frame, coords, d = _setup(q, tol)
     c1, c2, c3, c4 = d.cj
-    rep = center_report(d, frame)
     return {
         "quad": {
             "vertices": [[b.real, b.imag] for b in q.vertices],
@@ -144,20 +143,7 @@ def build_report(q, tol=1e-8):
                        "sqrt_X": d.sqrtX, "B": d.B, "Z": d.Z, "A": d.A,
                        "C": d.C},
         "growth": {"lam": d.lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
-        "center": {
-            "c0": rep.c0,
-            "c0_normalized": d.h0,
-            "q0": rep.q0,
-            "q0_prime": rep.q0_prime,
-            "h0_prime": rep.h0_prime,
-            "curvature": rep.curvature_original,
-            "curvature_normalized": rep.curvature_normalized,
-            "curvature_bound": rep.curvature_bound,
-            "normal": list(rep.normal),
-            "graph_normal": list(rep.graph_normal),
-            "mixed_derivative": rep.mixed_derivative,
-            "alpha": rep.alpha,
-        },
+        "center": center_report(d, frame),
     }
 
 

@@ -4,7 +4,9 @@ h' and g' are rational with four simple poles on the unit circle whose
 residues are the (scaled) jumps of the boundary step function; h and g are
 their log antiderivatives, which is exact and branch-safe on the open disk
 because 1 - z/pole stays in the right half plane.  All evaluators accept
-numpy arrays as well as scalars.
+numpy arrays as well as scalars and work in the normalized frame
+(-1, z, 1, w); NormalizedFrame.invert maps their values back to the
+original quadrilateral.
 """
 
 import math
@@ -61,29 +63,22 @@ def _guard_poles(z, poles):
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
 
 
-def _derivatives(z, d, frame=None):
-    """The pair (h'(z), g'(z)) behind one pole guard (see h_prime for frame)."""
+def _derivatives(z, d):
+    """The pair (h'(z), g'(z)) behind one pole guard."""
     _guard_poles(z, d.poles)
     hp = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
     gp = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
-    if frame is not None:
-        hp, gp = hp / frame.scale, gp / np.conj(frame.scale)
     return hp, gp
 
 
-def h_prime(z, d, frame=None):
-    """Derivative of the analytic part h.
-
-    With frame=None the value is in the normalized frame; passing the
-    NormalizedFrame returns the analytic derivative of the de-normalized
-    map (division by the frame scale).
-    """
-    return _derivatives(z, d, frame)[0]
+def h_prime(z, d):
+    """Derivative of the analytic part h (normalized frame)."""
+    return _derivatives(z, d)[0]
 
 
-def g_prime(z, d, frame=None):
-    """Derivative of the co-analytic part g (see h_prime for frame)."""
-    return _derivatives(z, d, frame)[1]
+def g_prime(z, d):
+    """Derivative of the co-analytic part g (normalized frame)."""
+    return _derivatives(z, d)[1]
 
 
 def dilatation(z, d):
@@ -97,28 +92,17 @@ def _pole_logs(z, d):
     return [np.log(1.0 - z / zk) for zk in d.poles]
 
 
-def harmonic_map(z, d, frame=None):
-    """Value of f = h + conj(g) at z (|z| < 1).
+def harmonic_map(z, d):
+    """Value of f = h + conj(g) at z (|z| < 1), in the normalized frame.
 
     Evaluated through principal-branch logs of 1 - z/pole, with h(0) = h0
-    and g(0) = 0.  frame maps the value back to the original vertex
-    coordinates.
+    = f(0), the arc-length weighted vertex average p (z + w)/(2 pi), and
+    g(0) = 0.
     """
     logs = _pole_logs(z, d)
     h = d.h0 + sum(c * lg for c, lg in zip(d.h_residues, logs))
     g = sum(c * lg for c, lg in zip(d.g_residues, logs))
-    val = h + np.conj(g)
-    if frame is not None:
-        val = val / frame.scale + frame.shift
-    return val
-
-
-def harmonic_center(d, frame=None):
-    """f(0): the arc-length weighted vertex average p (z + w)/(2 pi)."""
-    c0 = d.h0
-    if frame is not None:
-        c0 = frame.invert(c0)
-    return c0
+    return h + np.conj(g)
 
 
 def jacobian(z, d):

@@ -28,6 +28,8 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     rim where the height varies fastest.  Heights are clamped to
     [-h_max, h_max] (the surface is unbounded near the four boundary
     poles); the number of clamped vertices is recorded in the metadata.
+    With a NormalizedFrame, vertices are mapped back to the original
+    quadrilateral (positions by frame.invert, heights by 1/|frame.scale|).
     """
     if n_r < 1 or n_theta < 3:
         raise ValueError("need n_r >= 1 and n_theta >= 3")
@@ -39,10 +41,10 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     zs = np.concatenate(
         [[0.0 + 0.0j]] + [r * np.exp(1j * thetas) for r in radii])
 
-    fz = harmonic_map(zs, d, frame)
+    fz = harmonic_map(zs, d)
     hs = height_T(zs, d)
     if frame is not None:
-        hs = hs / abs(frame.scale)
+        fz, hs = frame.invert(fz), hs / abs(frame.scale)
     clamped = int(np.count_nonzero(np.abs(hs) > h_max))
     hs = np.clip(hs, -h_max, h_max)
     vertices = np.column_stack((np.real(fz), np.imag(fz), hs))

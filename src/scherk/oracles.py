@@ -211,24 +211,25 @@ def fd_mixed(fn, point, h=1e-4):
             - fn(point - h + 1j * h) + fn(point - h - 1j * h)) / (4.0 * h ** 2)
 
 
-def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50, frame=None):
+def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50):
     """Invert the harmonic map: find z in the disk with f(z) = target.
 
-    Newton steps use the Wirtinger derivatives of f = h + conj(g):
-    dz = (conj(h') r - conj(g') conj(r)) / (|h'|^2 - |g'|^2) with residual
-    r = target - f(z).  Steps are halved until the iterate stays inside
-    the disk and the residual decreases, so targets far from f(seed) do
-    not throw the iteration out of the domain.  Raises NewtonDiverged if
-    no descent step exists or tol is not reached within max_iter steps.
+    target is a point of the normalized frame.  Newton steps use the
+    Wirtinger derivatives of f = h + conj(g): dz = (conj(h') r - conj(g')
+    conj(r)) / (|h'|^2 - |g'|^2) with residual r = target - f(z).  Steps
+    are halved until the iterate stays inside the disk and the residual
+    decreases, so targets far from f(seed) do not throw the iteration out
+    of the domain.  Raises NewtonDiverged if no descent step exists or tol
+    is not reached within max_iter steps.
     """
     z = complex(seed)
     target = complex(target)
-    r = target - harmonic_map(z, d, frame)
+    r = target - harmonic_map(z, d)
     for _ in range(max_iter):
         if abs(r) < tol:
             return z
         try:
-            hp, gp = _derivatives(z, d, frame)
+            hp, gp = _derivatives(z, d)
         except PoleProximity as exc:
             # an out-of-image target drags the iterate into a boundary pole
             raise NewtonDiverged(f"iterate approached a boundary pole ({exc})")
@@ -240,7 +241,7 @@ def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50, frame=None):
         while True:
             z_new = z + step * dz
             if abs(z_new) < 1.0:
-                r_new = target - harmonic_map(z_new, d, frame)
+                r_new = target - harmonic_map(z_new, d)
                 if abs(r_new) < abs(r):
                     break
             step *= 0.5

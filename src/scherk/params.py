@@ -27,7 +27,9 @@ class ScherkData:
     h_residues, g_residues and k_residues are the residues of h', g' and
     the height kernel K = h' q at the poles (1, e^{ip}, -1, -e^{ip});
     lam is the kernel's growth scale and cj the four growth rates of T/2
-    (see weierstrass.HeightKernel); h0 = h(0) = f(0).
+    (see weierstrass.HeightKernel); h0 = h(0) = f(0).  q0, q0_prime and
+    h0_prime are q(0), q'(0) and h'(0), closed forms in the rapidity
+    parameters that the tests check against direct evaluation at z = 0.
     """
     p: float
     e_ip: complex
@@ -43,6 +45,9 @@ class ScherkData:
     lam: float
     cj: tuple
     h0: complex
+    q0: complex
+    q0_prime: complex
+    h0_prime: complex
     coords: HyperbolicCoords
 
     @property
@@ -147,8 +152,14 @@ def scherk_data(c):
     C = B * sqrtX
     poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
     kres, lam, cj = _kernel_residues(c, C, z0, e_ip, poles)
+    half = (c.k - 1j * c.m) / 2.0
+    q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
+    ej = math.exp(c.j)
+    q0p = -(1.0 + 1j * ej) * math.cos(c.m) / ((1j + ej) * cmath.cosh(half) ** 2)
+    h0p = 2j * (math.exp(2.0 * c.j) - 1.0) * (1.0 + cmath.cosh(c.k - 1j * c.m)) \
+        / ((1j + ej) ** 2 * math.pi)
     return ScherkData(
         p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=C, poles=poles,
         h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
         k_residues=kres, lam=lam, cj=cj, h0=p * (b2 + b4) / (2 * math.pi),
-        coords=c)
+        q0=q0, q0_prime=q0p, h0_prime=h0p, coords=c)

@@ -19,7 +19,7 @@ from conftest import SEED, build_case, sample_triples
 from scherk import (center_mixed_derivative, center_normal, center_report,
                     construct_quad, contour_height, dilatation, fd_laplacian,
                     fd_mixed, g_prime, gauss_map_q, graph_height_function,
-                    graph_normal, h_prime, harmonic_center, harmonic_map,
+                    graph_normal, h_prime, harmonic_map,
                     height_T, hyperbolic_coordinates, jacobian, kernel_K,
                     normalize, numeric_residue, poisson_extension, residues,
                     scherk_data, step_boundary, validate_quadrilateral)
@@ -63,7 +63,7 @@ def test_criterion_01_harmonic_center_values():
         q = construct_quad(m, s, t)
         frame, _, _ = normalize(q)
         coords = hyperbolic_coordinates(frame.z, frame.w)
-        return harmonic_center(scherk_data(coords))
+        return scherk_data(coords).h0
 
     center(0.3, 1.0, 0.3)  # warm-up so timing measures steady-state cost
     for (m, s, t), want in targets:
@@ -303,14 +303,14 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
         coth_j = math.cosh(c.j) / math.sinh(c.j)
         closed = (-(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2
                   * coth_j ** 2 / math.cosh(c.k) ** 4)
-        assert abs(rep.curvature_normalized - closed) < 1e-10, (
-            f"normalized curvature {rep.curvature_normalized} vs {closed}")
+        assert abs(rep["curvature_normalized"] - closed) < 1e-10, (
+            f"normalized curvature {rep['curvature_normalized']} vs {closed}")
         b = q.vertices
         bound = (math.pi ** 2 * math.cos(c.m) ** 2 * coth_j ** 2
                  / (math.cosh(c.k) ** 4 * abs(b[0] - b[2]) ** 2))
-        assert abs(rep.curvature_bound - bound) < 1e-10
-        assert abs(abs(rep.curvature_original) - bound) < 1e-10, (
-            f"|K| = {abs(rep.curvature_original)} vs bound {bound}")
+        assert abs(rep["curvature_bound"] - bound) < 1e-10
+        assert abs(abs(rep["curvature"]) - bound) < 1e-10, (
+            f"|K| = {abs(rep['curvature'])} vs bound {bound}")
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
 
 def _fd_graph_frame(d, h=1e-5):
     F = graph_height_function(d)
-    w0 = harmonic_center(d)
+    w0 = d.h0
     fu = (F(w0 + h) - F(w0 - h)) / (2.0 * h)
     fv = (F(w0 + 1j * h) - F(w0 - 1j * h)) / (2.0 * h)
     norm = math.sqrt(1.0 + fu * fu + fv * fv)
@@ -405,7 +405,7 @@ def test_criterion_09_companion_mixed_derivative_route_and_fd(case1, case2):
         route = center_mixed_derivative(d)
         assert abs(route - closed) < 1e-10
         F = graph_height_function(d)
-        w0 = harmonic_center(d)
+        w0 = d.h0
         assert abs(route - fd_mixed(F, w0)) < 1e-4
 
 
@@ -481,7 +481,7 @@ def test_minimal_surface_equation_fixes_height_scale(case1, case2):
     for label, case in (("case1", case1), ("case2", case2)):
         _, _, _, d = case
         F = graph_height_function(d)
-        for w in (harmonic_center(d), complex(harmonic_map(0.3, d))):
+        for w in (d.h0, complex(harmonic_map(0.3, d))):
             minimal = _mse_residual(F, w)
             assert minimal < 1e-4, f"{label} at {w}: residual {minimal:.3e}"
             scaled = _mse_residual(lambda u: -0.5 * F(u), w)

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (NoRootFound, aligning_rotation, center_data,
-                    center_mixed_derivative, center_normal, center_report,
-                    curvature_bound, fd_mixed, gauss_curvature, gauss_map_q,
-                    graph_height_function, graph_normal, h_prime,
-                    harmonic_center, height_T, hyperbolic_coordinates,
+from scherk import (aligning_rotation, center_mixed_derivative,
+                    center_normal, center_report, curvature_bound, fd_mixed,
+                    gauss_curvature, gauss_map_q, graph_height_function,
+                    graph_normal, h_prime, height_T, hyperbolic_coordinates,
                     newton_invert, normalize, rotated_mixed_derivative,
                     scherk_data, validate_quadrilateral)
+from scherk.cli import build_report
 from conftest import build_case
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
@@ -26,9 +26,27 @@ def closed_curvature(c):
         / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4)
 
 
+def _center_data(c):
+    """Reference copy of the closed forms of (q(0), q'(0), h'(0)), kept
+    apart from params so that the record's fields are checked bitwise."""
+    half = (c.k - 1j * c.m) / 2.0
+    q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
+    ej = math.exp(c.j)
+    q0p = -(1.0 + 1j * ej) * math.cos(c.m) / ((1j + ej) * cmath.cosh(half) ** 2)
+    h0p = 2j * (math.exp(2.0 * c.j) - 1.0) * (1.0 + cmath.cosh(c.k - 1j * c.m)) \
+        / ((1j + ej) ** 2 * math.pi)
+    return q0, q0p, h0p
+
+
+def test_center_constants_on_record_are_bitwise_the_closed_forms(
+        case1, case2, sweep_cases):
+    for _, _, c, d in [case1, case2] + sweep_cases:
+        assert (d.q0, d.q0_prime, d.h0_prime) == _center_data(c)
+
+
 def test_center_data_closed_forms_match_direct_evaluation(sweep_cases):
     for _, _, c, d in sweep_cases:
-        q0, q0p, h0p = center_data(d)
+        q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
         assert abs(q0 - gauss_map_q(0.0 + 0.0j, d)) < 1e-13
         direct_q0p = d.sqrtX * (1.0 - abs(d.z0) ** 2)
         assert abs(q0p - direct_q0p) < 1e-13
@@ -58,7 +76,7 @@ def test_curvature_vs_graph_finite_differences(case1, case2):
     # second fundamental form of the height graph by finite differences
     for _, _, _, d in (case1, case2):
         F = graph_height_function(d)
-        c0 = harmonic_center(d)
+        c0 = d.h0
         h = 1e-3
         fu = (F(c0 + h) - F(c0 - h)) / (2 * h)
         fv = (F(c0 + 1j * h) - F(c0 - 1j * h)) / (2 * h)
@@ -122,7 +140,7 @@ def test_normals_are_unit_and_upward(sweep_cases):
 def test_graph_normal_matches_graph_gradient(case1, case2):
     for _, _, _, d in (case1, case2):
         F = graph_height_function(d)
-        c0 = harmonic_center(d)
+        c0 = d.h0
         h = 1e-5
         fu = (F(c0 + h) - F(c0 - h)) / (2 * h)
         fv = (F(c0 + 1j * h) - F(c0 - 1j * h)) / (2 * h)
@@ -142,13 +160,13 @@ def test_mixed_derivative_closed_form(sweep_cases):
 def test_mixed_derivative_matches_fd(case1, case2):
     for _, _, _, d in (case1, case2):
         F = graph_height_function(d)
-        fuv = fd_mixed(F, harmonic_center(d), h=1e-4)
+        fuv = fd_mixed(F, d.h0, h=1e-4)
         assert abs(fuv - center_mixed_derivative(d)) < 1e-4
 
 
 def test_rotated_mixed_derivative_vs_fd(case1):
     _, _, _, d = case1
-    c0 = harmonic_center(d)
+    c0 = d.h0
     for alpha in (0.4, 1.1):
         rot = cmath.exp(1j * alpha)
 
@@ -206,20 +224,23 @@ def test_aligning_rotation_zeroes_fd(case1):
     def F_rot(wp):
         return height_T(newton_invert(d, wp / rot), d)
 
-    assert abs(fd_mixed(F_rot, rot * harmonic_center(d), h=1e-4)) < 1e-3
+    assert abs(fd_mixed(F_rot, rot * d.h0, h=1e-4)) < 1e-3
 
 
 def test_center_report_assembly(case1):
     q, frame, c, d = case1
     rep = center_report(d, frame)
-    assert abs(rep.c0 - harmonic_center(d, frame)) < 1e-15
-    assert abs(rep.curvature_normalized - gauss_curvature(0j, d)) < 1e-15
-    assert abs(rep.curvature_original
-               - rep.curvature_normalized * abs(frame.scale) ** 2) < 1e-12
-    assert abs(abs(rep.curvature_original) - rep.curvature_bound) < 1e-10
-    assert rep.normal == center_normal(d)
-    assert rep.graph_normal == graph_normal(d)
-    assert abs(rep.mixed_derivative - center_mixed_derivative(d)) == 0.0
-    assert abs(rep.alpha - aligning_rotation(d)) == 0.0
-    q0, q0p, h0p = center_data(d)
-    assert rep.q0 == q0 and rep.q0_prime == q0p and rep.h0_prime == h0p
+    assert abs(rep["c0"] - frame.invert(d.h0)) < 1e-15
+    assert rep["c0_normalized"] == d.h0
+    assert abs(rep["curvature_normalized"] - gauss_curvature(0j, d)) < 1e-15
+    assert abs(rep["curvature"]
+               - rep["curvature_normalized"] * abs(frame.scale) ** 2) < 1e-12
+    assert abs(abs(rep["curvature"]) - rep["curvature_bound"]) < 1e-10
+    assert rep["normal"] == list(center_normal(d))
+    assert rep["graph_normal"] == list(graph_normal(d))
+    assert abs(rep["mixed_derivative"] - center_mixed_derivative(d)) == 0.0
+    assert abs(rep["alpha"] - aligning_rotation(d)) == 0.0
+    assert (rep["q0"], rep["q0_prime"], rep["h0_prime"]) == (
+        d.q0, d.q0_prime, d.h0_prime)
+    # analyze prints exactly this object under "center"
+    assert build_report(q)["center"] == rep

@@ -155,6 +155,33 @@ def test_verify_reports_newton_divergence_as_fail_rows(capsys):
         assert status[name] == ("FAIL", math.inf)
 
 
+def test_verify_reports_any_library_error_as_a_fail_row(capsys):
+    # near m = pi/2 no candidate angle passes the aligning-root residual;
+    # that check fails with its reason and the other 20 rows still print
+    code, out, err = run(capsys, "verify", "--params", "1.5698,-1.845,-4.453")
+    assert code == 1
+    lines = out.splitlines()[:-1]
+    assert [ln.split()[1] for ln in lines] == [name for name, _, _ in CHECKS]
+    name = "aligned_mixed_derivative_zero"
+    row = next(ln for ln in lines if ln.split()[1] == name)
+    assert row.split()[0] == "FAIL"
+    assert float(row.split("err=")[1].split()[0]) == math.inf
+    assert f"note: {name}: NoRootFound: " in err
+
+
+def test_run_checks_lets_other_exceptions_through(case1, monkeypatch):
+    import scherk.checks as checks
+    _, frame, _, d = case1
+
+    def broken(d, frame, seed):
+        raise ValueError("not a library error")
+
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:1] + (
+        ("broken", (1.0, 1.0), broken),))
+    with pytest.raises(ValueError, match="not a library error"):
+        checks.run_checks(d, frame)
+
+
 def test_verify_runtime_budget():
     _, frame, _, d = build_case(0.3, 1.0, 0.3)
     start = time.perf_counter()

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, analytic_parts, dilatation, g_prime,
-                    gauss_map_q, h_prime, harmonic_center, harmonic_map,
-                    jacobian, normalize, poisson_extension, step_boundary,
+from scherk import (PoleProximity, analytic_parts, center_report, dilatation,
+                    g_prime, gauss_map_q, h_prime, harmonic_map, jacobian,
+                    normalize, poisson_extension, step_boundary,
                     validate_quadrilateral)
 
 C0_CASE1 = 0.298933832635220044875722312242 + 0.5524457420684848288083219245j
@@ -63,7 +63,7 @@ def test_harmonic_map_matches_poisson_integral(case1, case2, rng):
 
 def test_center_values(case1, case2):
     for (_, _, _, d), want in ((case1, C0_CASE1), (case2, C0_CASE2)):
-        assert abs(harmonic_center(d) - want) < 1e-14
+        assert abs(d.h0 - want) < 1e-14
         assert abs(harmonic_map(0.0 + 0.0j, d) - want) < 1e-14
 
 
@@ -73,7 +73,7 @@ def test_center_in_original_coordinates(case1, rng):
     b = -2.0 + 1.0j
     moved = validate_quadrilateral([a * v + b for v in q.vertices])
     frame, _, _ = normalize(moved)
-    assert abs(harmonic_center(d, frame) - (a * harmonic_center(d) + b)) < 1e-13
+    assert abs(center_report(d, frame)["c0"] - (a * d.h0 + b)) < 1e-13
 
 
 def test_boundary_radial_limits_hit_vertices(case1):
@@ -112,20 +112,6 @@ def test_pole_proximity_guard(case1):
         g_prime(d.e_ip * (1.0 - 1e-12), d)
 
 
-def test_frame_scaling_of_derivatives(case1, rng):
-    q, _, _, d = case1
-    a = 2.0 + 1.0j
-    moved = validate_quadrilateral([a * v for v in q.vertices])
-    frame, _, _ = normalize(moved)
-    for z in _disk_points(rng, 10, r_max=0.8):
-        assert abs(h_prime(z, d, frame) - h_prime(z, d) / frame.scale) < 1e-14
-        assert abs(g_prime(z, d, frame)
-                   - g_prime(z, d) / frame.scale.conjugate()) < 1e-14
-        got = harmonic_map(z, d, frame)
-        want = frame.invert(harmonic_map(z, d))
-        assert abs(got - want) < 1e-13
-
-
 class _Counter:
     """Wraps fn and counts its calls."""
 
@@ -140,20 +126,14 @@ class _Counter:
 def test_derivative_pair_runs_one_pole_guard(case1, rng, monkeypatch):
     import scherk.harmonic as harmonic
     import scherk.oracles as oracles
-    q, _, _, d = case1
-    frame, _, _ = normalize(validate_quadrilateral(
-        [(2.0 + 1.0j) * v for v in q.vertices]))
+    _, _, _, d = case1
     zs = _disk_points(rng, 9)
     for z in (zs, complex(zs[0])):
         # the pair is bitwise the two single-derivative pole sums
         hp = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
         gp = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
-        hpf, gpf = hp / frame.scale, gp / np.conj(frame.scale)
-        for got, want in ((harmonic._derivatives(z, d), (hp, gp)),
-                          (harmonic._derivatives(z, d, frame), (hpf, gpf)),
-                          ((h_prime(z, d, frame), g_prime(z, d, frame)),
-                           (hpf, gpf))):
-            assert np.all(got[0] == want[0]) and np.all(got[1] == want[1])
+        for got in (harmonic._derivatives(z, d), (h_prime(z, d), g_prime(z, d))):
+            assert np.all(got[0] == hp) and np.all(got[1] == gp)
     guard = harmonic._guard_poles
     calls = []
     monkeypatch.setattr(harmonic, "_guard_poles",

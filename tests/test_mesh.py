@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (IoError, export_csv, export_obj, harmonic_center,
-                    harmonic_map, height_T, normalize, radial_trace,
-                    sample_disk, validate_quadrilateral)
+from scherk import (IoError, export_csv, export_obj, height_T, normalize,
+                    radial_trace, sample_disk, validate_quadrilateral)
 
 
 def _winding_contains(poly, pt, tol=1e-6):
@@ -47,7 +46,7 @@ def test_center_vertex_and_metadata(case1):
     _, _, c, d = case1
     mesh = sample_disk(d, n_r=3, n_theta=12, r_max=0.9, h_max=2.5)
     x0, y0, t0 = mesh.vertices[0]
-    c0 = harmonic_center(d)
+    c0 = d.h0
     assert abs(complex(x0, y0) - c0) < 1e-15
     assert t0 == 0.0
     assert mesh.metadata["m"] == c.m

@@ -283,16 +283,6 @@ def test_newton_inverts_harmonic_map(case1, rng):
         assert abs(z_back - z) < 1e-10
 
 
-def test_newton_respects_frame(case1):
-    q, _, _, d = case1
-    from scherk import normalize, validate_quadrilateral
-    moved = validate_quadrilateral([(1 + 2j) * v - 3j for v in q.vertices])
-    frame, _, _ = normalize(moved)
-    z = 0.3 - 0.25j
-    w = harmonic_map(z, d, frame)
-    assert abs(newton_invert(d, w, frame=frame) - z) < 1e-10
-
-
 def test_newton_diverges_outside_target(case1):
     _, _, _, d = case1
     with pytest.raises(NewtonDiverged):
