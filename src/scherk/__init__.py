@@ -30,7 +30,8 @@ from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       poisson_extension)
 from .params import (ScherkData, angle_parameter, moebius_center,
                      scherk_data, unimodular_factor)
-from .weierstrass import HeightKernel, gauss_map_q, height_T, kernel_K, residues
+from .weierstrass import (HeightKernel, gauss_map_q, height_T, kernel_K,
+                          map_and_height, residues)
 
 __version__ = "0.1.0"
 

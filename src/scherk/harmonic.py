@@ -1,12 +1,12 @@
 """The harmonic diffeomorphism f = h + conj(g) of the disk onto Q.
 
 h' and g' are rational with four simple poles on the unit circle whose
-residues are the (scaled) jumps of the boundary step function; h and g are
-their log antiderivatives, which is exact and branch-safe on the open disk
-because 1 - z/pole stays in the right half plane.  All evaluators accept
-numpy arrays as well as scalars and work in the normalized frame
-(-1, z, 1, w); NormalizedFrame.invert maps their values back to the
-original quadrilateral.
+residues are the (scaled) jumps of the boundary step function.  h, g and the
+height T weight the same four logs Log(1 - z/pole), branch-safe on the open
+disk since 1 - z/pole stays in the right half plane; _log_sums sums them in
+one pass.  Evaluators accept numpy arrays as well as scalars and work in the
+normalized frame (-1, z, 1, w); NormalizedFrame.invert maps their values
+back to the original quadrilateral.
 """
 
 import math
@@ -87,9 +87,16 @@ def dilatation(z, d):
     return gp / hp
 
 
-def _pole_logs(z, d):
-    """The four principal logs Log(1 - z/pole) that h, g and the height share."""
-    return [np.log(1.0 - z / zk) for zk in d.poles]
+def _log_sums(z, d, *coeffs):
+    """sum_k c[k] Log(1 - z/pole_k) for each tuple c, one log alive at a time;
+    each sum runs from 0 in pole order, bitwise as sum() over the logs."""
+    sums = [0] * len(coeffs)
+    for k, zk in enumerate(d.poles):
+        lg = np.log(1.0 - z / zk)
+        for i, c in enumerate(coeffs):
+            sums[i] += c[k] * lg
+        del lg
+    return sums
 
 
 def harmonic_map(z, d):
@@ -99,10 +106,8 @@ def harmonic_map(z, d):
     = f(0), the arc-length weighted vertex average p (z + w)/(2 pi), and
     g(0) = 0.
     """
-    logs = _pole_logs(z, d)
-    h = d.h0 + sum(c * lg for c, lg in zip(d.h_residues, logs))
-    g = sum(c * lg for c, lg in zip(d.g_residues, logs))
-    return h + np.conj(g)
+    h, g = _log_sums(z, d, d.h_residues, d.g_residues)
+    return d.h0 + h + np.conj(g)
 
 
 def jacobian(z, d):

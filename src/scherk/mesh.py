@@ -5,8 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IoError
-from .harmonic import harmonic_map
-from .weierstrass import height_T
+from .weierstrass import R_HEIGHT, height_T, map_and_height
 
 # Lines of OBJ text formatted per block: bounds the text held in memory.
 _OBJ_BLOCK = 4096
@@ -34,15 +33,15 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     if n_r < 1 or n_theta < 3:
         raise ValueError("need n_r >= 1 and n_theta >= 3")
     if not 0.0 < r_max < 1.0:
-        raise ValueError("r_max must lie in (0, 1)")
-
+        raise ValueError(f"r_max must lie in (0, 1), got {r_max!r}")
     radii = r_max * np.sin(np.pi * np.arange(1, n_r + 1) / (2.0 * n_r))
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     zs = np.concatenate(
         [[0.0 + 0.0j]] + [r * np.exp(1j * thetas) for r in radii])
+    if np.abs(zs[-n_theta:]).max() > R_HEIGHT:
+        raise ValueError(f"r_max={r_max!r} puts samples past |z| = 1 - 1e-9")
 
-    fz = harmonic_map(zs, d)
-    hs = height_T(zs, d)
+    fz, hs = map_and_height(zs, d)
     if frame is not None:
         fz, hs = frame.invert(fz), hs / abs(frame.scale)
     clamped = int(np.count_nonzero(np.abs(hs) > h_max))
@@ -102,9 +101,7 @@ def export_obj(mesh, path):
 
 def export_csv(trace, path):
     """Write a radial trace as CSV with header r,T."""
-    lines = ["r,T"]
-    for r, t in trace:
-        lines.append(f"{r:.17g},{t:.17g}")
+    lines = ["r,T"] + [f"{r:.17g},{t:.17g}" for r, t in trace]
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

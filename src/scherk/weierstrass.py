@@ -4,14 +4,16 @@ The pair (p, q) = (h', sqrt(g'/h')) generates the graph: q is a Moebius
 automorphism of the disk (so the Gauss map covers a hemisphere exactly
 once) and the product K = h' q is rational with four simple circle poles,
 whose residues drive Scherk-type logarithmic height growth toward the four
-sides of Q.
+sides of Q.  map_and_height gives f and T from one pass over the pole logs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import _guard_poles, _pole_logs
+from .harmonic import _guard_poles, _log_sums
+
+R_HEIGHT = 1.0 - 1e-9  # the largest |z| at which the height is evaluated
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,11 @@ def residues(d):
     return HeightKernel(d.poles, d.k_residues, d.lam, d.cj)
 
 
+def _guard_disk(z):
+    if np.abs(z).max() > R_HEIGHT:
+        raise ValueError("height requires |z| <= 1 - 1e-9")
+
+
 def height_T(z, d):
     """Height T(z) = 2 Im sum_j R_j Log(1 - z/pole_j); T(0) = 0.
 
@@ -63,7 +70,12 @@ def height_T(z, d):
     disk about 1.  Grows like +2 cj log(1-r) toward +-1 and -2 cj log(1-r)
     toward +-e^{ip}.
     """
-    if np.abs(z).max() > 1.0 - 1e-9:
-        raise ValueError("height requires |z| <= 1 - 1e-9")
-    acc = sum(r * lg for r, lg in zip(d.k_residues, _pole_logs(z, d)))
-    return 2.0 * np.imag(acc)
+    _guard_disk(z)
+    return 2.0 * np.imag(_log_sums(z, d, d.k_residues)[0])
+
+
+def map_and_height(z, d):
+    """(harmonic_map(z, d), height_T(z, d)) bitwise, from one pass of logs."""
+    _guard_disk(z)
+    h, g, k = _log_sums(z, d, d.h_residues, d.g_residues, d.k_residues)
+    return d.h0 + h + np.conj(g), 2.0 * np.imag(k)

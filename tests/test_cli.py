@@ -110,6 +110,11 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
         assert code == 2 and "DegenerateVertices" in err
         assert "2.000e+00 apart" in err and "1e-12" in err
         assert "diameter 5.343e+12" in err
+    # an outer ring past the height's bound |z| <= 1 - 1e-9: r_max is named
+    code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3", "--rmax",
+                         "0.9999999999", "--nr", "2", "--ntheta", "4")
+    assert code == 2 and out == ""
+    assert "r_max=0.9999999999" in err and "height requires" not in err
 
 
 def test_tol_pitot_flag(capsys, monkeypatch):

@@ -149,3 +149,16 @@ def test_sample_disk_argument_validation(case1):
         sample_disk(d, n_theta=2)
     with pytest.raises(ValueError):
         sample_disk(d, r_max=1.0)
+
+
+@pytest.mark.parametrize("n_theta", [4, 48, 400])
+def test_sample_disk_outer_ring_within_height_bound(case1, n_theta):
+    """r_max is checked against the height's bound |z| <= 1 - 1e-9 up
+    front, by the outer ring's own points, with the value named."""
+    _, _, _, d = case1
+    inside = 1.0 - 1.001e-9
+    mesh = sample_disk(d, n_r=2, n_theta=n_theta, r_max=inside)
+    assert mesh.metadata["r_max"] == inside
+    for outside in (1.0 - 0.999e-9, 0.9999999999):
+        with pytest.raises(ValueError, match=f"r_max={outside!r}"):
+            sample_disk(d, n_r=2, n_theta=n_theta, r_max=outside)

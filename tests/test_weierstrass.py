@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scherk import (PoleProximity, adaptive_quad, g_prime, gauss_map_q,
-                    h_prime, height_T, kernel_K, numeric_residue, residues)
+                    h_prime, harmonic_map, height_T, kernel_K, map_and_height,
+                    numeric_residue, residues)
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
 T_CASE2 = -0.0290030310528531549374134814678   # T(0.3 + 0.2i), case 2
@@ -150,3 +152,57 @@ def test_kernel_pole_guard_and_height_domain(case1):
         kernel_K(d.e_ip * (1 - 1e-12), d)
     with pytest.raises(ValueError):
         height_T(1.0 - 1e-10, d)
+
+
+def _two_pass_reference(z, d):
+    """f and T by the former formulas: a list of the four logs, then sum()."""
+    logs = [np.log(1.0 - z / zk) for zk in d.poles]
+    h = d.h0 + sum(c * lg for c, lg in zip(d.h_residues, logs))
+    g = sum(c * lg for c, lg in zip(d.g_residues, logs))
+    t = 2.0 * np.imag(sum(r * lg for r, lg in zip(d.k_residues, logs)))
+    return h + np.conj(g), t
+
+
+def _same_bits(a, b):
+    """Equal values, type and bits: signed zeros must match too."""
+    return (type(a) is type(b) and np.all(a == b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def test_one_pass_evaluators_are_bitwise_the_two_pass_formulas(
+        case1, case2, sweep_cases):
+    rows = np.array([0.0, 0.3, 0.9, 0.995])[:, None]
+    grid = rows * np.exp(1j * np.linspace(0.0, 2 * np.pi, 13)[:-1])
+    scalars = [0j, complex(-0.0, -0.0), 0.3 + 0.2j, -0.7 + 0.1j,
+               0.995 * cmath.exp(2.5j)]
+    for _, _, _, d in [case1, case2] + sweep_cases:
+        for z in [grid, 0.995 * np.array(d.poles)] + scalars:
+            f, t = _two_pass_reference(z, d)
+            assert _same_bits(harmonic_map(z, d), f)
+            assert _same_bits(height_T(z, d), t)
+            both = map_and_height(z, d)
+            assert _same_bits(both[0], f) and _same_bits(both[1], t)
+        assert math.copysign(1.0, height_T(0.0, d)) == 1.0
+    with pytest.raises(ValueError):
+        map_and_height(1.0 - 1e-10, case1[3])
+
+
+@pytest.mark.parametrize("evaluate, arrays", [
+    (map_and_height, 5), (harmonic_map, 4), (height_T, 3)])
+def test_evaluators_peak_memory_in_point_arrays(evaluate, arrays, case1):
+    """One log array alive at a time bounds the peak allocation."""
+    d = case1[3]
+    gen = np.random.default_rng(5)
+    n = 80001
+    z = (0.995 * np.sqrt(gen.uniform(0.0, 1.0, n))
+         * np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n)))
+    evaluate(z, d)
+    tracemalloc.start()
+    try:
+        evaluate(z, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # z.nbytes is one point-sized complex array; 64 KiB covers the
+    # interpreter's own small allocations.
+    assert peak <= arrays * z.nbytes + 2 ** 16
