@@ -13,16 +13,15 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        gauss_curvature, graph_normal, rotated_mixed_derivative)
 from .errors import (DegenerateRightAngle, DegenerateVertices,
                      DivisionDegenerate, EqualRapidities, FociCoincide,
-                     IoError, NewtonDiverged, NoRootFound, NotPitot,
-                     PoleProximity, ScherkError, SelfIntersecting,
-                     StencilOutOfDomain, ToleranceNotMet, ZeroArea)
+                     IoError, NewtonDiverged, NotPitot, PoleProximity,
+                     ScherkError, SelfIntersecting, StencilOutOfDomain,
+                     ToleranceNotMet, ZeroArea)
 from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        construct_quad, hyperbola_point,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
-from .harmonic import (AnalyticParts, StepBoundary, analytic_parts,
-                       dilatation, g_prime, h_prime, harmonic_map, jacobian,
-                       step_boundary)
+from .harmonic import (AnalyticParts, analytic_parts, dilatation, g_prime,
+                       h_prime, harmonic_map, jacobian, step_boundary)
 from .mesh import SurfaceMesh, export_csv, export_obj, radial_trace, sample_disk
 from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
                       contour_height, fd_laplacian, fd_mixed,

@@ -15,10 +15,7 @@ and center_report, which take the frame to map results back.
 import cmath
 import math
 
-from .errors import NoRootFound
 from .harmonic import h_prime
-
-ROTATION_RESIDUAL_TOL = 1e-8
 
 
 def gauss_curvature(z, d):
@@ -95,28 +92,13 @@ def curvature_bound(d, frame):
 def aligning_rotation(d):
     """Smallest rotation angle alpha >= 0 zeroing the center mixed derivative.
 
-    Candidate angles come from the closed form
-    +-arccos(+-sqrt(1/2 +- sin m sinh k / (sqrt2 sqrt(cos 2m + cosh 2k))));
-    each is verified against rotated_mixed_derivative and the smallest
-    nonnegative verified root (mod pi) is returned.
+    rotated_mixed_derivative(d, alpha) is 2 Re(W e^{2i alpha}) / den, whose
+    zeros satisfy tan 2 alpha = -cot m coth k.  Since cos m > 0 the first
+    zero 2 alpha lies in (0, pi), so alpha lies in (0, pi/2) and equals
+    pi/4 at k = 0.
     """
     c = d.coords
-    inner = (math.sin(c.m) * math.sinh(c.k)
-             / (math.sqrt(2.0) * math.sqrt(math.cos(2 * c.m) + math.cosh(2 * c.k))))
-    roots = []
-    for s3 in (1.0, -1.0):
-        val = 0.5 + s3 * inner
-        if not 0.0 <= val <= 1.0:
-            continue
-        for s2 in (1.0, -1.0):
-            base = math.acos(s2 * math.sqrt(val))
-            for s1 in (1.0, -1.0):
-                cand = (s1 * base) % math.pi
-                if abs(rotated_mixed_derivative(d, cand)) < ROTATION_RESIDUAL_TOL:
-                    roots.append(cand)
-    if not roots:
-        raise NoRootFound("no candidate angle zeroes the rotated mixed derivative")
-    return min(roots)
+    return 0.5 * math.atan2(math.cos(c.m), -math.sin(c.m) * math.tanh(c.k))
 
 
 def center_report(d, frame):

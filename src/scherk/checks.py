@@ -139,7 +139,7 @@ def _laplacian(d, frame, seed):
 
 def _boundary_steps(d, frame, seed):
     # radial boundary limits hit the step values mid-arc
-    arcs = step_boundary(d).arcs
+    arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
     limits = harmonic_map((1.0 - 1e-6) * np.exp(1j * mids), d)
     err = 0.0

@@ -80,7 +80,7 @@ def _read_text(path):
 
 def load_quad(args):
     """Build the validated quadrilateral from CLI arguments."""
-    tol = args.tol_pitot if args.tol_pitot is not None else DEFAULT_TOL_PITOT
+    tol = args.tol_pitot
     if args.params:
         parts = args.params.split(",")
         if len(parts) != 3:
@@ -108,8 +108,7 @@ def load_quad(args):
 
 def _coord_tol(args):
     """Confocal-check tolerance matching the requested side-sum tolerance."""
-    tol = args.tol_pitot if args.tol_pitot is not None else DEFAULT_TOL_PITOT
-    return max(1e-8, tol)
+    return max(1e-8, args.tol_pitot)
 
 
 def _setup(q, tol=1e-8):
@@ -228,10 +227,8 @@ def _add_common(p):
                         "or \"m\",\"s\",\"t\"")
     p.add_argument("--params", metavar="M,S,T",
                    help="construct the canonical quadrilateral from m,s,t")
-    p.add_argument("--tol-pitot", type=float, default=None,
-                   help="relative side-sum tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized check sampling")
+    p.add_argument("--tol-pitot", type=float, default=DEFAULT_TOL_PITOT,
+                   help="relative side-sum tolerance (default %(default)g)")
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -249,6 +246,8 @@ def build_parser():
     _add_common(pv)
     pv.add_argument("--tol-profile", choices=("default", "strict"),
                     default="default", help="tolerance profile")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized check sampling")
 
     pm = sub.add_parser("mesh", help="export a triangulated surface sample")
     _add_common(pm)

@@ -46,10 +46,6 @@ class PoleProximity(ScherkError):
     """Evaluation point is too close to a boundary pole."""
 
 
-class NoRootFound(ScherkError):
-    """No candidate zero of the rotated mixed derivative verified."""
-
-
 class NewtonDiverged(ScherkError):
     """Newton inversion of the harmonic map did not converge."""
 

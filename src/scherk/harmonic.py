@@ -21,17 +21,6 @@ TOL_POLE = 1e-9
 
 
 @dataclass(frozen=True)
-class StepBoundary:
-    """Boundary values of f: four circle arcs, each mapped to one vertex.
-
-    arcs is a 4-tuple of ((theta_lo, theta_hi), vertex_value) covering
-    [0, 2pi): the arc endpoints are 0, p, pi, pi+p, 2pi and the values run
-    b4, b1, b2, b3.
-    """
-    arcs: tuple
-
-
-@dataclass(frozen=True)
 class AnalyticParts:
     """Pole/residue tables of h' and g'."""
     poles: tuple
@@ -40,11 +29,16 @@ class AnalyticParts:
 
 
 def step_boundary(d):
-    """Boundary step function of the normalized harmonic map."""
+    """Boundary step function of the normalized harmonic map.
+
+    A 4-tuple of arcs ((theta_lo, theta_hi), vertex_value) covering
+    [0, 2pi): the arc endpoints are 0, p, pi, pi+p, 2pi and the values run
+    b4, b1, b2, b3.
+    """
     b1, b2, b3, b4 = normalized_vertices(d.coords)
     p, pi = d.p, math.pi
-    return StepBoundary((((0.0, p), b4), ((p, pi), b1),
-                         ((pi, pi + p), b2), ((pi + p, 2 * pi), b3)))
+    return (((0.0, p), b4), ((p, pi), b1),
+            ((pi, pi + p), b2), ((pi + p, 2 * pi), b3))
 
 
 def analytic_parts(d):

@@ -120,17 +120,17 @@ def composite_quad(fn, a, b, n_panels, cfg=None):
                        nodes, weights))
 
 
-def poisson_extension(z, boundary, cfg=None):
+def poisson_extension(z, arcs, cfg=None):
     """Harmonic extension of a piecewise-constant boundary function at z.
 
-    Integrates the Poisson kernel (1 - |z|^2) / |e^{it} - z|^2 over each
-    constant arc of `boundary` separately, so arc endpoints never fall
-    inside a quadrature panel.  z may be a scalar or an array of points;
-    all points and arcs are integrated together, with the kernel evaluated
-    on numpy arrays of panel angles.
+    arcs is a sequence of ((theta_lo, theta_hi), value), as step_boundary
+    returns.  Integrates the Poisson kernel (1 - |z|^2) / |e^{it} - z|^2
+    over each arc separately, so arc endpoints never fall inside a
+    quadrature panel.  z may be a scalar or an array of points; all points
+    and arcs are integrated together, with the kernel evaluated on numpy
+    arrays of panel angles.
     """
     zs = [complex(v) for v in np.ravel(z)]
-    arcs = boundary.arcs
     lo, hi = np.tile([span for span, _ in arcs], (len(zs), 1)).T
     zk = np.repeat(zs, len(arcs))
     # |z|^2 by Python's complex abs, as for one point; np.abs rounds differently

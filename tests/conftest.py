@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from scherk import (construct_quad, hyperbolic_coordinates, normalize,
-                    scherk_data)
+from scherk import (DegenerateRightAngle, construct_quad,
+                    hyperbolic_coordinates, normalize, scherk_data)
 
 SEED = 20260825
 
@@ -43,3 +45,24 @@ def sweep_cases():
     """150 random nondegenerate cases shared by the identity sweeps."""
     gen = np.random.default_rng(SEED + 1)
     return [build_case(m, s, t) for m, s, t in sample_triples(gen, 150)]
+
+
+@pytest.fixture(scope="session")
+def near_edge_cases():
+    """Surfaces off the sampling box, near m = pi/2: pi/2 - m log-uniform in
+    [1e-4, 1e-1], s, t = k +- j with j log-uniform in [0.02, 4] and k in
+    [-8, 8].  Of 44 draws, those the construction refuses are left out:
+    DegenerateRightAngle below pi/2 - m ~ 1.4e-4, and the hyperbola
+    round-trip ValueError at large |k|."""
+    gen = np.random.default_rng(SEED + 2)
+    n = 44
+    eps = 10.0 ** gen.uniform(-4.0, -1.0, n)
+    js = np.exp(gen.uniform(math.log(0.02), math.log(4.0), n))
+    ks = gen.uniform(-8.0, 8.0, n)
+    cases = []
+    for e, j, k in zip(eps, js, ks):
+        try:
+            cases.append(build_case(math.pi / 2 - e, k + j, k - j))
+        except (DegenerateRightAngle, ValueError):
+            continue
+    return cases

@@ -192,16 +192,28 @@ def test_aligning_rotation_zeroes_the_cross_term(sweep_cases):
         assert abs(rotated_mixed_derivative(d, alpha)) < 1e-8
 
 
+def _paper_alpha(c):
+    """The paper's arccos form of the aligning rotation, kept as a reference."""
+    inner = (math.sin(c.m) * math.sinh(c.k)
+             / (math.sqrt(2.0) * math.sqrt(math.cos(2 * c.m) + math.cosh(2 * c.k))))
+    return math.acos(math.sqrt(0.5 - inner))
+
+
 def test_aligning_rotation_closed_root(sweep_cases):
-    # half the arctangent of -coth k / tan m, shifted into [0, pi/2)
     for _, _, c, d in sweep_cases:
-        if abs(c.k) < 1e-12:
-            root = math.pi / 4
-        else:
-            root = 0.5 * math.atan(-1.0 / (math.tan(c.m) * math.tanh(c.k)))
-            if root < 0.0:
-                root += math.pi / 2
-        assert abs(aligning_rotation(d) - root) < 1e-10
+        assert abs(aligning_rotation(d) - _paper_alpha(c)) < 1e-13
+
+
+def test_aligning_rotation_near_right_angle(near_edge_cases):
+    # off the sampling box M(alpha) grows like sec m, so the root is judged
+    # against the size of M over a quarter turn
+    assert len(near_edge_cases) >= 35
+    for _, _, c, d in near_edge_cases:
+        alpha = aligning_rotation(d)
+        assert 0.0 <= alpha < math.pi / 2
+        scale = max(abs(rotated_mixed_derivative(d, b * math.pi / 8))
+                    for b in range(4))
+        assert abs(rotated_mixed_derivative(d, alpha)) <= 1e-12 * scale
 
 
 def test_aligning_rotation_symmetric_case_is_quarter_pi():

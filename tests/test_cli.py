@@ -15,6 +15,7 @@ import scherk
 from scherk import sample_disk
 from scherk.checks import CHECKS, run_checks
 from scherk.cli import build_report, canonical_json, load_quad, main
+from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
 from conftest import build_case
 
@@ -160,18 +161,35 @@ def test_verify_reports_newton_divergence_as_fail_rows(capsys):
         assert status[name] == ("FAIL", math.inf)
 
 
-def test_verify_reports_any_library_error_as_a_fail_row(capsys):
-    # near m = pi/2 no candidate angle passes the aligning-root residual;
-    # that check fails with its reason and the other 20 rows still print
-    code, out, err = run(capsys, "verify", "--params", "1.5698,-1.845,-4.453")
+def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
+    # a row that raises any ScherkError fails with its reason and the other
+    # 20 rows still print
+    import scherk.checks as checks
+    idx = 10
+    name, tols, _ = checks.CHECKS[idx]
+
+    def raises(d, frame, seed):
+        raise scherk.ToleranceNotMet("quadrature stalled")
+
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:idx] + (
+        (name, tols, raises),) + checks.CHECKS[idx + 1:])
+    code, out, err = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
     assert code == 1
     lines = out.splitlines()[:-1]
-    assert [ln.split()[1] for ln in lines] == [name for name, _, _ in CHECKS]
-    name = "aligned_mixed_derivative_zero"
-    row = next(ln for ln in lines if ln.split()[1] == name)
-    assert row.split()[0] == "FAIL"
-    assert float(row.split("err=")[1].split()[0]) == math.inf
-    assert f"note: {name}: NoRootFound: " in err
+    assert [ln.split()[1] for ln in lines] == [n for n, _, _ in CHECKS]
+    row = lines[idx].split()
+    assert row[:2] == ["FAIL", name]
+    assert float(lines[idx].split("err=")[1].split()[0]) == math.inf
+    assert err == f"note: {name}: ToleranceNotMet: quadrature stalled\n"
+    assert out.splitlines()[-1].startswith("20/21 checks passed")
+
+
+def test_analyze_near_right_angle(capsys):
+    # the center mixed derivative grows like sec m here; the aligning
+    # rotation is still reported, and it is the smallest root
+    code, out, _ = run(capsys, "analyze", "--params", "1.5698,-1.845,-4.453")
+    assert code == 0
+    assert 0.0 <= json.loads(out)["center"]["alpha"] < math.pi / 2
 
 
 def test_run_checks_lets_other_exceptions_through(case1, monkeypatch):
@@ -323,7 +341,7 @@ def test_build_report_and_load_quad_helpers(tmp_path):
     class Args:
         params = "0.3,1.0,0.3"
         input = None
-        tol_pitot = None
+        tol_pitot = DEFAULT_TOL_PITOT
 
     q = load_quad(Args())
     doc = build_report(q)

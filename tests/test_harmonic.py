@@ -31,7 +31,7 @@ def test_residue_tables(sweep_cases):
 
 def test_step_boundary_covers_circle(case1):
     _, frame, _, d = case1
-    arcs = step_boundary(d).arcs
+    arcs = step_boundary(d)
     assert arcs[0][0] == (0.0, d.p)
     assert arcs[-1][0][1] == 2 * math.pi
     for (lo, hi), _ in arcs:
@@ -79,7 +79,7 @@ def test_center_in_original_coordinates(case1, rng):
 def test_boundary_radial_limits_hit_vertices(case1):
     _, _, _, d = case1
     r = 1.0 - 1e-6
-    for (lo, hi), value in step_boundary(d).arcs:
+    for (lo, hi), value in step_boundary(d):
         mid = 0.5 * (lo + hi)
         assert abs(harmonic_map(r * cmath.exp(1j * mid), d) - value) < 1e-3
 

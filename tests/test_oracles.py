@@ -10,7 +10,6 @@ from scherk import (NewtonDiverged, QuadratureConfig, StencilOutOfDomain,
                     fd_laplacian, fd_mixed, harmonic_map, kernel_K,
                     newton_invert, numeric_residue, poisson_extension,
                     step_boundary)
-from scherk.harmonic import StepBoundary
 from scherk.oracles import kernel_contour_height
 
 
@@ -48,15 +47,15 @@ def test_composite_quad_converges_under_halving():
 
 
 def test_poisson_extension_of_constant_boundary():
-    sb = StepBoundary((((0.0, 2.0), 3.0 - 1.0j),
-                       ((2.0, 4.0), 3.0 - 1.0j),
-                       ((4.0, 2 * math.pi), 3.0 - 1.0j)))
+    sb = (((0.0, 2.0), 3.0 - 1.0j),
+          ((2.0, 4.0), 3.0 - 1.0j),
+          ((4.0, 2 * math.pi), 3.0 - 1.0j))
     for z in (0.0, 0.3 + 0.4j, -0.7j):
         assert abs(poisson_extension(z, sb) - (3.0 - 1.0j)) < 1e-10
 
 
 def test_poisson_extension_mean_value_at_origin():
-    sb = StepBoundary((((0.0, math.pi), 2.0), ((math.pi, 2 * math.pi), -1.0j)))
+    sb = (((0.0, math.pi), 2.0), ((math.pi, 2 * math.pi), -1.0j))
     want = (math.pi * 2.0 + math.pi * -1.0j) / (2 * math.pi)
     assert abs(poisson_extension(0.0, sb) - want) < 1e-10
 
@@ -131,12 +130,12 @@ def _recursive_quad(fn, a, b, cfg=QuadratureConfig()):
     return refine(a, b, panel(a, b), 0)
 
 
-def _poisson_reference(z, boundary):
+def _poisson_reference(z, arcs):
     """poisson_extension at one point, on the depth-first reference."""
     z = complex(z)
     r2 = abs(z) ** 2
     total = 0.0 + 0.0j
-    for (lo, hi), value in boundary.arcs:
+    for (lo, hi), value in arcs:
         total += value * _recursive_quad(
             lambda t: (1.0 - r2) / abs(np.exp(1j * t) - z) ** 2, lo, hi)
     return total / (2.0 * math.pi)
