@@ -13,9 +13,9 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        gauss_curvature, graph_normal, rotated_mixed_derivative)
 from .errors import (DegenerateRightAngle, DegenerateVertices,
                      DivisionDegenerate, EqualRapidities, FociCoincide,
-                     IoError, NewtonDiverged, NotPitot, PoleProximity,
-                     ScherkError, SelfIntersecting, StencilOutOfDomain,
-                     ToleranceNotMet, ZeroArea)
+                     IoError, NewtonDiverged, NotPitot, OutOfDomain,
+                     PoleProximity, ScherkError, SelfIntersecting,
+                     StencilOutOfDomain, ToleranceNotMet, ZeroArea)
 from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        construct_quad, hyperbola_point,
                        hyperbolic_coordinates, normalize,

@@ -20,8 +20,9 @@ from .harmonic import h_prime
 
 def gauss_curvature(z, d):
     """Gauss curvature -4 |q'|^2 / (|h'|^2 (1 + |q|^2)^4) at z (normalized frame)."""
-    z0 = d.z0
-    qp = d.sqrtX * (1.0 - abs(z0) ** 2) / (1.0 - z * z0.conjugate()) ** 2
+    z0, c = d.z0, d.coords
+    one_minus_z0sq = 2.0 * math.cos(c.m) / (math.cosh(c.k) + math.cos(c.m))
+    qp = d.sqrtX * one_minus_z0sq / (1.0 - z * z0.conjugate()) ** 2
     q = d.sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
     hp = h_prime(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)

@@ -58,5 +58,9 @@ class ToleranceNotMet(ScherkError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
+class OutOfDomain(ScherkError):
+    """The input lies where the construction cannot be validated."""
+
+
 class IoError(ScherkError):
     """Mesh or trace export failed at the filesystem level."""

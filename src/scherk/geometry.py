@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
-                     FociCoincide, NotPitot, SelfIntersecting, ZeroArea)
+                     FociCoincide, NotPitot, OutOfDomain, SelfIntersecting,
+                     ZeroArea)
 
 # Absolute floor below which sin(m) (resp. cos(m)) counts as degenerate.
 TOL_M = 1e-8
@@ -228,9 +229,11 @@ def hyperbolic_coordinates(z, w, tol=1e-8):
     s = math.asinh(w.imag / cm)
     roundtrip_tol = max(1e-6, 10.0 * tol)
     for point, tau, name in ((z, t, "z"), (w, s, "w")):
-        if abs(hyperbola_point(m, tau) - point) > roundtrip_tol * (1.0 + abs(point)):
-            raise ValueError(f"{name} does not round-trip through the hyperbola "
-                             "parametrization")
+        mismatch = abs(hyperbola_point(m, tau) - point)
+        if mismatch > roundtrip_tol * (1.0 + abs(point)):
+            raise OutOfDomain(f"{name} does not round-trip through the hyperbola at "
+                              f"m={m!r}, tau={tau!r}: mismatch {mismatch:.3g} > "
+                              f"tolerance {roundtrip_tol * (1.0 + abs(point)):.3g}")
     if abs(s - t) < TOL_RAPIDITY:
         raise EqualRapidities("s = t: free vertices coincide in rapidity")
     return HyperbolicCoords(m, s, t, (s - t) / 2.0, (s + t) / 2.0)

@@ -1,4 +1,5 @@
-"""Triangulated samples of the surface and radial boundary traces."""
+"""Triangulated samples of the surface, radial boundary traces, and OBJ
+text whose bytes equal Python's %.17g and %d, with digits from numpy."""
 
 from dataclasses import dataclass, field
 
@@ -80,14 +81,103 @@ def radial_trace(d, pole_index, r_list):
     return [(float(r), float(height_T(r * zeta, d))) for r in r_list]
 
 
+# "0000" .. "9999" as one little-endian 4-byte word each; 10^k for k = 0 ..
+# 22 (exact doubles) and its halves of 26 bits (Veltkamp's split).
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                                indexing="ij"), -1).view("<u4").ravel()
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(19)
+_ROWS = np.arange(20, dtype=np.int8)[:, None]
+_SHIFTS = np.array([0, 8, 16, 24], np.uint32)[:, None]  # byte b: word >> 8b
+
+
+def _digits(n, n_words):
+    """The 4 n_words digits of each 0 <= n < 10^(4 n_words), a column each."""
+    words = np.empty((n_words, len(n)), np.int64)
+    for k in range(n_words - 1, -1, -1):
+        q = n // 10000
+        words[k], n = n - q * 10000, q
+    return (_DIGITS4[words][:, None] >> _SHIFTS).astype(np.uint8).reshape(
+        4 * n_words, -1)
+
+
+def _float_fields(x):
+    """%.17g of each double in x as 28 rows of bytes (sign, "0.000", digits
+    and point, "e-05"), NUL where %g prints nothing, one column per value;
+    and the mask of the values it takes, 1e-5 <= |x| < 1e15.  With E the
+    decimal exponent, Dekker's two-product gives p + err = |x| 10^(16 - E)
+    exactly; p >= 2^53 is even, so p + rint(err) rounds half to even."""
+    a = np.abs(x)
+    fast = (a >= 1e-5) & (a < 1e15)
+    a = np.where(fast, a, 1.0)
+    a_lo = a - (a_hi := a * 134217729.0 - (a * 134217729.0 - a))  # Veltkamp
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    while True:  # log10 may miss E by one next to a power of ten
+        k = 16 - e10
+        p = a * _POW10[k]
+        err = (((a_hi * _POW10_HI[k] - p) + a_hi * _POW10_LO[k])
+               + a_lo * _POW10_HI[k]) + a_lo * _POW10_LO[k]
+        step = ((p > 1e17) | (p == 1e17) & (err >= 0)).astype(np.int64) \
+            - ((p < 1e16) | (p == 1e16) & (err < 0))
+        if not step.any():
+            break
+        e10 += step
+    # no carry to 10^17: each double below 10^(E + 1) is 8 units off it
+    sig = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    x10 = e10.astype(np.int8)
+    digits = np.zeros((19, len(x)), np.uint8)  # NUL, 17 digits, NUL
+    digits[1:18] = _digits(sig, 5)[3:]
+    # %g drops the zeros that end the digits after the point, and the point
+    # if no digit follows it; the point follows digit n_int.
+    n_sig = ((digits[1:18] != 48) * _ROWS[1:18]).max(axis=0)
+    n_int = np.where(x10 < -4, 1, x10 + 1)
+    digits[1:18] *= _ROWS[:17] < np.maximum(n_sig, n_int)
+    point = np.where((n_sig > n_int) & (n_int > 0), n_int, 18)
+    fields = np.empty((28, len(x)), np.uint8)
+    fields[0] = (x < 0) * np.uint8(45)
+    fields[1:6] = (_ROWS[:5] <= np.where((x10 < 0) & (x10 > -5), -x10, -1)) \
+        * np.frombuffer(b"0.000", np.uint8)[:, None]
+    lo, hi = digits[:-1], digits[1:]  # a blend, exact in uint8 arithmetic
+    fields[6:24] = lo + (_ROWS[:18] < point).view(np.uint8) * (hi - lo) \
+        + (_ROWS[:18] == point).view(np.uint8) * (46 - lo)
+    fields[24:] = (x10 == -5) * np.frombuffer(b"e-05", np.uint8)[:, None]
+    return fields, fast
+
+
+def _int_fields(v):
+    """%d of each integer in v: rows of bytes, one column per value, NUL
+    where %d prints nothing; and the mask of the values formatted (v >= 0)."""
+    n_words = len(str(max(int(v.max()), -int(v.min())))) // 4 + 1
+    n_dig = np.searchsorted(_POW10_INT, np.maximum(v, 1), side="right")
+    fields = _digits(np.maximum(v, 0), n_words)
+    fields *= _ROWS[:4 * n_words] >= 4 * n_words - n_dig  # no leading zeros
+    return fields, v >= 0
+
+
 def obj_text(mesh):
     """Wavefront OBJ text of the mesh (1-based face indices), yielded in
-    blocks of _OBJ_BLOCK lines with one %-format call each."""
-    for fmt, rows in (("v %.17g %.17g %.17g\n", mesh.vertices),
-                      ("f %d %d %d\n", mesh.faces + 1)):
+    blocks of _OBJ_BLOCK lines.  The bytes are those of "v %.17g %.17g
+    %.17g" and "f %d %d %d" lines; numpy computes the digits."""
+    for tag, rows, to_fields, fmt in (
+            ("v", np.asarray(mesh.vertices, float), _float_fields, "%.17g"),
+            ("f", mesh.faces + 1, _int_fields, "%d")):
         for i in range(0, len(rows), _OBJ_BLOCK):
-            block = rows[i:i + _OBJ_BLOCK]
-            yield fmt * len(block) % tuple(block.ravel().tolist())
+            n, ncols = rows[i:i + _OBJ_BLOCK].shape
+            values = rows[i:i + n].T.ravel()
+            fields, fast = to_fields(values)
+            width = len(fields)
+            slow = np.flatnonzero(~fast)  # Python formats the rest
+            text = np.array([fmt % v for v in values[slow].tolist()], f"S{width}")
+            fields[:, slow] = text.view(np.uint8).reshape(-1, width).T
+            # column j is line j: tag, " field" per value, newline; no NUL
+            out = np.empty((2 + ncols * (width + 1), n), np.uint8)
+            out[0], out[-1] = ord(tag), 10
+            body = out[1:-1].reshape(ncols, width + 1, n)
+            body[:, 0] = 32
+            body[:, 1:] = fields.reshape(width, ncols, n).transpose(1, 0, 2)
+            yield out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def export_obj(mesh, path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (DegenerateRightAngle, construct_quad,
+from scherk import (DegenerateRightAngle, OutOfDomain, construct_quad,
                     hyperbolic_coordinates, normalize, scherk_data)
 
 SEED = 20260825
@@ -52,8 +52,8 @@ def near_edge_cases():
     """Surfaces off the sampling box, near m = pi/2: pi/2 - m log-uniform in
     [1e-4, 1e-1], s, t = k +- j with j log-uniform in [0.02, 4] and k in
     [-8, 8].  Of 44 draws, those the construction refuses are left out:
-    DegenerateRightAngle below pi/2 - m ~ 1.4e-4, and the hyperbola
-    round-trip ValueError at large |k|."""
+    DegenerateRightAngle below pi/2 - m ~ 1.4e-4, and OutOfDomain where a
+    vertex does not round-trip through the hyperbola at large |k|."""
     gen = np.random.default_rng(SEED + 2)
     n = 44
     eps = 10.0 ** gen.uniform(-4.0, -1.0, n)
@@ -63,6 +63,6 @@ def near_edge_cases():
     for e, j, k in zip(eps, js, ks):
         try:
             cases.append(build_case(math.pi / 2 - e, k + j, k - j))
-        except (DegenerateRightAngle, ValueError):
+        except (DegenerateRightAngle, OutOfDomain):
             continue
     return cases

@@ -1,6 +1,7 @@
 """Center data: curvature, normals, mixed derivative, aligning rotation."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from scherk import (aligning_rotation, center_mixed_derivative,
                     graph_normal, h_prime, height_T, hyperbolic_coordinates,
                     newton_invert, normalize, rotated_mixed_derivative,
                     scherk_data, validate_quadrilateral)
+from scherk.checks import run_checks
 from scherk.cli import build_report
 from conftest import build_case
 
@@ -57,6 +59,33 @@ def test_center_curvature_closed_form(sweep_cases):
     for _, _, c, d in sweep_cases:
         want = closed_curvature(c)
         assert abs(gauss_curvature(0.0 + 0.0j, d) - want) < 1e-12 * abs(want)
+
+
+# Near |k| = 8, 1 - |z0|^2 computed from z0 lost up to three digits and
+# these surfaces failed both curvature rows at err 1.8e-12 to 3.1e-12.
+LARGE_K_PARAMS = ((1.3310895653591717, 7.8739001972487195, 7.274288713826383),
+                  (1.4404645653591717, 7.315722958976075, 5.78446595209903),
+                  (1.3693708153591715, 8.036090585012234, 7.931298326062872))
+CURVATURE_ROWS = ("center_curvature_closed_form", "curvature_bound_attained")
+
+
+def _curvature_rows(d, frame):
+    return [row for row in run_checks(d, frame) if row[0] in CURVATURE_ROWS]
+
+
+@pytest.mark.parametrize("params", LARGE_K_PARAMS)
+def test_curvature_rows_pass_at_large_k(params):
+    _, frame, _, d = build_case(*params)
+    for name, err, tol, ok in _curvature_rows(d, frame):
+        assert tol == 1e-12 and err <= tol and ok, name
+
+
+def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2):
+    # q(0) = -sqrt(X) z0 still carries z0 into the curvature
+    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        wrong = dataclasses.replace(d, z0=d.z0 * 1.0001)
+        rows = _curvature_rows(wrong, frame)
+        assert len(rows) == 2 and not any(ok for *_, ok in rows)
 
 
 def test_center_curvature_frozen(case1, case2):

@@ -315,6 +315,15 @@ def test_mesh_obj_blocks_match_one_shot_format(capsys, tmp_path):
     assert path.read_bytes() == want
 
 
+def test_hyperbola_round_trip_failure_is_a_typed_refusal(capsys):
+    params = "1.5705628125801272,-7.537819190044724,-8.393131908211805"
+    code, out, err = run(capsys, "analyze", "--params", params)
+    assert code == 2 and out == ""
+    assert err.startswith("error: OutOfDomain: z does not round-trip through"
+                          " the hyperbola at m=1.5705628121355")
+    assert re.search(r"mismatch \S+ > tolerance \S+\n$", err)
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -1,12 +1,15 @@
 """Surface sampling, OBJ/CSV export, radial traces."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scherk import (IoError, export_csv, export_obj, height_T, normalize,
-                    radial_trace, sample_disk, validate_quadrilateral)
+from scherk import (IoError, SurfaceMesh, export_csv, export_obj, height_T,
+                    normalize, radial_trace, sample_disk,
+                    validate_quadrilateral)
+from scherk.mesh import obj_text
 
 
 def _winding_contains(poly, pt, tol=1e-6):
@@ -118,6 +121,82 @@ def test_obj_export_round_trip(case1, tmp_path):
         assert got == tuple(want)   # .17g round-trips float64 exactly
     for got, want in zip(fs, mesh.faces):
         assert got == tuple(i + 1 for i in want)
+
+
+def _percent_formatted(mesh):
+    """The OBJ text as Python's %-formatting writes it: the reference."""
+    v, f = mesh.vertices, mesh.faces + 1
+    return (("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist())
+            + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
+
+
+def _assert_obj_text_is_percent_format(values, faces=()):
+    values = np.asarray(values, dtype=float)
+    faces = np.asarray(faces, dtype=np.int64)
+    mesh = SurfaceMesh(np.resize(values, (-(-len(values) // 3), 3)),
+                       np.resize(faces, (-(-len(faces) // 3), 3)))
+    got, want = "".join(obj_text(mesh)), _percent_formatted(mesh)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines())
+               if g != w]
+        pytest.fail(f"{len(bad)} lines differ, first {bad[:3]}")
+
+
+def test_obj_text_matches_percent_format_over_the_double_range():
+    rng = np.random.default_rng(20261018)
+    # every bit pattern: subnormals, huge values, inf and nan included
+    bits = rng.integers(0, 2 ** 64, 30000, dtype=np.uint64).view(np.float64)
+    # every decade the numpy digits cover, and the ones around them
+    decades = 10.0 ** rng.uniform(-7.0, 17.0, 30000) \
+        * rng.choice([-1.0, 1.0], 30000)
+    _assert_obj_text_is_percent_format(np.concatenate((bits, decades)))
+
+
+def test_obj_text_rounds_ties_at_the_17th_digit_half_to_even():
+    # x = M 2^-(17 - E) with M odd and 10^E <= x < 10^(E + 1): the exact
+    # x 10^(16 - E) lies halfway between two 17-digit significands
+    rng = np.random.default_rng(7)
+    ties = []
+    for e10 in range(-5, 15):
+        scale = Fraction(2) ** (17 - e10)
+        lo = math.ceil(Fraction(10) ** e10 * scale)
+        hi = min(math.ceil(Fraction(10) ** (e10 + 1) * scale), 2 ** 53)
+        odd = rng.integers(lo, hi, 500) | 1
+        x = np.ldexp(odd[odd < hi].astype(float), e10 - 17)
+        assert all((Fraction(v) * 10 ** (16 - e10)).denominator == 2
+                   and 10 ** e10 <= Fraction(v) < 10 ** (e10 + 1)
+                   for v in x.tolist())
+        ties.append(x)
+    ties = np.concatenate(ties)
+    _assert_obj_text_is_percent_format(np.concatenate((ties, -ties)))
+
+
+def test_no_double_rounds_up_to_the_next_power_of_ten_at_17_digits():
+    # obj_text relies on it: its 17 digits never carry into an 18th
+    for k in range(-4, 16):
+        below = max(x for x in (float(f"1e{k}"), np.nextafter(float(f"1e{k}"), 0))
+                    if Fraction(x) < Fraction(10) ** k)
+        assert Fraction(below) * Fraction(10) ** (17 - k) < 10 ** 17 - 8
+
+
+def test_obj_text_at_powers_of_ten_and_special_values():
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    near = np.concatenate((powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf)))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    _assert_obj_text_is_percent_format(np.concatenate((near, -near, special)))
+
+
+def test_obj_text_of_integral_values_and_face_indices():
+    rng = np.random.default_rng(11)
+    ints = np.concatenate((np.arange(-3000, 3000), [2 ** 53, 2 ** 53 - 1],
+                           rng.integers(0, 2 ** 53, 3000)))
+    # face indices on both sides of each power of ten (written 1-based)
+    edges = [10 ** k + d - 1 for k in range(19) for d in (-1, 0, 1)]
+    faces = np.concatenate((edges[1:], np.arange(9000),
+                            rng.integers(0, 2 ** 62, 3000)))
+    _assert_obj_text_is_percent_format(ints, faces)
 
 
 def test_csv_export(case1, tmp_path):
