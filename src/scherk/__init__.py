@@ -12,10 +12,9 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        center_normal, center_report, curvature_bound,
                        gauss_curvature, graph_normal, rotated_mixed_derivative)
 from .errors import (DegenerateRightAngle, DegenerateVertices,
-                     DivisionDegenerate, EqualRapidities, FociCoincide,
-                     IoError, NewtonDiverged, NotPitot, OutOfDomain,
-                     PoleProximity, ScherkError, SelfIntersecting,
-                     StencilOutOfDomain, ToleranceNotMet, ZeroArea)
+                     EqualRapidities, FociCoincide, IoError, NewtonDiverged,
+                     NotPitot, OutOfDomain, PoleProximity, ScherkError,
+                     SelfIntersecting, ToleranceNotMet, ZeroArea)
 from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        construct_quad, hyperbola_point,
                        hyperbolic_coordinates, normalize,
@@ -23,8 +22,7 @@ from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
 from .harmonic import (AnalyticParts, analytic_parts, dilatation, g_prime,
                        h_prime, harmonic_map, jacobian, step_boundary)
 from .mesh import SurfaceMesh, export_csv, export_obj, radial_trace, sample_disk
-from .oracles import (QuadratureConfig, adaptive_quad, composite_quad,
-                      contour_height, fd_laplacian, fd_mixed,
+from .oracles import (adaptive_quad, contour_height, fd_laplacian, fd_mixed,
                       graph_height_function, newton_invert, numeric_residue,
                       poisson_extension)
 from .params import (ScherkData, angle_parameter, moebius_center,

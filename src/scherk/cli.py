@@ -78,6 +78,13 @@ def _read_text(path):
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+def _floats(values, source):
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"{source}: {exc}") from exc
+
+
 def load_quad(args):
     """Build the validated quadrilateral from CLI arguments."""
     tol = args.tol_pitot
@@ -85,11 +92,7 @@ def load_quad(args):
         parts = args.params.split(",")
         if len(parts) != 3:
             raise IoError("--params expects three numbers m,s,t")
-        try:
-            m, s, t = (float(x) for x in parts)
-        except ValueError as exc:
-            raise IoError(f"--params: {exc}") from exc
-        return construct_quad(m, s, t, tol_pitot=tol)
+        return construct_quad(*_floats(parts, "--params"), tol_pitot=tol)
     if not args.input:
         raise IoError("no input: pass a JSON file path ('-' for stdin) "
                       "or --params m,s,t")
@@ -100,8 +103,7 @@ def load_quad(args):
     if isinstance(data, dict) and "vertices" in data:
         return validate_quadrilateral(data["vertices"], tol_pitot=tol)
     if isinstance(data, dict) and all(k in data for k in ("m", "s", "t")):
-        return construct_quad(float(data["m"]), float(data["s"]),
-                              float(data["t"]), tol_pitot=tol)
+        return construct_quad(*_floats(map(data.get, "mst"), "JSON m,s,t"), tol)
     raise IoError("JSON input must contain \"vertices\" ([[x,y], ...]) "
                   "or the keys \"m\", \"s\", \"t\"")
 
@@ -139,7 +141,7 @@ def build_report(q, tol=1e-8):
         "coordinates": {"m": coords.m, "s": coords.s, "t": coords.t,
                         "j": coords.j, "k": coords.k},
         "parameters": {"p": d.p, "e_ip": d.e_ip, "z0": d.z0, "X": d.X,
-                       "sqrt_X": d.sqrtX, "B": d.B, "Z": d.Z, "A": d.A,
+                       "sqrt_X": d.sqrtX, "B": d.B, "Z": d.X, "A": d.A,
                        "C": d.C},
         "growth": {"lam": d.lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
         "center": center_report(d, frame),

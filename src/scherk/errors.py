@@ -38,20 +38,12 @@ class EqualRapidities(ScherkError):
     """The two off-axis vertices share a rapidity (s = t); no surface."""
 
 
-class DivisionDegenerate(ScherkError):
-    """A vertex-coordinate cross-check formula hits a vanishing denominator."""
-
-
 class PoleProximity(ScherkError):
     """Evaluation point is too close to a boundary pole."""
 
 
 class NewtonDiverged(ScherkError):
     """Newton inversion of the harmonic map did not converge."""
-
-
-class StencilOutOfDomain(ScherkError):
-    """A finite-difference stencil point left the evaluation domain."""
 
 
 class ToleranceNotMet(ScherkError):

@@ -127,14 +127,13 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     Returns a PitotQuad whose vertex order is counterclockwise (the input
     order is reversed when its signed area is negative).
     """
-    b = []
-    for v in vertices:
-        if isinstance(v, (tuple, list)):
-            v = complex(v[0], v[1])
-        v = complex(v)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("vertices must be finite")
-        b.append(v)
+    try:
+        b = [complex(v[0], v[1]) if isinstance(v, (tuple, list)) else complex(v)
+             for v in vertices]
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"vertices must be pairs of numbers: {exc}") from exc
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in b):
+        raise ValueError("vertices must be finite")
     if len(b) != 4:
         raise ValueError("exactly four vertices required")
 
@@ -198,7 +197,11 @@ def hyperbola_point(m, tau):
     """Point sin(m) cosh(tau) + i cos(m) sinh(tau) on the focal hyperbola."""
     if not 0.0 < m < math.pi / 2:
         raise ValueError("m must lie in (0, pi/2)")
-    return complex(math.sin(m) * math.cosh(tau), math.cos(m) * math.sinh(tau))
+    try:
+        ch, sh = math.cosh(tau), math.sinh(tau)
+    except OverflowError:
+        raise OutOfDomain(f"cosh overflows at m={m!r}, tau={tau!r}") from None
+    return complex(math.sin(m) * ch, math.cos(m) * sh)
 
 
 def hyperbolic_coordinates(z, w, tol=1e-8):

@@ -37,8 +37,7 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
         raise ValueError(f"r_max must lie in (0, 1), got {r_max!r}")
     radii = r_max * np.sin(np.pi * np.arange(1, n_r + 1) / (2.0 * n_r))
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    zs = np.concatenate(
-        [[0.0 + 0.0j]] + [r * np.exp(1j * thetas) for r in radii])
+    zs = np.concatenate(([0j], np.outer(radii, np.exp(1j * thetas)).ravel()))
     if np.abs(zs[-n_theta:]).max() > R_HEIGHT:
         raise ValueError(f"r_max={r_max!r} puts samples past |z| = 1 - 1e-9")
 

@@ -10,78 +10,67 @@ they are meant to test.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NewtonDiverged,
-    PoleProximity,
-    StencilOutOfDomain,
-    ToleranceNotMet,
-)
+from .errors import NewtonDiverged, PoleProximity, ToleranceNotMet
 from .harmonic import _derivatives, harmonic_map
 from .weierstrass import height_T, kernel_K
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive Gauss-Legendre panel settings."""
-    abs_tol: float = 1e-10
-    max_depth: int = 24
-    n_nodes: int = 10
-
-
-_DEFAULT_CFG = QuadratureConfig()
+ABS_TOL, MAX_DEPTH, N_NODES = 1e-10, 24, 10  # adaptive quadrature panels
+N_ANGLES, RADII = 64, (1e-4, 1e-5)  # residue circles, Richardson radii
+NEWTON_TOL, NEWTON_STEPS = 1e-12, 50  # Newton residual tolerance, steps
 # Unit offsets of the five-point Laplacian stencil; the center comes last.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never mutated."""
-    return np.polynomial.legendre.leggauss(n_nodes)
+def _gauss_legendre():
+    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never mutated.
+    Built on first use, so importing scherk does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(N_NODES)
 
 
-def _panels(fn, a, b, owner, nodes, weights):
+def _panels(fn, a, b, owner):
     """Gauss-Legendre values of the panels [a[i], b[i]], one fn call for all.
 
-    fn gets the (n_nodes, n_panels) node array and each panel's interval
+    fn gets the (N_NODES, n_panels) node array and each panel's interval
     index.  Weighted node values are added one by one in node order, so a
     panel's value does not depend on how many panels share the call.
     """
+    nodes, weights = _gauss_legendre()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = fn(mid + half * nodes[:, None], owner)
     return half * np.add.accumulate(weights[:, None] * vals, axis=0)[-1]
 
 
-def _quad_levels(fn, a, b, cfg):
+def _quad_levels(fn, a, b):
     """Adaptive integrals of fn over the intervals [a[i], b[i]], level by level.
 
     Each level halves every panel still pending, in all intervals, with one
     fn call.  A halved panel is accepted when |whole - (left + right)| <
-    abs_tol; the accepted sums are then added up the tree of halvings, so
+    ABS_TOL; the accepted sums are then added up the tree of halvings, so
     every value is the one a depth-first recursion on each interval gives.
     """
-    nodes, weights = _gauss_legendre(cfg.n_nodes)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     owner = np.arange(a.size)
-    whole = _panels(fn, a, b, owner, nodes, weights)
+    whole = _panels(fn, a, b, owner)
     levels = []
-    for depth in range(cfg.max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         # the two halves of each pending panel, left then right, in order
         mid = 0.5 * (a + b)
         a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
         owner = np.repeat(owner, 2)
-        halves = _panels(fn, a, b, owner, nodes, weights)
+        halves = _panels(fn, a, b, owner)
         pair = halves[0::2] + halves[1::2]
         diff = whole - pair
         # np.hypot rounds as a scalar complex abs does; np.abs may not
-        refine = ~(np.hypot(diff.real, diff.imag) < cfg.abs_tol)
+        refine = ~(np.hypot(diff.real, diff.imag) < ABS_TOL)
         levels.append((pair, refine))
         if not refine.any():
             break
-        if depth >= cfg.max_depth:
+        if depth >= MAX_DEPTH:
             i = 2 * np.flatnonzero(refine)[0]
             raise ToleranceNotMet(
                 f"quadrature stalled on [{a[i]}, {b[i + 1]}] at depth {depth}")
@@ -94,33 +83,19 @@ def _quad_levels(fn, a, b, cfg):
     return total
 
 
-def adaptive_quad(fn, a, b, cfg=None):
+def adaptive_quad(fn, a, b):
     """Adaptive Gauss-Legendre integral of fn over [a, b].
 
     Each halving level of the panels is one call of fn on a numpy array of
-    shape (cfg.n_nodes, n_panels) holding the nodes of every panel of that
+    shape (N_NODES, n_panels) holding the nodes of every panel of that
     level, so fn must be written with numpy operations (np.exp, not
     math.exp).  It may return complex values; the halve-and-compare error
     estimate is applied to the combined value.
     """
-    return _quad_levels(lambda x, _: fn(x), [a], [b], cfg or _DEFAULT_CFG)[0]
+    return _quad_levels(lambda x, _: fn(x), [a], [b])[0]
 
 
-def composite_quad(fn, a, b, n_panels, cfg=None):
-    """Fixed composite Gauss-Legendre rule with n_panels equal panels.
-
-    Non-adaptive companion of adaptive_quad used to observe convergence
-    under panel halving.  fn is called once, on the (cfg.n_nodes, n_panels)
-    array of all panels' nodes.
-    """
-    cfg = cfg or _DEFAULT_CFG
-    nodes, weights = _gauss_legendre(cfg.n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    return sum(_panels(lambda x, _: fn(x), edges[:-1], edges[1:], None,
-                       nodes, weights))
-
-
-def poisson_extension(z, arcs, cfg=None):
+def poisson_extension(z, arcs):
     """Harmonic extension of a piecewise-constant boundary function at z.
 
     arcs is a sequence of ((theta_lo, theta_hi), value), as step_boundary
@@ -139,7 +114,7 @@ def poisson_extension(z, arcs, cfg=None):
     def kernel(t, k):
         return (1.0 - r2k[k]) / abs(np.exp(1j * t) - zk[k]) ** 2
 
-    integrals = _quad_levels(kernel, lo, hi, cfg or _DEFAULT_CFG)
+    integrals = _quad_levels(kernel, lo, hi)
     out = []
     for row in integrals.reshape(len(zs), len(arcs)):
         total = 0.0 + 0.0j
@@ -149,7 +124,7 @@ def poisson_extension(z, arcs, cfg=None):
     return out[0] if np.ndim(z) == 0 else np.reshape(out, np.shape(z))
 
 
-def contour_height(z, kernel, cfg=None):
+def contour_height(z, kernel):
     """Height at z as 2 Im of the kernel integral along the segment [0, z].
 
     z may be a scalar or an array of points, all integrated together.
@@ -161,33 +136,33 @@ def contour_height(z, kernel, cfg=None):
     def integrand(tau, k):
         return kernel(tau * zs[k]) * zs[k]
 
-    heights = 2.0 * _quad_levels(integrand, np.zeros(zs.size), np.ones(zs.size),
-                                 cfg or _DEFAULT_CFG).imag
+    heights = 2.0 * _quad_levels(integrand, np.zeros(zs.size),
+                                 np.ones(zs.size)).imag
     return heights[0] if np.ndim(z) == 0 else heights.reshape(np.shape(z))
 
 
-def numeric_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
+def numeric_residue(fn, pole):
     """Residue of fn at `pole` (a scalar or an array of poles) from circles.
 
     The mean of (z - pole) fn(z) over a circle of radius eps equals the
     residue plus an O(eps) bias from the neighbouring poles; Richardson
-    extrapolation over the two radii removes the linear term.  fn is
-    evaluated elementwise on a numpy array of the n_angles points of every
+    extrapolation over the two RADII removes the linear term.  fn is
+    evaluated elementwise on a numpy array of the N_ANGLES points of every
     pole's circle, once per radius, so it must be written with numpy
     operations.
     """
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    angles = 2.0 * math.pi * np.arange(N_ANGLES) / N_ANGLES
     poles = np.asarray(pole, dtype=complex)[..., None]
 
     def mean(radius):
         zs = poles + radius * np.exp(1j * angles)
         return ((zs - poles) * fn(zs)).mean(axis=-1)
 
-    e1, e2 = eps
+    e1, e2 = RADII
     return (e1 * mean(e2) - e2 * mean(e1)) / (e1 - e2)
 
 
-def fd_laplacian(field, z, h=1e-3, domain_radius=None):
+def fd_laplacian(field, z, h=1e-3):
     """Five-point finite-difference Laplacian of a field at z.
 
     field is called once, on a numpy array of the five stencil points
@@ -195,12 +170,7 @@ def fd_laplacian(field, z, h=1e-3, domain_radius=None):
     operations.  A complex field gives the Laplacians of its real and
     imaginary parts as the real and imaginary parts of the result.
     """
-    z = complex(z)
-    if domain_radius is not None and abs(z) + h >= domain_radius:
-        raise StencilOutOfDomain(
-            f"stencil of half-width {h} at |z| = {abs(z):.6g} leaves the "
-            f"domain of radius {domain_radius:.6g}")
-    v = field(z + h * _STENCIL)
+    v = field(complex(z) + h * _STENCIL)
     return (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / h ** 2
 
 
@@ -211,22 +181,21 @@ def fd_mixed(fn, point, h=1e-4):
             - fn(point - h + 1j * h) + fn(point - h - 1j * h)) / (4.0 * h ** 2)
 
 
-def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50):
+def newton_invert(d, target):
     """Invert the harmonic map: find z in the disk with f(z) = target.
 
     target is a point of the normalized frame.  Newton steps use the
     Wirtinger derivatives of f = h + conj(g): dz = (conj(h') r - conj(g')
     conj(r)) / (|h'|^2 - |g'|^2) with residual r = target - f(z).  Steps
     are halved until the iterate stays inside the disk and the residual
-    decreases, so targets far from f(seed) do not throw the iteration out
-    of the domain.  Raises NewtonDiverged if no descent step exists or tol
-    is not reached within max_iter steps.
+    decreases, so targets far from f(0) do not throw the iteration out of
+    the domain.  Raises NewtonDiverged if no descent step exists or the
+    residual is not below NEWTON_TOL within NEWTON_STEPS steps.
     """
-    z = complex(seed)
-    target = complex(target)
+    z, target = 0j, complex(target)
     r = target - harmonic_map(z, d)
-    for _ in range(max_iter):
-        if abs(r) < tol:
+    for _ in range(NEWTON_STEPS):
+        if abs(r) < NEWTON_TOL:
             return z
         try:
             hp, gp = _derivatives(z, d)
@@ -249,7 +218,8 @@ def newton_invert(d, target, seed=0.0, tol=1e-12, max_iter=50):
                 raise NewtonDiverged("no residual-decreasing step exists; "
                                      "target may lie outside the image")
         z, r = z_new, r_new
-    raise NewtonDiverged(f"no convergence to {tol} in {max_iter} steps")
+    raise NewtonDiverged(
+        f"no convergence to {NEWTON_TOL} in {NEWTON_STEPS} steps")
 
 
 def graph_height_function(d):
@@ -266,6 +236,6 @@ def graph_height_function(d):
     return height_at
 
 
-def kernel_contour_height(z, d, cfg=None):
+def kernel_contour_height(z, d):
     """Height at z by integrating the closed kernel along [0, z]."""
-    return contour_height(z, lambda u: kernel_K(u, d), cfg)
+    return contour_height(z, lambda u: kernel_K(u, d))

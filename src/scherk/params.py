@@ -3,7 +3,7 @@
 Everything the surface needs is a handful of constants computed from the
 hyperbolic coordinates (m, s, t): the pole-splitting angle p, the Moebius
 center z0, the unimodular factor X with a sign-resolved square root, and
-the scaling constants B, Z, A, C of the analytic derivatives.  Each one
+the scaling constants B, A, C of the analytic derivatives.  Each one
 has a second, independently published route (vertex-coordinate forms) that
 the tests evaluate against these.
 """
@@ -53,10 +53,6 @@ class ScherkData:
     @property
     def e_2ip(self):
         return self.e_ip * self.e_ip
-
-    @property
-    def Z(self):
-        return self.X
 
     @property
     def A(self):
@@ -136,7 +132,7 @@ def _kernel_residues(c, C, z0, e_ip, poles):
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c.
 
-    B = e^{2ip} h'(0), Z = X, A = B Z and C = B sqrt(X).
+    B = e^{2ip} h'(0), A = B X and C = B sqrt(X); the report's Z is X.
     """
     p, e_ip = angle_parameter(c)
     b1, b2, b3, b4 = normalized_vertices(c)

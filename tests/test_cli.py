@@ -1,5 +1,7 @@
 """Command-line interface: report content, determinism, exit codes."""
 
+import ast
+import inspect
 import io
 import json
 import math
@@ -116,6 +118,45 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                          "0.9999999999", "--nr", "2", "--ntheta", "4")
     assert code == 2 and out == ""
     assert "r_max=0.9999999999" in err and "height requires" not in err
+    # malformed JSON values: a one-line refusal naming the field
+    for doc, field in (('{"vertices": 5}', "vertices"),
+                       ('{"vertices": [[1],[2],[3],[4]]}', "vertices"),
+                       ('{"vertices": [[0,0],["a","b"],[1,0],[1,1]]}',
+                        "vertices"),
+                       ('{"m": null, "s": 1, "t": 0.3}', "m,s,t"),
+                       ('{"m": [0.3], "s": 1, "t": 0.3}', "m,s,t")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+    # rapidities whose hyperbola point overflows a float name m and tau
+    for params in ("0.3,1000,0.3", "0.3,1,-720"):
+        for command in ("analyze", "verify"):
+            code, out, err = run(capsys, command, "--params", params)
+            assert code == 2 and out == ""
+            assert "OutOfDomain" in err and "m=0.3" in err and "tau=" in err
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO('{"m": 0.3, "s": 1000, "t": 0.3}'))
+    code, _, err = run(capsys, "analyze", "-")
+    assert code == 2 and "OutOfDomain" in err and "tau=1000.0" in err
+
+
+def test_every_error_type_is_raised():
+    # each ScherkError subclass names a failure that the library can reach
+    root = Path(scherk.__file__).parent
+    raised = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)   # X(...) or X
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    types = [name for name, obj in vars(scherk.errors).items()
+             if inspect.isclass(obj) and issubclass(obj, scherk.ScherkError)
+             and obj is not scherk.ScherkError]
+    assert types
+    assert [name for name in types if name not in raised] == []
 
 
 def test_tol_pitot_flag(capsys, monkeypatch):

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from scherk import (DivisionDegenerate, angle_parameter, h_prime,
-                    moebius_center, scherk_data, unimodular_factor)
+from scherk import (angle_parameter, h_prime, moebius_center, scherk_data,
+                    unimodular_factor)
 from scherk.geometry import HyperbolicCoords
 from scherk.params import normalized_vertices
 
@@ -22,7 +22,7 @@ def vertex_form_E(z, w):
     u, v = complex(w).real, complex(w).imag
     den = (u + x) * (v + y)
     if abs(den) <= 1e-12 * max(1.0, (abs(u) + abs(x)) * (abs(v) + abs(y))):
-        raise DivisionDegenerate("(u+x)(v+y) vanishes; use the rapidity form")
+        raise ZeroDivisionError("(u+x)(v+y) vanishes; use the rapidity form")
     return (u * v - 3.0 * v * x - 3.0 * u * y + x * y) / den
 
 
@@ -33,7 +33,7 @@ def moebius_center_vertex_form(z, w, p):
     eip = cmath.exp(1j * p)
     den = (u - x - 2.0 + 1j * (y - v)) + eip * (x - u - 2.0 + 1j * (v - y))
     if abs(den) <= 1e-12 * (4.0 + abs(z) + abs(w)):
-        raise DivisionDegenerate("vertex-form z0 denominator vanishes")
+        raise ZeroDivisionError("vertex-form z0 denominator vanishes")
     zc = 1j * eip * math.sin(p) * (-(x + u) + 1j * (y + v)) / den
     return -zc
 
@@ -96,7 +96,7 @@ def test_vertex_form_E_matches_rapidity_form(sweep_cases):
 def test_vertex_form_E_degenerate_for_conjugate_pair():
     from conftest import build_case
     _, frame, _, _ = build_case(0.4, 0.8, -0.8)   # t = -s: y + v = 0
-    with pytest.raises(DivisionDegenerate):
+    with pytest.raises(ZeroDivisionError):
         vertex_form_E(frame.z, frame.w)
 
 
@@ -147,8 +147,7 @@ def test_sqrt_sign_rule(sweep_cases):
 
 def test_constants_algebra(sweep_cases):
     for _, _, c, d in sweep_cases:
-        assert d.Z == d.X
-        assert abs(d.A - d.B * d.Z) < 1e-14
+        assert abs(d.A - d.B * d.X) < 1e-14
         assert abs(d.C - d.B * d.sqrtX) < 1e-14
         assert abs(d.C ** 2 - d.A * d.B) < 1e-13
 
