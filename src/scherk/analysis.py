@@ -24,7 +24,8 @@ def gauss_curvature(z, d):
     one_minus_z0sq = 2.0 * math.cos(c.m) / (math.cosh(c.k) + math.cos(c.m))
     qp = d.sqrtX * one_minus_z0sq / (1.0 - z * z0.conjugate()) ** 2
     q = d.sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
-    hp = h_prime(z, d)
+    # h'(0) from the record: the residue sum loses digits there at small j
+    hp = d.h0_prime if isinstance(z, complex) and z == 0 else h_prime(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
 
 

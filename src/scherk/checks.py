@@ -8,6 +8,7 @@ prints them; err(d, frame, seed) returns the check's error on the surface
 record d built in the normalized frame.  A new check is one more row.
 """
 
+import functools
 import math
 import sys
 
@@ -15,16 +16,18 @@ import numpy as np
 
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
-from .errors import ScherkError
+from .errors import NewtonDiverged, ScherkError
 from .harmonic import dilatation, harmonic_map, jacobian, step_boundary
-from .oracles import (fd_laplacian, fd_mixed, graph_height_function,
-                      kernel_contour_height, numeric_residue, poisson_extension)
-from .weierstrass import gauss_map_q, height_T, kernel_K
+from .oracles import (fd_laplacian, kernel_contour_height, newton_invert,
+                      numeric_residue, poisson_extension)
+from .weierstrass import gauss_map_q, height_T, kernel_K, map_and_height
 
-# Interior points of the contour and Poisson checks.  They stay Python
-# complex: height_T and harmonic_map evaluate them one at a time, and a
-# numpy scalar rounds differently there.
-_POINTS = (0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j)
+# Interior points of the contour and Poisson checks.
+_POINTS = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
+# Offsets of the graph stencils: central differences at step 1e-5 and, as in
+# fd_mixed, the cross (h + ih, h - ih, -h + ih, -h - ih) at h = 1e-4.
+_CENTRAL = 1e-5 * np.array([1.0, -1.0, 1j, -1j])
+_CROSS = 1e-4 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
 def _dilatation(d, frame, seed):
@@ -62,8 +65,8 @@ def _sign_split(d, frame, seed):
 
 
 def _height_contour(d, frame, seed):
-    contour = kernel_contour_height(np.array(_POINTS), d)
-    return max(abs(height_T(z, d) - hc) for z, hc in zip(_POINTS, contour))
+    return np.max(np.abs(height_T(_POINTS, d)
+                         - kernel_contour_height(_POINTS, d)))
 
 
 def _growth_slopes(d, frame, seed):
@@ -90,19 +93,39 @@ def _bound_attained(d, frame, seed):
     return abs(attained - bound) / bound
 
 
+@functools.lru_cache(maxsize=1)
+def _graph_heights(d):
+    """Heights at the graph rows' 12 stencil points (about c0, c0 and, rotated
+    back, rot c0) by one Newton inversion, and each point's note or None."""
+    rot = np.exp(1j * aligning_rotation(d))
+    targets = np.concatenate((d.h0 + _CENTRAL, d.h0 + _CROSS,
+                              (rot * d.h0 + _CROSS) / rot))
+    try:
+        return height_T(newton_invert(d, targets), d), [None] * targets.size
+    except NewtonDiverged as exc:
+        return height_T(exc.roots, d), exc.notes
+
+
+def _stencil(d, row):
+    """Heights of stencil `row` (0 normal, 1 mixed, 2 aligned); raises the
+    note of the first of its points that diverged."""
+    heights, notes = _graph_heights(d)
+    for note in filter(None, notes[4 * row:4 * row + 4]):
+        raise NewtonDiverged(note)
+    return heights[4 * row:4 * row + 4]
+
+
+def _cross(d, row):
+    v = _stencil(d, row)
+    return (v[0] - v[1] - v[2] + v[3]) / 4e-8
+
+
 def _graph_normal(d, frame, seed):
     # center normal of the graph vs finite differences of the graph
-    F, c0n, h = graph_height_function(d), d.h0, 1e-5
-    fu = (F(c0n + h) - F(c0n - h)) / (2 * h)
-    fv = (F(c0n + 1j * h) - F(c0n - 1j * h)) / (2 * h)
+    v = _stencil(d, 0)
+    fu, fv = (v[0] - v[1]) / 2e-5, (v[2] - v[3]) / 2e-5
     nvec = np.array((-fu, -fv, 1.0)) / math.sqrt(fu * fu + fv * fv + 1.0)
     return np.max(np.abs(nvec - np.array(graph_normal(d))))
-
-
-def _aligned_mixed(d, frame, seed):
-    # the aligning rotation really kills the rotated mixed derivative
-    rot, F = np.exp(1j * aligning_rotation(d)), graph_height_function(d)
-    return abs(fd_mixed(lambda wp: F(wp / rot), rot * d.h0, h=1e-4))
 
 
 def _jacobian(d, frame, seed):
@@ -123,18 +146,15 @@ def _winding(d, frame, seed):
 
 def _poisson(d, frame, seed):
     # the harmonic map vs the Poisson integral of its boundary step
-    poisson = poisson_extension(np.array(_POINTS), step_boundary(d))
-    return max(abs(harmonic_map(z, d) - pe) for z, pe in zip(_POINTS, poisson))
+    return np.max(np.abs(harmonic_map(_POINTS, d)
+                         - poisson_extension(_POINTS, step_boundary(d))))
 
 
 def _laplacian(d, frame, seed):
-    # harmonicity of both map components and of the height
-    err = 0.0
-    for z in (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.35j):
-        lap = fd_laplacian(lambda u: harmonic_map(u, d), z)
-        err = max(err, abs(lap.real), abs(lap.imag))
-        err = max(err, abs(fd_laplacian(lambda u: height_T(u, d), z)))
-    return err
+    # harmonicity of both map components and of the height, on one array
+    lap = fd_laplacian(lambda u: np.array(map_and_height(u, d)),
+                       np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.35j]))
+    return np.max(np.abs(lap.view(float)))  # f's two parts, then T's
 
 
 def _boundary_steps(d, frame, seed):
@@ -167,9 +187,10 @@ CHECKS = (
     ("curvature_bound_attained", (1e-12, 1e-13), _bound_attained),
     ("graph_normal_vs_fd", (1e-5, 1e-6), _graph_normal),
     ("mixed_derivative_vs_fd", (1e-3, 1e-4),
-     lambda d, frame, seed: abs(fd_mixed(graph_height_function(d), d.h0, h=1e-4)
-                                - center_mixed_derivative(d))),
-    ("aligned_mixed_derivative_zero", (1e-3, 1e-4), _aligned_mixed),
+     lambda d, frame, seed: abs(_cross(d, 1) - center_mixed_derivative(d))),
+    # the aligning rotation really kills the rotated mixed derivative
+    ("aligned_mixed_derivative_zero", (1e-3, 1e-4),
+     lambda d, frame, seed: abs(_cross(d, 2))),
     ("jacobian_positive_on_grid", (0.0, 0.0), _jacobian),
     ("boundary_winding_number", (1e-8, 1e-10), _winding),
     ("poisson_extension_agreement", (1e-6, 1e-8), _poisson),

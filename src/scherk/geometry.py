@@ -127,10 +127,10 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     Returns a PitotQuad whose vertex order is counterclockwise (the input
     order is reversed when its signed area is negative).
     """
-    try:
-        b = [complex(v[0], v[1]) if isinstance(v, (tuple, list)) else complex(v)
-             for v in vertices]
-    except (TypeError, IndexError) as exc:
+    try:  # a list vertex other than a pair is complex(list): a TypeError
+        b = [complex(*v) if isinstance(v, (tuple, list)) and len(v) == 2
+             else complex(v) for v in vertices]
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"vertices must be pairs of numbers: {exc}") from exc
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in b):
         raise ValueError("vertices must be finite")

@@ -76,8 +76,8 @@ def radial_trace(d, pole_index, r_list):
     """
     if pole_index not in (1, 2, 3, 4):
         raise ValueError("pole_index must be 1, 2, 3, or 4")
-    zeta = d.poles[pole_index - 1]
-    return [(float(r), float(height_T(r * zeta, d))) for r in r_list]
+    heights = height_T(np.multiply(r_list, d.poles[pole_index - 1]), d)
+    return [(float(r), float(t)) for r, t in zip(r_list, heights)]
 
 
 # "0000" .. "9999" as one little-endian 4-byte word each; 10^k for k = 0 ..

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import NewtonDiverged, PoleProximity, ToleranceNotMet
-from .harmonic import _derivatives, harmonic_map
+from .errors import NewtonDiverged, ToleranceNotMet
+from .harmonic import TOL_POLE, _derivatives, harmonic_map
 from .weierstrass import height_T, kernel_K
 
 
@@ -165,13 +165,14 @@ def numeric_residue(fn, pole):
 def fd_laplacian(field, z, h=1e-3):
     """Five-point finite-difference Laplacian of a field at z.
 
-    field is called once, on a numpy array of the five stencil points
-    (z + h, z - h, z + ih, z - ih, z), so it must be written with numpy
-    operations.  A complex field gives the Laplacians of its real and
-    imaginary parts as the real and imaginary parts of the result.
+    z may be an array.  field is called once, on an array whose last axis
+    holds each point's stencil (z + h, z - h, z + ih, z - ih, z), so it must
+    use numpy operations; a complex field gives the Laplacians of its real
+    and imaginary parts as those of the result, and leading axes stay.
     """
-    v = field(complex(z) + h * _STENCIL)
-    return (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / h ** 2
+    v = field(np.asarray(z, dtype=complex)[..., None] + h * _STENCIL)
+    return (v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]
+            - 4.0 * v[..., 4]) / h ** 2
 
 
 def fd_mixed(fn, point, h=1e-4):
@@ -184,56 +185,61 @@ def fd_mixed(fn, point, h=1e-4):
 def newton_invert(d, target):
     """Invert the harmonic map: find z in the disk with f(z) = target.
 
-    target is a point of the normalized frame.  Newton steps use the
-    Wirtinger derivatives of f = h + conj(g): dz = (conj(h') r - conj(g')
-    conj(r)) / (|h'|^2 - |g'|^2) with residual r = target - f(z).  Steps
-    are halved until the iterate stays inside the disk and the residual
-    decreases, so targets far from f(0) do not throw the iteration out of
-    the domain.  Raises NewtonDiverged if no descent step exists or the
-    residual is not below NEWTON_TOL within NEWTON_STEPS steps.
+    target is a point of the normalized frame, or an array of them solved
+    together.  Newton steps use the Wirtinger derivatives of f = h +
+    conj(g): dz = (conj(h') r - conj(g') conj(r)) / (|h'|^2 - |g'|^2) with
+    residual r = target - f(z); each point halves its step until its iterate
+    stays inside the disk and its residual decreases.  A root has the same
+    bits in any batch.  Raises NewtonDiverged if for some point no descent
+    step exists or the residual is not below NEWTON_TOL within NEWTON_STEPS
+    steps, with that point's message; its roots and notes hold each point's
+    root (nan if it diverged) and message (None if it converged).
     """
-    z, target = 0j, complex(target)
-    r = target - harmonic_map(z, d)
+    t = np.ravel(np.asarray(target, dtype=complex))
+    z, notes = np.zeros_like(t), np.full(t.size, None, object)
+    r = t - harmonic_map(z, d)
     for _ in range(NEWTON_STEPS):
-        if abs(r) < NEWTON_TOL:
-            return z
-        try:
-            hp, gp = _derivatives(z, d)
-        except PoleProximity as exc:
-            # an out-of-image target drags the iterate into a boundary pole
-            raise NewtonDiverged(f"iterate approached a boundary pole ({exc})")
-        denom = abs(hp) ** 2 - abs(gp) ** 2
-        if denom <= 0.0:
-            raise NewtonDiverged("Jacobian is not positive at the iterate")
-        dz = (hp.conjugate() * r - gp.conjugate() * r.conjugate()) / denom
-        step = 1.0
-        while True:
-            z_new = z + step * dz
-            if abs(z_new) < 1.0:
-                r_new = target - harmonic_map(z_new, d)
-                if abs(r_new) < abs(r):
-                    break
-            step *= 0.5
-            if step < 1e-14:
-                raise NewtonDiverged("no residual-decreasing step exists; "
-                                     "target may lie outside the image")
-        z, r = z_new, r_new
-    raise NewtonDiverged(
+        idx = np.flatnonzero(np.equal(notes, None) & ~(abs(r) < NEWTON_TOL))
+        gap = np.abs(np.subtract.outer(z[idx], d.poles)).min(axis=-1)
+        near = gap < TOL_POLE
+        # an out-of-image target drags its iterate into a boundary pole
+        notes[idx[near]] = [f"iterate approached a boundary pole (evaluation "
+                            f"{g:.2e} from a boundary pole)" for g in gap[near]]
+        idx = idx[~near]
+        if not idx.size:
+            break
+        hp, gp = _derivatives(z[idx], d)
+        denom = np.abs(hp) ** 2 - np.abs(gp) ** 2
+        keep = ~(denom <= 0.0)
+        notes[idx[~keep]] = "Jacobian is not positive at the iterate"
+        idx, hp, gp, ri = idx[keep], hp[keep], gp[keep], r[idx[keep]]
+        dz = (np.conj(hp) * ri - np.conj(gp) * np.conj(ri)) / denom[keep]
+        step = np.ones(idx.size)
+        while idx.size:
+            z_new, r_new = z[idx] + step * dz, np.full(idx.size, np.inf + 0j)
+            inside = np.abs(z_new) < 1.0
+            r_new[inside] = t[idx[inside]] - harmonic_map(z_new[inside], d)
+            done = np.abs(r_new) < np.abs(r[idx])
+            z[idx[done]], r[idx[done]] = z_new[done], r_new[done]
+            idx, step, dz = idx[~done], 0.5 * step[~done], dz[~done]
+            notes[idx[step < 1e-14]] = ("no residual-decreasing step exists; "
+                                        "target may lie outside the image")
+            idx, step, dz = (a[~(step < 1e-14)] for a in (idx, step, dz))
+    notes[np.equal(notes, None) & ~(abs(r) < NEWTON_TOL)] = (
         f"no convergence to {NEWTON_TOL} in {NEWTON_STEPS} steps")
+    z[np.not_equal(notes, None)] = np.nan
+    z = complex(z[0]) if np.ndim(target) == 0 else z.reshape(np.shape(target))
+    if any(notes):
+        exc = NewtonDiverged(next(filter(None, notes)))
+        exc.roots, exc.notes = z, notes.tolist()
+        raise exc
+    return z
 
 
 def graph_height_function(d):
-    """Height of the surface as a function over the quadrilateral.
-
-    Returns a callable w -> height at the planar point w (normalized
-    frame), computed by Newton-inverting the harmonic map and evaluating
-    the height integral there.  Purely numeric; used as the ground truth
-    for the center derivative checks.
-    """
-    def height_at(w):
-        return height_T(newton_invert(d, w), d)
-
-    return height_at
+    """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
+    for a point w of the normalized frame or an array of them."""
+    return lambda w: height_T(newton_invert(d, w), d)
 
 
 def kernel_contour_height(z, d):

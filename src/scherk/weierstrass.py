@@ -59,7 +59,7 @@ def residues(d):
 
 
 def _guard_disk(z):
-    if np.abs(z).max() > R_HEIGHT:
+    if np.max(np.abs(z), initial=0.0) > R_HEIGHT:
         raise ValueError("height requires |z| <= 1 - 1e-9")
 
 

@@ -80,6 +80,17 @@ def test_curvature_rows_pass_at_large_k(params):
         assert tol == 1e-12 and err <= tol and ok, name
 
 
+def test_curvature_rows_pass_strict_at_small_j():
+    # j = 0.024: the residue sum for h'(0) is off by 9.4e-14 relative there,
+    # which failed both rows of the strict profile at err 1.9e-13
+    _, frame, _, d = build_case(1.2381208153591716, 0.3275948943101834,
+                                0.2797940167649149)
+    rows = [row for row in run_checks(d, frame, "strict")
+            if row[0] in CURVATURE_ROWS]
+    for name, err, tol, ok in rows:
+        assert tol == 1e-13 and err <= tol and ok, name
+
+
 def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2):
     # q(0) = -sqrt(X) z0 still carries z0 into the curvature
     for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):

@@ -202,6 +202,42 @@ def test_verify_reports_newton_divergence_as_fail_rows(capsys):
         assert status[name] == ("FAIL", math.inf)
 
 
+def test_one_diverged_stencil_point_fails_only_its_row(capsys, monkeypatch):
+    # the three graph rows share one batched Newton inversion; an
+    # out-of-image target among the mixed row's points fails that row alone,
+    # with the note a lone inversion of that target gives
+    import functools
+    import scherk.checks as checks
+    newton = checks.newton_invert
+
+    def one_far_target(d, targets):
+        targets = targets.copy()
+        targets[5] = 50.0 + 50.0j
+        return newton(d, targets)
+
+    monkeypatch.setattr(checks, "newton_invert", one_far_target)
+    monkeypatch.setattr(checks, "_graph_heights", functools.lru_cache(
+        maxsize=1)(checks._graph_heights.__wrapped__))
+    code, out, err = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
+    assert code == 1
+    status = {ln.split()[1]: ln.split()[0] for ln in out.splitlines()[:-1]}
+    assert [n for n, s in status.items() if s == "FAIL"] == [
+        "mixed_derivative_vs_fd"]
+    assert err == ("note: mixed_derivative_vs_fd: NewtonDiverged: iterate "
+                   "approached a boundary pole (evaluation 6.76e-10 from a "
+                   "boundary pole)\n")
+
+
+def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
+    # read as (-1, 0) before, the third coordinate silently dropped
+    doc = '{"vertices": [[-1,0,7],[0.309,0.291],[1,0],[0.456,1.123]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertices must be pairs of numbers")
+    assert err.count("\n") == 1
+
+
 def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     # a row that raises any ScherkError fails with its reason and the other
     # 20 rows still print

@@ -266,3 +266,32 @@ def test_newton_diverges_outside_target(case1):
     _, _, _, d = case1
     with pytest.raises(NewtonDiverged):
         newton_invert(d, 50.0 + 50.0j)
+
+
+def test_batched_newton_is_bitwise_the_scalar_newton(case1, case2, rng):
+    for _, _, _, d in (case1, case2):
+        zs = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 12)) \
+            * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 12))
+        targets = harmonic_map(zs, d)
+        roots = newton_invert(d, targets)
+        assert roots.shape == targets.shape
+        for target, root in zip(targets, roots):
+            alone = newton_invert(d, target)
+            assert type(alone) is complex
+            assert np.array(alone).tobytes() == np.array(root).tobytes()
+        grid = newton_invert(d, targets.reshape(3, 4))
+        assert grid.tobytes() == roots.tobytes() and grid.shape == (3, 4)
+
+
+def test_batched_newton_names_each_diverged_point(case1):
+    _, _, _, d = case1
+    targets = np.array([harmonic_map(0.3 + 0.1j, d), 50.0 + 50.0j,
+                        harmonic_map(-0.2j, d)])
+    with pytest.raises(NewtonDiverged) as alone:
+        newton_invert(d, 50.0 + 50.0j)
+    with pytest.raises(NewtonDiverged) as batch:
+        newton_invert(d, targets)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.notes == [None, str(alone.value), None]
+    for i in (0, 2):
+        assert batch.value.roots[i] == newton_invert(d, targets[i])
