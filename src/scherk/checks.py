@@ -54,14 +54,18 @@ def _kernel_scale(d, frame, seed):
 
 
 def _circle_residues(d, frame, seed):
+    # the residues from the vertex jumps vs C's rational form on small circles
     circle = numeric_residue(lambda u: kernel_K(u, d), np.array(d.poles))
     return max(abs(r - rc) for r, rc in zip(d.k_residues, circle))
 
 
 def _sign_split(d, frame, seed):
-    # signed closed-form residues (+-i lam |...|^2) match the exact ones
-    signs = (1j, -1j, 1j, -1j)
-    return max(abs(r - sg * cjv) for r, sg, cjv in zip(d.k_residues, signs, d.cj))
+    # the residues from the vertex jumps, of modulus side/(2 pi), vs the
+    # growth-scale closed form +-i lam |...|^2
+    mods = (abs(1.0 - d.z0) ** 2, abs(1.0 - d.z0 / d.e_ip) ** 2,
+            abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
+    return max(abs(r - sg * d.lam * mm)
+               for r, sg, mm in zip(d.k_residues, (1j, -1j, 1j, -1j), mods))
 
 
 def _height_contour(d, frame, seed):
@@ -175,7 +179,7 @@ CHECKS = (
     ("center_modulus_squared_law", (1e-13, 1e-14), _center_modulus),
     ("kernel_scale_identity", (1e-12, 1e-13), _kernel_scale),
     ("kernel_residues_vs_circle_oracle", (1e-7, 1e-8), _circle_residues),
-    # residues of a rational function vanishing at infinity sum to zero
+    # i (c1 - c2 + c3 - c4): the Pitot residual of the sides over 2 pi
     ("kernel_residue_sum", (1e-14, 1e-15),
      lambda d, frame, seed: abs(sum(d.k_residues))),
     ("kernel_residue_sign_split", (1e-12, 1e-13), _sign_split),

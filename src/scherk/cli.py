@@ -278,11 +278,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ScherkError as exc:
+    except (ScherkError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

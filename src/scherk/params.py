@@ -1,18 +1,15 @@
 """Closed-form parameters of the construction.
 
-Everything the surface needs is a handful of constants computed from the
-hyperbolic coordinates (m, s, t): the pole-splitting angle p, the Moebius
-center z0, the unimodular factor X with a sign-resolved square root, and
-the scaling constants B, A, C of the analytic derivatives.  Each one
-has a second, independently published route (vertex-coordinate forms) that
-the tests evaluate against these.
+Everything the surface needs is a handful of constants computed once from
+the hyperbolic coordinates (m, s, t): the pole-splitting angle p, the
+Moebius center z0, the unimodular factor X and its root, the scaling
+constants B, A, C, and the pole residues, read off the vertex jumps.  Their
+second routes (vertex-coordinate forms, K's rational form) are checks.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EqualRapidities
 from .geometry import HyperbolicCoords, hyperbola_point
@@ -25,11 +22,14 @@ class ScherkData:
     """All scalar data of one surface in the normalized frame.
 
     h_residues, g_residues and k_residues are the residues of h', g' and
-    the height kernel K = h' q at the poles (1, e^{ip}, -1, -e^{ip});
-    lam is the kernel's growth scale and cj the four growth rates of T/2
-    (see weierstrass.HeightKernel); h0 = h(0) = f(0).  q0, q0_prime and
-    h0_prime are q(0), q'(0) and h'(0), closed forms in the rapidity
-    parameters that the tests check against direct evaluation at z = 0.
+    K = h' q at the poles (1, e^{ip}, -1, -e^{ip}): the vertex jumps
+    (b3 - b4, b4 - b1, b1 - b2, b2 - b3)/(2 pi i), their negated conjugates
+    and q(pole) times the jumps.  cj = |h_residues| are the growth rates of
+    T/2, each a side length over 2 pi (the Jenkins-Serrin flux); lam is the
+    scale of verify's check cj = lam |1 -+ z0|^2, lam |1 -+ z0 e^{-ip}|^2.
+    h0 = h(0) = f(0).  q0, q0_prime and h0_prime are q(0), q'(0) and h'(0),
+    closed forms in the rapidity parameters that the tests check against
+    direct evaluation at z = 0.
     """
     p: float
     e_ip: complex
@@ -90,43 +90,21 @@ def moebius_center(c):
     return -unimod * cmath.tanh((c.k + 1j * c.m) / 2.0)
 
 
-def unimodular_factor(c, z0, c1):
-    """Unimodular factor X of the dilatation and its sign-resolved root.
+def unimodular_factor(c):
+    """Unimodular factor X of the dilatation and its square root.
 
-    z0 is the Moebius center and c1 the residue of h' at z = 1.  The
-    square root's sign is fixed so that the residue of h'(z) q(z) at
-    z = 1 is +i times a positive real number; this orients the height
-    function (which sides of the quadrilateral blow up to -infinity).
+    sqrtX = -(i + e^{-j})/(1 + i e^{-j}) (1 + e^{im+k})/(e^{im} + e^k).  Of
+    the two roots this is the one that orients the height function: the
+    residue of h'(z) q(z) at z = 1 is +i times a positive real number, so T
+    blows up to -infinity toward +-1.
     """
     ej = cmath.exp(-c.j)
     emk = cmath.exp(1j * c.m + c.k)
     em = cmath.exp(1j * c.m)
     ek = math.exp(c.k)
-    X = ((1j + ej) / (1.0 + 1j * ej)) ** 2 * ((1.0 + emk) / (em + ek)) ** 2
-    sqrtX = cmath.sqrt(X)
-    q1 = sqrtX * (1.0 - z0) / (1.0 - z0.conjugate())
-    if (c1 * q1).imag < 0.0:
-        sqrtX = -sqrtX
-    return X, sqrtX
-
-
-def _kernel_residues(c, C, z0, e_ip, poles):
-    """Residues of K = h' q at the poles, its growth scale lam and rates cj.
-
-    Residues come from N(pole)/D'(pole) of the rational form of K, so they
-    are exact for the kernel as implemented; lam and cj give the
-    equivalent sign-split closed form +-i cj (checked in the tests).
-    """
-    e2 = e_ip * e_ip
-    res = []
-    for zk in poles:
-        num = C * (zk - z0) * (1.0 - zk * np.conj(z0))
-        dprime = -2.0 * zk * (e2 - zk * zk) - 2.0 * zk * (1.0 - zk * zk)
-        res.append(num / dprime)
-    lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
-    mods = (abs(1.0 - z0) ** 2, abs(1.0 - z0 / e_ip) ** 2,
-            abs(1.0 + z0) ** 2, abs(1.0 + z0 / e_ip) ** 2)
-    return tuple(res), lam, tuple(lam * mm for mm in mods)
+    a = (1j + ej) / (1.0 + 1j * ej)
+    b = (1.0 + emk) / (em + ek)
+    return a ** 2 * b ** 2, -a * b
 
 
 def scherk_data(c):
@@ -144,10 +122,13 @@ def scherk_data(c):
     h_prime0 = -sum(ck / zk for ck, zk in zip(hres, exp_poles))
     B = eip * eip * h_prime0
     z0 = moebius_center(c)
-    X, sqrtX = unimodular_factor(c, z0, hres[0])
+    X, sqrtX = unimodular_factor(c)
     C = B * sqrtX
     poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
-    kres, lam, cj = _kernel_residues(c, C, z0, e_ip, poles)
+    # K = h' q: its residue at each pole is q(pole) times the residue of h'
+    kres = tuple(sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
+                 for zk, r in zip(poles, hres))
+    lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
     half = (c.k - 1j * c.m) / 2.0
     q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
     ej = math.exp(c.j)
@@ -157,5 +138,6 @@ def scherk_data(c):
     return ScherkData(
         p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=C, poles=poles,
         h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
-        k_residues=kres, lam=lam, cj=cj, h0=p * (b2 + b4) / (2 * math.pi),
-        q0=q0, q0_prime=q0p, h0_prime=h0p, coords=c)
+        k_residues=kres, lam=lam, cj=tuple(abs(r) for r in hres),
+        h0=p * (b2 + b4) / (2 * math.pi), q0=q0, q0_prime=q0p, h0_prime=h0p,
+        coords=c)

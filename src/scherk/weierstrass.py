@@ -20,10 +20,11 @@ R_HEIGHT = 1.0 - 1e-9  # the largest |z| at which the height is evaluated
 class HeightKernel:
     """Partial-fraction data of K = h' q.
 
-    residues[i] is the exact residue at poles[i]; lam is the common
-    positive scale: the residue is +i lam |1 -+ z0|^2 at +-1 and
-    -i lam |1 -+ z0 e^{-ip}|^2 at +-e^{ip}.  cj are the four products
-    lam * modulus^2, which are the logarithmic growth rates of T/2.
+    residues[i] is the residue at poles[i], q(pole) times the residue of h'
+    there; lam is the common positive scale: the residue is
+    +i lam |1 -+ z0|^2 at +-1 and -i lam |1 -+ z0 e^{-ip}|^2 at +-e^{ip}.
+    cj are the residue moduli, side length / (2 pi), which are the
+    logarithmic growth rates of T/2.
     """
     poles: tuple
     residues: tuple
@@ -39,8 +40,8 @@ def gauss_map_q(z, d):
 def kernel_K(z, d):
     """K(z) = C (z - z0)(1 - z conj(z0)) / ((1 - z^2)(e^{2ip} - z^2)).
 
-    Equals h'(z) q(z) identically; the rational form is what the residue
-    bookkeeping and the height antiderivative use.
+    Equals h'(z) q(z) identically; verify's residue and contour oracles
+    integrate this rational form.
     """
     _guard_poles(z, d.poles)
     return (d.C * (z - d.z0) * (1.0 - z * np.conj(d.z0))
@@ -48,12 +49,11 @@ def kernel_K(z, d):
 
 
 def residues(d):
-    """Exact residues of K at (1, e^{ip}, -1, -e^{ip}) and the growth scale.
+    """Residues of K at (1, e^{ip}, -1, -e^{ip}) and the growth scale.
 
-    Read from the record, where scherk_data computed them once from
-    N(pole)/D'(pole) of the rational form (exact for the kernel as
-    implemented); lam and cj give the equivalent sign-split closed form
-    (checked against these in the tests).
+    Read from the record, where scherk_data computed them once as
+    q(pole) h_res(pole) from the vertex jumps; verify checks them against
+    K's rational form and against the sign-split closed form of lam.
     """
     return HeightKernel(d.poles, d.k_residues, d.lam, d.cj)
 

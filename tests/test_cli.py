@@ -1,6 +1,7 @@
 """Command-line interface: report content, determinism, exit codes."""
 
 import ast
+import importlib.util
 import inspect
 import io
 import json
@@ -92,6 +93,10 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                         io.StringIO('{"vertices": [[-1,-1],[1,-1],[1,1],[-1,1]]}'))
     code, _, err = run(capsys, "analyze", "-")
     assert code == 2 and "FociCoincide" in err
+    # a library ValueError is named like a ScherkError
+    code, out, err = run(capsys, "analyze", "--params", "2,1,0.3")
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: m must lie in (0, pi/2)\n"
     # malformed JSON
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -234,7 +239,7 @@ def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
     assert code == 2 and out == ""
-    assert err.startswith("error: vertices must be pairs of numbers")
+    assert err.startswith("error: ValueError: vertices must be pairs of numbers")
     assert err.count("\n") == 1
 
 
@@ -349,8 +354,7 @@ def test_mesh_stdout_matches_out_file(capsys, tmp_path):
 
 def test_each_command_builds_its_surface_once(capsys, monkeypatch, tmp_path):
     counts = {}
-    names = ("scherk_data", "normalize", "hyperbolic_coordinates",
-             "_kernel_residues")
+    names = ("scherk_data", "normalize", "hyperbolic_coordinates")
     for name in names:
         original = getattr(scherk.params, name, None) or getattr(scherk, name)
 
@@ -399,6 +403,19 @@ def test_hyperbola_round_trip_failure_is_a_typed_refusal(capsys):
     assert err.startswith("error: OutOfDomain: z does not round-trip through"
                           " the hyperbola at m=1.5705628121355")
     assert re.search(r"mismatch \S+ > tolerance \S+\n$", err)
+
+
+def test_bench_tracer_finds_the_functions_it_names():
+    # the traced benchmark looks layer functions up by name; a deleted one
+    # fails here, not only in CI's traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    out = tracing.Tracer().summary(0, {})
+    # bench/run.py adds the other two metrics from the run, not the spans
+    assert set(out) == {name for name, _ in tracing.LAYER_METRICS} - {
+        "cli.verify.checks_failed", "trace.overhead_share"}
 
 
 def test_readme_library_example_runs():

@@ -8,8 +8,10 @@ import pytest
 
 from scherk import (angle_parameter, h_prime, moebius_center, scherk_data,
                     unimodular_factor)
+from scherk.checks import CHECKS
 from scherk.geometry import HyperbolicCoords
 from scherk.params import normalized_vertices
+from conftest import build_case
 
 
 def vertex_form_E(z, w):
@@ -143,6 +145,26 @@ def test_sqrt_sign_rule(sweep_cases):
         c1 = (1.0 - frame.w) / (2j * math.pi)
         q1 = d.sqrtX * (1.0 - d.z0) / (1.0 - d.z0.conjugate())
         assert (c1 * q1).imag >= 0.0
+
+
+def test_growth_rates_are_jenkins_serrin_fluxes(sweep_cases, near_edge_cases):
+    # 2 pi cj is the length of the side that pole j opens onto (Jenkins and
+    # Serrin, ARMA 21, 1966): 1 <-> b3b4, 2 <-> b4b1, 3 <-> b1b2, 4 <-> b2b3
+    for _, _, c, d in sweep_cases + near_edge_cases:
+        b1, b2, b3, b4 = normalized_vertices(c)
+        for cj, side in zip(d.cj, (b3 - b4, b4 - b1, b1 - b2, b2 - b3)):
+            flux = abs(side) / (2.0 * math.pi)
+            assert abs(cj - flux) <= 2.0 * math.ulp(flux)
+
+
+def test_sign_split_rejects_wrong_growth_scale(case1, case2):
+    # the row compares the residues with +-i lam |...|^2, so a wrong lam fails
+    err_of, tols = next((err, tols) for name, tols, err in CHECKS
+                        if name == "kernel_residue_sign_split")
+    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        for lam in (d.lam / math.sin(d.p), 2.0 * d.lam):
+            err = err_of(dataclasses.replace(d, lam=lam), frame, 0)
+            assert err > max(tols), (d.coords, lam, err)
 
 
 def test_constants_algebra(sweep_cases):
