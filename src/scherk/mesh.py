@@ -30,6 +30,8 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     poles); the number of clamped vertices is recorded in the metadata.
     With a NormalizedFrame, vertices are mapped back to the original
     quadrilateral (positions by frame.invert, heights by 1/|frame.scale|).
+    Ring i (from 0) holds vertices 1 + i n_theta + a after the center 0; the
+    faces, a fan about 0 and then two per quad, fill one preallocated array.
     """
     if n_r < 1 or n_theta < 3:
         raise ValueError("need n_r >= 1 and n_theta >= 3")
@@ -48,15 +50,14 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     hs = np.clip(hs, -h_max, h_max)
     vertices = np.column_stack((np.real(fz), np.imag(fz), hs))
 
-    # Ring i (from 0) holds vertices 1 + i n_theta + a, a = 0 .. n_theta - 1.
     a = np.arange(n_theta)
     a_next = (a + 1) % n_theta
-    fan = np.column_stack((np.zeros_like(a), 1 + a, 1 + a_next))
-    inner = 1 + n_theta * np.arange(n_r - 1)[:, None]
-    i0, i1 = inner + a, inner + a_next
-    o0, o1 = i0 + n_theta, i1 + n_theta
-    quads = np.stack((i0, o0, o1, i0, o1, i1), axis=-1).reshape(-1, 3)
-    faces = np.concatenate((fan, quads))
+    o, o_next = a + n_theta, a_next + n_theta
+    faces = np.empty((n_theta * (2 * n_r - 1), 3), np.int64)
+    faces[:n_theta] = np.column_stack((0 * a, 1 + a, 1 + a_next))  # the fan
+    quad = np.column_stack((a, o, o_next, a, o_next, a_next))  # two per a, on ring i
+    np.add(1 + n_theta * np.arange(n_r - 1)[:, None, None], quad,
+           out=faces[n_theta:].reshape(n_r - 1, n_theta, 6))
 
     c = d.coords
     metadata = {
@@ -103,11 +104,12 @@ def _digits(n, n_words):
 
 
 def _float_fields(x):
-    """%.17g of each double in x as 28 rows of bytes (sign, "0.000", digits
-    and point, "e-05"), NUL where %g prints nothing, one column per value;
-    and the mask of the values it takes, 1e-5 <= |x| < 1e15.  With E the
-    decimal exponent, Dekker's two-product gives p + err = |x| 10^(16 - E)
-    exactly; p >= 2^53 is even, so p + rint(err) rounds half to even."""
+    """%.17g of each double in x, as 28 bytes (sign, "0.000", digits and
+    point, "e-05") on a new last axis, NUL where %g prints nothing.  numpy
+    computes those with 1e-5 <= |x| < 1e15: with E the decimal exponent,
+    Dekker's two-product gives p + err = |x| 10^(16 - E) exactly; p >= 2^53
+    is even, so p + rint(err) rounds half to even.  Python formats the rest."""
+    shape, x = x.shape, x.ravel()
     a = np.abs(x)
     fast = (a >= 1e-5) & (a < 1e15)
     a = np.where(fast, a, 1.0)
@@ -142,48 +144,56 @@ def _float_fields(x):
     fields[6:24] = lo + (_ROWS[:18] < point).view(np.uint8) * (hi - lo) \
         + (_ROWS[:18] == point).view(np.uint8) * (46 - lo)
     fields[24:] = (x10 == -5) * np.frombuffer(b"e-05", np.uint8)[:, None]
-    return fields, fast
+    slow = np.flatnonzero(~fast)  # Python formats the rest
+    text = np.array(["%.17g" % v for v in x[slow].tolist()], "S28")
+    fields[:, slow] = text.view(np.uint8).reshape(-1, 28).T
+    return fields.T.reshape(*shape, 28)
 
 
 def _int_fields(v):
-    """%d of each integer in v: rows of bytes, one column per value, NUL
-    where %d prints nothing; and the mask of the values formatted (v >= 0)."""
-    n_words = len(str(max(int(v.max()), -int(v.min())))) // 4 + 1
+    """%d of each 0 <= v < 2^63 in the 1-d v: a row of bytes each, NUL padded."""
+    n_words = len(str(int(v.max(initial=0)))) // 4 + 1
     n_dig = np.searchsorted(_POW10_INT, np.maximum(v, 1), side="right")
-    fields = _digits(np.maximum(v, 0), n_words)
+    fields = _digits(v, n_words)
     fields *= _ROWS[:4 * n_words] >= 4 * n_words - n_dig  # no leading zeros
-    return fields, v >= 0
+    return fields.T
+
+
+def _lines(tag, fields):
+    """Line j: tag, " field" for each field of fields[j], newline; no NUL."""
+    n, ncols, width = fields.shape
+    out = np.empty((n, 2 + ncols * (width + 1)), np.uint8)
+    out[:, 0], out[:, -1] = ord(tag), 10
+    body = out[:, 1:-1].reshape(n, ncols, width + 1)
+    body[:, :, 0] = 32
+    body[:, :, 1:] = fields
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def obj_text(mesh):
-    """Wavefront OBJ text of the mesh (1-based face indices), yielded in
-    blocks of _OBJ_BLOCK lines.  The bytes are those of "v %.17g %.17g
-    %.17g" and "f %d %d %d" lines; numpy computes the digits."""
-    for tag, rows, to_fields, fmt in (
-            ("v", np.asarray(mesh.vertices, float), _float_fields, "%.17g"),
-            ("f", mesh.faces + 1, _int_fields, "%d")):
-        for i in range(0, len(rows), _OBJ_BLOCK):
-            n, ncols = rows[i:i + _OBJ_BLOCK].shape
-            values = rows[i:i + n].T.ravel()
-            fields, fast = to_fields(values)
-            width = len(fields)
-            slow = np.flatnonzero(~fast)  # Python formats the rest
-            text = np.array([fmt % v for v in values[slow].tolist()], f"S{width}")
-            fields[:, slow] = text.view(np.uint8).reshape(-1, width).T
-            # column j is line j: tag, " field" per value, newline; no NUL
-            out = np.empty((2 + ncols * (width + 1), n), np.uint8)
-            out[0], out[-1] = ord(tag), 10
-            body = out[1:-1].reshape(ncols, width + 1, n)
-            body[:, 0] = 32
-            body[:, 1:] = fields.reshape(width, ncols, n).transpose(1, 0, 2)
-            yield out.T.tobytes().translate(None, b"\0").decode("ascii")
+    """Wavefront OBJ text of the mesh (1-based face indices) in blocks of
+    _OBJ_BLOCK lines, the bytes of "v %.17g %.17g %.17g" and "f %d %d %d"
+    lines with digits from numpy; each vertex label is formatted once.  A
+    face index that is not a vertex raises ValueError at the call."""
+    vertices, faces = np.asarray(mesh.vertices, float), np.asarray(mesh.faces)
+    if (bad := faces[(faces < 0) | (faces >= len(vertices))]).size:
+        raise ValueError(f"face index {bad[0]} outside the {len(vertices)} vertices")
+    # one void item of bytes per label, so a face line gathers three items
+    labels = np.ascontiguousarray(_int_fields(np.arange(1, len(vertices) + 1)))
+    labels = labels.view(f"V{labels.shape[1]}")
+    return (_lines(tag, to_fields(rows[i:i + _OBJ_BLOCK]))
+            for tag, rows, to_fields in (
+                ("v", vertices, _float_fields),
+                ("f", faces, lambda f: labels[f].view(np.uint8)))
+            for i in range(0, len(rows), _OBJ_BLOCK))
 
 
 def export_obj(mesh, path):
     """Write the mesh as a Wavefront OBJ file (1-based face indices)."""
+    text = obj_text(mesh)  # checks the faces before the file is opened
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.writelines(obj_text(mesh))
+            fh.writelines(text)
     except OSError as exc:
         raise IoError(f"cannot write OBJ file {path}: {exc}") from exc
 

@@ -9,7 +9,8 @@ import pytest
 from scherk import (IoError, SurfaceMesh, export_csv, export_obj, height_T,
                     normalize, radial_trace, sample_disk,
                     validate_quadrilateral)
-from scherk.mesh import obj_text
+import scherk.mesh
+from scherk.mesh import _int_fields, obj_text
 
 
 def _winding_contains(poly, pt, tol=1e-6):
@@ -192,11 +193,67 @@ def test_obj_text_of_integral_values_and_face_indices():
     rng = np.random.default_rng(11)
     ints = np.concatenate((np.arange(-3000, 3000), [2 ** 53, 2 ** 53 - 1],
                            rng.integers(0, 2 ** 53, 3000)))
-    # face indices on both sides of each power of ten (written 1-based)
-    edges = [10 ** k + d - 1 for k in range(19) for d in (-1, 0, 1)]
-    faces = np.concatenate((edges[1:], np.arange(9000),
-                            rng.integers(0, 2 ** 62, 3000)))
+    # 3 001 vertices: every index once, then 9 000 drawn (written 1-based)
+    n = -(-len(ints) // 3)
+    faces = np.concatenate((np.arange(n), rng.integers(0, n, 9000)))
     _assert_obj_text_is_percent_format(ints, faces)
+
+
+def test_int_fields_match_percent_d():
+    rng = np.random.default_rng(11)
+    # both sides of each power of ten up to 10^18, and draws below 2^62
+    edges = [10 ** k + d for k in range(19) for d in (-1, 0, 1)]
+    values = np.concatenate((edges, np.arange(9000),
+                             rng.integers(0, 2 ** 62, 3000)))
+    fields = _int_fields(values)
+    got = [bytes(row).replace(b"\0", b"").decode() for row in fields]
+    assert got == ["%d" % v for v in values.tolist()]
+
+
+def test_obj_text_of_a_large_mesh_and_of_no_faces(case1):
+    _, _, _, d = case1
+    # 12 001 vertices: 4- and 5-digit labels share the face blocks
+    mesh = sample_disk(d, n_r=30, n_theta=400)
+    assert len(mesh.vertices) == 12001
+    assert "".join(obj_text(mesh)) == _percent_formatted(mesh)
+    no_faces = SurfaceMesh(mesh.vertices[:5], np.zeros((0, 3), np.int64))
+    assert "".join(obj_text(no_faces)) == _percent_formatted(no_faces)
+    empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
+    assert list(obj_text(empty)) == []
+
+
+def test_obj_text_formats_each_vertex_label_once(case1, monkeypatch):
+    _, _, _, d = case1
+    mesh = sample_disk(d, n_r=10, n_theta=40)
+    formatted = []
+
+    def counted(v):
+        formatted.append(len(v))
+        return _int_fields(v)
+
+    monkeypatch.setattr(scherk.mesh, "_int_fields", counted)
+    for _ in range(2):
+        formatted.clear()
+        "".join(obj_text(mesh))
+        # one label per vertex, not one per face corner (3 len(faces))
+        assert formatted == [len(mesh.vertices)]
+
+
+def test_face_index_outside_the_vertices_is_refused(case1, tmp_path):
+    _, _, _, d = case1
+    mesh = sample_disk(d, n_r=2, n_theta=6)
+    n = len(mesh.vertices)
+    for bad in (-1, n, n + 7):
+        faces = mesh.faces.copy()
+        faces[3, 1], faces[5, 2] = bad, -2  # the first bad index is named
+        broken = SurfaceMesh(mesh.vertices, faces)
+        with pytest.raises(ValueError,
+                           match=rf"^face index {bad} outside the {n} vertices$"):
+            obj_text(broken)
+        path = tmp_path / f"bad{bad}.obj"
+        with pytest.raises(ValueError, match=f"face index {bad} "):
+            export_obj(broken, path)
+        assert not path.exists()
 
 
 def test_csv_export(case1, tmp_path):
