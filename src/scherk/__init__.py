@@ -23,8 +23,7 @@ from .harmonic import (AnalyticParts, analytic_parts, dilatation, g_prime,
                        h_prime, harmonic_map, jacobian, step_boundary)
 from .mesh import SurfaceMesh, export_csv, export_obj, radial_trace, sample_disk
 from .oracles import (adaptive_quad, contour_height, fd_laplacian, fd_mixed,
-                      graph_height_function, newton_invert, numeric_residue,
-                      poisson_extension)
+                      newton_invert, numeric_residue, poisson_extension, taylor)
 from .params import (ScherkData, angle_parameter, moebius_center,
                      scherk_data, unimodular_factor)
 from .weierstrass import (HeightKernel, gauss_map_q, height_T, kernel_K,

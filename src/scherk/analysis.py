@@ -4,7 +4,7 @@ Everything here is reported for the graph {(u, v, height(u, v))} over the
 quadrilateral.  Two unit vectors are exposed at the center: `normal`, the
 stereographic image of the Gauss-map value q(0) (the conventional closed
 form), and `graph_normal`, the upward normal of the height graph itself,
-which the finite-difference oracle reproduces; the two differ by a swap
+which the Taylor-jet oracle reproduces; the two differ by a swap
 and sign flip of the horizontal components (see the tests).
 
 q(0), q'(0) and h'(0) are read from the record (d.q0, d.q0_prime,
@@ -48,8 +48,8 @@ def graph_normal(d):
     """Upward unit normal of the height graph at the center.
 
     Equals the stereographic image of -i conj(q(0)), i.e.
-    (cos m tanh k, -sin m, cos m sech k); cross-checked against finite
-    differences of the graph and against the tangent cross product.
+    (cos m tanh k, -sin m, cos m sech k); checked against the gradient of
+    the graph's Taylor jet and against the tangent cross product.
     """
     return _stereo(-1j * d.q0.conjugate())
 
@@ -58,8 +58,8 @@ def rotated_mixed_derivative(d, alpha):
     """Mixed derivative d2/dudv of the height graph at the center after
     rotating the quadrilateral by alpha.
 
-    Closed route through the center data; verified against the
-    finite-difference oracle on the rotated graph.  alpha = 0 gives the
+    Closed route through the center data; verified against the Taylor-jet
+    oracle, -2 Im(u_ww e^{-2i alpha}).  alpha = 0 gives the
     center mixed derivative itself.
     """
     q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
@@ -72,8 +72,8 @@ def rotated_mixed_derivative(d, alpha):
 def center_mixed_derivative(d):
     """Mixed derivative d2 height/du dv at the harmonic center.
 
-    Evaluates to -(pi/2) coth j sec m; the finite-difference oracle on the
-    composed graph reproduces it (see tests).
+    Evaluates to -(pi/2) coth j sec m; the graph's Taylor jet reproduces it
+    (see checks), and so do finite differences of the composed graph.
     """
     return rotated_mixed_derivative(d, 0.0)
 

@@ -1,14 +1,14 @@
 """The self-check suite behind `scherk verify`.
 
-Every check compares a formula implemented in this package against a
-route that does not share code with it (quadrature, finite differences,
+Every check compares a formula of this package against a route that does
+not share code with it (quadrature, Taylor coefficients off two circles,
 small-circle residues, Moebius/vertex identities).  CHECKS holds one row
 per check, (name, (default_tol, strict_tol), err), in the order verify
 prints them; err(d, frame, seed) returns the check's error on the surface
 record d built in the normalized frame.  A new check is one more row.
 """
 
-import functools
+import cmath
 import math
 import sys
 
@@ -16,18 +16,14 @@ import numpy as np
 
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
-from .errors import NewtonDiverged, ScherkError
+from .errors import ScherkError
 from .harmonic import dilatation, harmonic_map, jacobian, step_boundary
-from .oracles import (fd_laplacian, kernel_contour_height, newton_invert,
-                      numeric_residue, poisson_extension)
-from .weierstrass import gauss_map_q, height_T, kernel_K, map_and_height
+from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
+                      numeric_residue, poisson_extension, taylor)
+from .weierstrass import gauss_map_q, height_T, kernel_K
 
 # Interior points of the contour and Poisson checks.
 _POINTS = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
-# Offsets of the graph stencils: central differences at step 1e-5 and, as in
-# fd_mixed, the cross (h + ih, h - ih, -h + ih, -h - ih) at h = 1e-4.
-_CENTRAL = 1e-5 * np.array([1.0, -1.0, 1j, -1j])
-_CROSS = 1e-4 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
 def _dilatation(d, frame, seed):
@@ -59,13 +55,23 @@ def _circle_residues(d, frame, seed):
     return max(abs(r - rc) for r, rc in zip(d.k_residues, circle))
 
 
+def _split_moduli(c):
+    """|1 -+ z0|^2, |1 -+ z0 e^{-ip}|^2 = 2 (cosh s -+ sin m), 2 (cosh t +- sin m)
+    / (cosh j (cosh k + cos m)); cosh x - sin m as 2 sinh^2(x/2) + 2 sin^2(pi/4
+    - m/2) does not cancel as |z0| -> 1."""
+    sin_m, den = math.sin(c.m), math.cosh(c.j) * (math.cosh(c.k) + math.cos(c.m))
+    rest = math.sin(math.pi / 4.0 - c.m / 2.0) ** 2
+    return (4.0 * (math.sinh(c.s / 2.0) ** 2 + rest) / den,
+            2.0 * (math.cosh(c.s) + sin_m) / den,
+            2.0 * (math.cosh(c.t) + sin_m) / den,
+            4.0 * (math.sinh(c.t / 2.0) ** 2 + rest) / den)
+
+
 def _sign_split(d, frame, seed):
     # the residues from the vertex jumps, of modulus side/(2 pi), vs the
     # growth-scale closed form +-i lam |...|^2
-    mods = (abs(1.0 - d.z0) ** 2, abs(1.0 - d.z0 / d.e_ip) ** 2,
-            abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
-    return max(abs(r - sg * d.lam * mm)
-               for r, sg, mm in zip(d.k_residues, (1j, -1j, 1j, -1j), mods))
+    return max(abs(r - sg * d.lam * mm) for r, sg, mm in
+               zip(d.k_residues, (1j, -1j, 1j, -1j), _split_moduli(d.coords)))
 
 
 def _height_contour(d, frame, seed):
@@ -77,10 +83,8 @@ def _growth_slopes(d, frame, seed):
     # fitted log slopes toward each pole vs +-2 cj
     rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
     slopes = np.polyfit(np.log(1.0 - rs), height_T(np.outer(rs, d.poles), d), 1)[0]
-    err = 0.0
-    for slope, sg, cjv in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj):
-        err = max(err, abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv))
-    return err
+    return max(abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv)
+               for slope, sg, cjv in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj))
 
 
 def _center_curvature(d, frame, seed):
@@ -97,38 +101,11 @@ def _bound_attained(d, frame, seed):
     return abs(attained - bound) / bound
 
 
-@functools.lru_cache(maxsize=1)
-def _graph_heights(d):
-    """Heights at the graph rows' 12 stencil points (about c0, c0 and, rotated
-    back, rot c0) by one Newton inversion, and each point's note or None."""
-    rot = np.exp(1j * aligning_rotation(d))
-    targets = np.concatenate((d.h0 + _CENTRAL, d.h0 + _CROSS,
-                              (rot * d.h0 + _CROSS) / rot))
-    try:
-        return height_T(newton_invert(d, targets), d), [None] * targets.size
-    except NewtonDiverged as exc:
-        return height_T(exc.roots, d), exc.notes
-
-
-def _stencil(d, row):
-    """Heights of stencil `row` (0 normal, 1 mixed, 2 aligned); raises the
-    note of the first of its points that diverged."""
-    heights, notes = _graph_heights(d)
-    for note in filter(None, notes[4 * row:4 * row + 4]):
-        raise NewtonDiverged(note)
-    return heights[4 * row:4 * row + 4]
-
-
-def _cross(d, row):
-    v = _stencil(d, row)
-    return (v[0] - v[1] - v[2] + v[3]) / 4e-8
-
-
 def _graph_normal(d, frame, seed):
-    # center normal of the graph vs finite differences of the graph
-    v = _stencil(d, 0)
-    fu, fv = (v[0] - v[1]) / 2e-5, (v[2] - v[3]) / 2e-5
-    nvec = np.array((-fu, -fv, 1.0)) / math.sqrt(fu * fu + fv * fv + 1.0)
+    # center normal of the graph vs its gradient (2 Re u_w, -2 Im u_w)
+    P = taylor(d).P
+    nvec = np.array((-2.0 * P.real, 2.0 * P.imag, 1.0)) / math.sqrt(
+        4.0 * abs(P) ** 2 + 1.0)
     return np.max(np.abs(nvec - np.array(graph_normal(d))))
 
 
@@ -154,11 +131,11 @@ def _poisson(d, frame, seed):
                          - poisson_extension(_POINTS, step_boundary(d))))
 
 
-def _laplacian(d, frame, seed):
-    # harmonicity of both map components and of the height, on one array
-    lap = fd_laplacian(lambda u: np.array(map_and_height(u, d)),
-                       np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.35j]))
-    return np.max(np.abs(lap.view(float)))  # f's two parts, then T's
+def _harmonicity(d, frame, seed):
+    # f and T harmonic: both circles give the same Taylor coefficients; their
+    # difference is weighted by the inner circle's rho^|n|
+    n = np.abs(np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1))
+    return np.max(np.abs(np.subtract(*taylor(d).coeffs)) * TAYLOR_RADII[0] ** n)
 
 
 def _boundary_steps(d, frame, seed):
@@ -166,10 +143,7 @@ def _boundary_steps(d, frame, seed):
     arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
     limits = harmonic_map((1.0 - 1e-6) * np.exp(1j * mids), d)
-    err = 0.0
-    for (_, value), limit in zip(arcs, limits):
-        err = max(err, abs(limit - value))
-    return err
+    return max(abs(limit - value) for (_, value), limit in zip(arcs, limits))
 
 
 CHECKS = (
@@ -190,15 +164,16 @@ CHECKS = (
     ("center_curvature_closed_form", (1e-12, 1e-13), _center_curvature),
     ("curvature_bound_attained", (1e-12, 1e-13), _bound_attained),
     ("graph_normal_vs_fd", (1e-5, 1e-6), _graph_normal),
-    ("mixed_derivative_vs_fd", (1e-3, 1e-4),
-     lambda d, frame, seed: abs(_cross(d, 1) - center_mixed_derivative(d))),
-    # the aligning rotation really kills the rotated mixed derivative
-    ("aligned_mixed_derivative_zero", (1e-3, 1e-4),
-     lambda d, frame, seed: abs(_cross(d, 2))),
+    ("mixed_derivative_vs_fd", (1e-3, 1e-4), lambda d, frame, seed: abs(
+        -2.0 * taylor(d).U.imag - center_mixed_derivative(d))),
+    # the aligning rotation really kills the rotated mixed derivative: after
+    # rotating the graph by alpha, u_xy is -2 Im(u_ww e^{-2i alpha})
+    ("aligned_mixed_derivative_zero", (1e-3, 1e-4), lambda d, frame, seed: abs(
+        2.0 * (taylor(d).U * cmath.exp(-2j * aligning_rotation(d))).imag)),
     ("jacobian_positive_on_grid", (0.0, 0.0), _jacobian),
     ("boundary_winding_number", (1e-8, 1e-10), _winding),
     ("poisson_extension_agreement", (1e-6, 1e-8), _poisson),
-    ("laplacian_defect_fd", (1e-4, 5e-5), _laplacian),
+    ("laplacian_defect_fd", (1e-9, 1e-10), _harmonicity),
     # f(0) equals the closed-form center
     ("center_value_consistency", (1e-14, 1e-15),
      lambda d, frame, seed: abs(harmonic_map(0.0 + 0.0j, d) - d.h0)),

@@ -43,7 +43,10 @@ class PoleProximity(ScherkError):
 
 
 class NewtonDiverged(ScherkError):
-    """Newton inversion of the harmonic map did not converge."""
+    """Newton inversion of the harmonic map did not converge (see .notes)."""
+    def __init__(self, message, roots=None, notes=None):
+        super().__init__(message)
+        self.roots, self.notes = roots, notes
 
 
 class ToleranceNotMet(ScherkError):

@@ -3,24 +3,28 @@
 Every closed-form quantity in the package is double-checked against one of
 these: adaptive quadrature of the Poisson integral, contour integration of
 the height kernel, small-circle residue averages with Richardson
-extrapolation, finite-difference Laplacians and mixed derivatives, and a
-Newton inversion of the harmonic map.  None of them reuse the closed forms
-they are meant to test.
+extrapolation, Taylor coefficients off two circles (the graph's 2-jet), and
+for the tests finite differences and a Newton inversion of the harmonic map.
+None of them reuse the closed forms they are meant to test.
 """
 
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import NewtonDiverged, ToleranceNotMet
 from .harmonic import TOL_POLE, _derivatives, harmonic_map
-from .weierstrass import height_T, kernel_K
+from .weierstrass import kernel_K, map_and_height
 
 
 ABS_TOL, MAX_DEPTH, N_NODES = 1e-10, 24, 10  # adaptive quadrature panels
 N_ANGLES, RADII = 64, (1e-4, 1e-5)  # residue circles, Richardson radii
 NEWTON_TOL, NEWTON_STEPS = 1e-12, 50  # Newton residual tolerance, steps
+# Taylor circles |z| = rho (inner, outer), points per circle, highest |n|
+TAYLOR_RADII, TAYLOR_POINTS, TAYLOR_ORDER = (0.3, 0.6), 64, 12
+Taylor = namedtuple("Taylor", "coeffs P U V")
 # Unit offsets of the five-point Laplacian stencil; the center comes last.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
 
@@ -185,15 +189,13 @@ def fd_mixed(fn, point, h=1e-4):
 def newton_invert(d, target):
     """Invert the harmonic map: find z in the disk with f(z) = target.
 
-    target is a point of the normalized frame, or an array of them solved
-    together.  Newton steps use the Wirtinger derivatives of f = h +
-    conj(g): dz = (conj(h') r - conj(g') conj(r)) / (|h'|^2 - |g'|^2) with
-    residual r = target - f(z); each point halves its step until its iterate
-    stays inside the disk and its residual decreases.  A root has the same
-    bits in any batch.  Raises NewtonDiverged if for some point no descent
-    step exists or the residual is not below NEWTON_TOL within NEWTON_STEPS
-    steps, with that point's message; its roots and notes hold each point's
-    root (nan if it diverged) and message (None if it converged).
+    target is a point of the normalized frame or an array of them, solved
+    together; a root has the same bits in any batch.  The Newton step dz =
+    (conj(h') r - conj(g') conj(r)) / (|h'|^2 - |g'|^2), r = target - f(z),
+    is halved until the iterate stays in the disk and |r| decreases.  Raises
+    NewtonDiverged with the first failing point's message if a point finds no
+    descent step or misses NEWTON_TOL in NEWTON_STEPS steps; its roots and
+    notes hold each point's root (nan if it diverged) and message or None.
     """
     t = np.ravel(np.asarray(target, dtype=complex))
     z, notes = np.zeros_like(t), np.full(t.size, None, object)
@@ -230,16 +232,37 @@ def newton_invert(d, target):
     z[np.not_equal(notes, None)] = np.nan
     z = complex(z[0]) if np.ndim(target) == 0 else z.reshape(np.shape(target))
     if any(notes):
-        exc = NewtonDiverged(next(filter(None, notes)))
-        exc.roots, exc.notes = z, notes.tolist()
-        raise exc
+        raise NewtonDiverged(next(filter(None, notes)), z, notes.tolist())
     return z
 
 
-def graph_height_function(d):
-    """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
-    for a point w of the normalized frame or an array of them."""
-    return lambda w: height_T(newton_invert(d, w), d)
+@functools.lru_cache(maxsize=1)
+def taylor(d):
+    """Taylor coefficients of f and T off two circles; the graph's 2-jet at c0.
+
+    The FFT of one map_and_height call on TAYLOR_POINTS points of each circle
+    gives the Fourier coefficients F_n, to about rho^TAYLOR_POINTS (Lyness
+    and Moler 1967).  coeffs[i, 0 or 1, TAYLOR_ORDER + n] is F_n / rho^|n| of
+    f or T on circle i: for f, h's Taylor coefficients (n > 0) and conj g's
+    (n < 0); for T = 2 Im k, -i k's (n > 0), k' = K.  From the outer circle,
+    the graph u(f(z)) = T(z) has P = u_w from P h' + conj(P) g' = T_z = -iK,
+    and U = u_ww, V = u_wwbar from the 3x3 real system T_zz = -iK', T_zzbar =
+    0; so grad u = (2 Re P, -2 Im P) and u_xy = -2 Im U.
+    """
+    n = np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1)
+    rho = np.array(TAYLOR_RADII)[:, None, None]
+    z = rho[:, 0] * np.exp(2j * math.pi * np.arange(TAYLOR_POINTS) / TAYLOR_POINTS)
+    coeffs = (np.fft.fft(np.stack(map_and_height(z, d), 1))[..., n]
+              / (TAYLOR_POINTS * rho ** np.abs(n)))
+    f, T = coeffs[1, :, TAYLOR_ORDER - 2:TAYLOR_ORDER + 3]  # n = -2 .. 2
+    a, b = f[1].conjugate() / f[3], 1.0 - abs(f[1] / f[3]) ** 2
+    P = (T[3] / f[3] - a * (T[3] / f[3]).conjugate()) / b  # -iK/h' = T_1/h_1
+    # T_zz/h'^2 = U + a^2 conj(U) + 2aV + (P h'' + conj(P) g'')/h'^2 and
+    # T_zzbar/|h'|^2 = 2 Re(U conj(a)) + (1 + |a|^2) V
+    S = 2.0 * (T[4] - P * f[4] - P.conjugate() * f[0].conjugate()) / f[3] ** 2
+    V = -2.0 * (a.conjugate() * S).real / b ** 2
+    U = ((S - a * a * S.conjugate()) / b - 2.0 * a * V) / (2.0 - b)
+    return Taylor(coeffs, complex(P), complex(U), float(V))
 
 
 def kernel_contour_height(z, d):

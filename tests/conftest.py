@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from scherk import (DegenerateRightAngle, OutOfDomain, construct_quad,
-                    hyperbolic_coordinates, normalize, scherk_data)
+                    height_T, hyperbolic_coordinates, newton_invert, normalize,
+                    scherk_data)
 
 SEED = 20260825
 
@@ -15,6 +16,12 @@ def build_case(m, s, t):
     frame, _, _ = normalize(q)
     coords = hyperbolic_coordinates(frame.z, frame.w)
     return q, frame, coords, scherk_data(coords)
+
+
+def graph_height_function(d):
+    """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
+    for a point w of the normalized frame or an array of them."""
+    return lambda w: height_T(newton_invert(d, w), d)
 
 
 def sample_triples(rng, n, m_range=(0.05, 1.5), tau=2.5, gap=(0.05, 2.5)):

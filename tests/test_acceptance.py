@@ -15,12 +15,12 @@ import time
 
 import numpy as np
 
-from conftest import SEED, build_case, sample_triples
+from conftest import SEED, build_case, graph_height_function, sample_triples
 from scherk import (center_mixed_derivative, center_normal, center_report,
                     construct_quad, contour_height, dilatation, fd_laplacian,
-                    fd_mixed, g_prime, gauss_map_q, graph_height_function,
-                    graph_normal, h_prime, harmonic_map,
-                    height_T, hyperbolic_coordinates, jacobian, kernel_K,
+                    fd_mixed, g_prime, gauss_map_q, graph_normal, h_prime,
+                    harmonic_map, height_T, hyperbolic_coordinates, jacobian,
+                    kernel_K,
                     normalize, numeric_residue, poisson_extension, residues,
                     scherk_data, step_boundary, validate_quadrilateral)
 

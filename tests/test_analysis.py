@@ -9,13 +9,13 @@ import pytest
 
 from scherk import (aligning_rotation, center_mixed_derivative,
                     center_normal, center_report, curvature_bound, fd_mixed,
-                    gauss_curvature, gauss_map_q, graph_height_function,
-                    graph_normal, h_prime, height_T, hyperbolic_coordinates,
-                    newton_invert, normalize, rotated_mixed_derivative,
-                    scherk_data, validate_quadrilateral)
-from scherk.checks import run_checks
+                    gauss_curvature, gauss_map_q, graph_normal, h_prime,
+                    height_T, hyperbolic_coordinates, newton_invert,
+                    normalize, rotated_mixed_derivative, scherk_data,
+                    validate_quadrilateral)
+from scherk.checks import CHECKS, run_checks
 from scherk.cli import build_report
-from conftest import build_case
+from conftest import build_case, graph_height_function
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
 ALPHA_CASE2 = 0.837238183568728665209007018006
@@ -97,6 +97,57 @@ def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2):
         wrong = dataclasses.replace(d, z0=d.z0 * 1.0001)
         rows = _curvature_rows(wrong, frame)
         assert len(rows) == 2 and not any(ok for *_, ok in rows)
+
+
+def _wrong_constants(d):
+    """The record with each known wrong constant: K's residues (so the
+    height) over sin p, halved as by 4 pi in place of 2 pi, times -1/2, and
+    z0 * 1.0001 carried into K's residues q(pole) h_res."""
+    def kres(scale=1.0, z0=d.z0):
+        return tuple(scale * d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate())
+                     * r for zk, r in zip(d.poles, d.h_residues))
+
+    return {"1/sin p": dataclasses.replace(d, k_residues=kres(1 / math.sin(d.p))),
+            "4 pi": dataclasses.replace(d, k_residues=kres(0.5)),
+            "height * -1/2": dataclasses.replace(d, k_residues=kres(-0.5)),
+            "z0 * 1.0001": dataclasses.replace(d, z0=d.z0 * 1.0001,
+                                               k_residues=kres(z0=d.z0 * 1.0001))}
+
+
+# What the finite-difference rows over Newton-inverted heights rejected: per
+# case and profile (0 default, 1 strict), each (row, wrong constant) that
+# failed where the same row passed on the right record.  The harmonicity row
+# rejected none; at (0.7, 7.5, 6.5) the mixed rows failed the strict profile
+# already on the right record.
+_SCALED = {(row, wrong) for row in ("graph_normal_vs_fd", "mixed_derivative_vs_fd")
+           for wrong in ("1/sin p", "4 pi", "height * -1/2")}
+_Z0 = {("graph_normal_vs_fd", "z0 * 1.0001")}
+FD_ROWS_REJECTED = {
+    ("case1", 0): _SCALED | _Z0, ("case1", 1): _SCALED | _Z0,
+    ("case2", 0): _SCALED | _Z0, ("case2", 1): _SCALED | _Z0,
+    ("k7", 0): _SCALED | {("aligned_mixed_derivative_zero", "1/sin p")},
+    ("k7", 1): {pair for pair in _SCALED if pair[0] == "graph_normal_vs_fd"},
+}
+
+
+def test_graph_rows_reject_what_the_fd_rows_rejected(case1, case2):
+    rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
+    cases = {"case1": case1, "case2": case2, "k7": build_case(0.7, 7.5, 6.5)}
+    for (label, pick), rejected in FD_ROWS_REJECTED.items():
+        _, frame, _, d = cases[label]
+        wrong = _wrong_constants(d)
+        for row, constant in sorted(rejected):
+            tols, err_of = rows[row]
+            err = err_of(wrong[constant], frame, 0)
+            if (label, row, constant) == ("k7", "aligned_mixed_derivative_zero",
+                                          "1/sin p"):
+                # a height scale keeps the aligned mixed derivative zero; the
+                # FD row's err, 9.3e-4 of its 1e-3 from step size, crossed
+                # the tolerance only because the scale 1/sin p = 1.22
+                # magnified it.  The jet row stays at rounding.
+                assert err < 1e-8, err
+                continue
+            assert err > tols[pick], (label, pick, row, constant, err)
 
 
 def test_center_curvature_frozen(case1, case2):

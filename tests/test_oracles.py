@@ -9,8 +9,11 @@ from scherk import (NewtonDiverged, ToleranceNotMet, adaptive_quad,
                     fd_laplacian, fd_mixed, harmonic_map, kernel_K,
                     newton_invert, numeric_residue, poisson_extension,
                     step_boundary)
-from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES,
-                            kernel_contour_height)
+from scherk import oracles
+from scherk.analysis import gauss_curvature
+from scherk.checks import CHECKS
+from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
+                            kernel_contour_height, taylor)
 
 
 def test_adaptive_quad_polynomial():
@@ -295,3 +298,82 @@ def test_batched_newton_names_each_diverged_point(case1):
     assert batch.value.notes == [None, str(alone.value), None]
     for i in (0, 2):
         assert batch.value.roots[i] == newton_invert(d, targets[i])
+
+
+def _center_jet(d):
+    """h'(0), g'(0), K(0), K'(0) and h''(0) read off taylor's outer circle."""
+    f, T = taylor(d).coeffs[1]
+    n0 = TAYLOR_ORDER
+    return (f[n0 + 1], f[n0 - 1].conjugate(), 1j * T[n0 + 1], 2j * T[n0 + 2],
+            2.0 * f[n0 + 2])
+
+
+def test_taylor_jet_matches_the_center_closed_forms(sweep_cases,
+                                                    near_edge_cases):
+    # h'(0), q(0) = K(0)/h'(0), q'(0) from K' = h'' q + h' q' and g'/h' = q^2
+    # at 0, against the record's closed forms; and the Gauss curvature of the
+    # graph's 2-jet, (u_xx u_yy - u_xy^2)/(1 + |grad u|^2)^2 = 4 (V^2 - |U|^2)
+    # /(1 + 4|P|^2)^2, against the Weierstrass form.  q'(0) and the curvature
+    # vanish like cos m and cos^2 m as m -> pi/2 while the jet's terms do
+    # not, so near the edge their relative error grows by about those factors.
+    for cases, qp_rel in ((sweep_cases, 1e-11), (near_edge_cases, 1e-7)):
+        for _, _, c, d in cases:
+            hp, gp, K, Kp, hpp = _center_jet(d)
+            q = K / hp
+            assert abs(hp - d.h0_prime) <= 1e-12 * abs(d.h0_prime), c
+            assert abs(q - d.q0) <= 1e-12, c
+            assert abs((Kp - hpp * q) / hp - d.q0_prime) \
+                <= qp_rel * abs(d.q0_prime), c
+            assert abs(gp / hp - d.q0 ** 2) <= 1e-12, c
+            t = taylor(d)
+            curv = (4.0 * (t.V ** 2 - abs(t.U) ** 2)
+                    / (1.0 + 4.0 * abs(t.P) ** 2) ** 2)
+            k0 = gauss_curvature(0.0 + 0.0j, d)
+            assert abs(curv - k0) <= 1e-12 * abs(k0) / math.cos(c.m) ** 2, c
+
+
+def test_taylor_is_one_evaluation_per_surface(case1, monkeypatch):
+    calls = []
+    exact = oracles.map_and_height
+
+    def counted(z, d):
+        calls.append(np.shape(z))
+        return exact(z, d)
+
+    monkeypatch.setattr(oracles, "map_and_height", counted)
+    oracles.taylor.cache_clear()
+    try:
+        for _ in range(3):
+            taylor(case1[3])
+    finally:
+        oracles.taylor.cache_clear()
+    assert calls == [(2, oracles.TAYLOR_POINTS)]
+
+
+def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
+                                                     monkeypatch):
+    # f + eps |z|^2 or T + eps |z|^2 has Laplacian 4 eps; the mean over
+    # |z| = rho moves by eps rho^2, so the two circles disagree by about
+    # 0.27 eps, which the row must see at eps = 1e-6
+    _, tols, err_of = next(row for row in CHECKS
+                           if row[0] == "laplacian_defect_fd")
+    exact = oracles.map_and_height
+    eps = [0.0, 0.0]
+
+    def perturbed(z, d):
+        f, T = exact(z, d)
+        return f + eps[0] * abs(z) ** 2, T + eps[1] * abs(z) ** 2
+
+    inner, outer = oracles.TAYLOR_RADII
+    monkeypatch.setattr(oracles, "map_and_height", perturbed)
+    try:
+        for _, frame, _, d in (case1, case2):
+            for field in (0, 1):
+                eps[:] = [0.0, 0.0]
+                eps[field] = 1e-6
+                oracles.taylor.cache_clear()
+                err = err_of(d, frame, 0)
+                assert err > max(tols), (field, err)
+                assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
+    finally:
+        oracles.taylor.cache_clear()

@@ -8,7 +8,7 @@ import pytest
 
 from scherk import (angle_parameter, h_prime, moebius_center, scherk_data,
                     unimodular_factor)
-from scherk.checks import CHECKS
+from scherk.checks import CHECKS, _split_moduli
 from scherk.geometry import HyperbolicCoords
 from scherk.params import normalized_vertices
 from conftest import build_case
@@ -165,6 +165,31 @@ def test_sign_split_rejects_wrong_growth_scale(case1, case2):
         for lam in (d.lam / math.sin(d.p), 2.0 * d.lam):
             err = err_of(dataclasses.replace(d, lam=lam), frame, 0)
             assert err > max(tols), (d.coords, lam, err)
+
+
+def test_sign_split_moduli_without_cancellation(sweep_cases):
+    # the four |1 -+ z0|^2, |1 -+ z0 e^{-ip}|^2 of the sign-split row, in
+    # (m, s, t), equal the moduli computed from z0 and e^{ip}
+    for _, _, c, d in sweep_cases:
+        direct = (abs(1.0 - d.z0) ** 2, abs(1.0 - d.z0 / d.e_ip) ** 2,
+                  abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
+        for got, want in zip(_split_moduli(c), direct):
+            assert abs(got - want) <= 1e-12 * want, c
+    # |1 + z0 e^{-ip}| = 7.5e-5 at this record, built directly since the
+    # pipeline refuses it (NotPitot from the confocal check): that form put
+    # lam |1 + z0 e^{-ip}|^2 off by 3.9e-9 relative, while (cosh t - sin m)
+    # / (2 pi) has no cancellation here (cosh t = 2.88, sin m = 0.38)
+    m, j, k = 0.3857, 11.86, 10.14
+    c = HyperbolicCoords(m, k + j, k - j, j, k)
+    d = scherk_data(c)
+    sin_m = math.sin(m)
+    plain = (math.cosh(c.s) - sin_m, math.cosh(c.s) + sin_m,
+             math.cosh(c.t) + sin_m, math.cosh(c.t) - sin_m)
+    refs = [value / (2.0 * math.pi) for value in plain]
+    for mm, ref in zip(_split_moduli(c), refs):
+        assert abs(d.lam * mm - ref) <= 1e-15 * ref
+    old = d.lam * abs(1.0 + d.z0 / d.e_ip) ** 2
+    assert abs(old - refs[3]) > 1e-10 * refs[3]
 
 
 def test_constants_algebra(sweep_cases):
