@@ -12,9 +12,9 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        center_normal, center_report, curvature_bound,
                        gauss_curvature, graph_normal, rotated_mixed_derivative)
 from .errors import (DegenerateRightAngle, DegenerateVertices,
-                     EqualRapidities, FociCoincide, IoError, NewtonDiverged,
-                     NotPitot, OutOfDomain, PoleProximity, ScherkError,
-                     SelfIntersecting, ToleranceNotMet, ZeroArea)
+                     EqualRapidities, IoError, NewtonDiverged, NotPitot,
+                     OutOfDomain, PoleProximity, ScherkError, SelfIntersecting,
+                     ToleranceNotMet, ZeroArea)
 from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        construct_quad, hyperbola_point,
                        hyperbolic_coordinates, normalize,

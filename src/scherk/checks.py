@@ -79,12 +79,19 @@ def _height_contour(d, frame, seed):
                          - kernel_contour_height(_POINTS, d)))
 
 
+GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
+
+
+def growth_slopes(d):
+    """Slopes of T against log(1 - r) on the rays r zeta_j, r in GROWTH_RADII,
+    toward the four poles: the fit that tends to +-2 cj."""
+    rs = GROWTH_RADII
+    return np.polyfit(np.log(1.0 - rs), height_T(np.outer(rs, d.poles), d), 1)[0]
+
+
 def _growth_slopes(d, frame, seed):
-    # fitted log slopes toward each pole vs +-2 cj
-    rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
-    slopes = np.polyfit(np.log(1.0 - rs), height_T(np.outer(rs, d.poles), d), 1)[0]
-    return max(abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv)
-               for slope, sg, cjv in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj))
+    return max(abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv) for slope, sg, cjv
+               in zip(growth_slopes(d), (1.0, -1.0, 1.0, -1.0), d.cj))
 
 
 def _center_curvature(d, frame, seed):

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .analysis import center_report
-from .checks import run_checks
+from .checks import GROWTH_RADII, growth_slopes, run_checks
 from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
@@ -204,13 +204,9 @@ def cmd_mesh(args):
 def cmd_asymptotics(args):
     q = load_quad(args)
     _, _, d = _setup(q, _coord_tol(args))
-    rs = [1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)]
-    trace = radial_trace(d, args.pole, rs)
     if args.out:
-        export_csv(trace, args.out)
-    logs = np.log1p(-np.array([r for r, _ in trace]))
-    ts = np.array([t for _, t in trace])
-    slope = float(np.polyfit(logs, ts, 1)[0])
+        export_csv(radial_trace(d, args.pole, GROWTH_RADII), args.out)
+    slope = float(growth_slopes(d)[args.pole - 1])
     target = (2, -2, 2, -2)[args.pole - 1] * d.cj[args.pole - 1]
     rel = abs(slope - target) / abs(target)
     sys.stdout.write(

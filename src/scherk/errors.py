@@ -30,10 +30,6 @@ class DegenerateRightAngle(ScherkError):
     """The focal hyperbola degenerates to the real axis (cos m ~ 0)."""
 
 
-class FociCoincide(ScherkError):
-    """The focal hyperbola degenerates to the imaginary axis (sin m ~ 0)."""
-
-
 class EqualRapidities(ScherkError):
     """The two off-axis vertices share a rapidity (s = t); no surface."""
 

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
-                     FociCoincide, NotPitot, OutOfDomain, SelfIntersecting,
-                     ZeroArea)
+                     NotPitot, OutOfDomain, SelfIntersecting, ZeroArea)
 
-# Absolute floor below which sin(m) (resp. cos(m)) counts as degenerate.
+# |sin(m)| below this is m = 0; 1 - sin(m) below it counts as degenerate.
 TOL_M = 1e-8
 # Rapidity gap below which the two free vertices coincide on the hyperbola.
 TOL_RAPIDITY = 1e-8
@@ -53,7 +52,7 @@ class NormalizedFrame:
 
     The forward map is T(u) = scale * (u - shift).  relabeled records
     whether the vertex labels were rotated by two places (a 180-degree
-    rotation of the canonical frame) to land on the sin(m) > 0 branch of
+    rotation of the canonical frame) to land on the sin(m) >= 0 branch of
     the hyperbola.
     """
     scale: complex
@@ -73,7 +72,8 @@ class NormalizedFrame:
 class HyperbolicCoords:
     """Hyperbola parameters (m, s, t) and the derived half-sum/difference.
 
-    m in (0, pi/2) is the angle fixing the hyperbola axes (sin m, cos m);
+    m in [0, pi/2) is the angle fixing the hyperbola axes (sin m, cos m);
+    m = 0 (the imaginary axis) is a kite about b2b4, a rhombus or a square.
     t and s are the rapidities of the normalized vertices z and w.
     j = (s - t)/2 and k = (s + t)/2 appear in every closed form downstream.
     """
@@ -173,10 +173,10 @@ def normalize(q):
     """Map a PitotQuad onto the canonical frame (-1, z, 1, w).
 
     Returns (frame, similarity, inverse_similarity) where the similarity is
-    T(u) = 2 (u - (b1+b3)/2)/(b3-b1).  When the image of b2 lands on the
-    sin(m) < 0 branch of the focal hyperbola, the labels are rotated by two
-    places (b3,b4,b1,b2), which negates the frame and restores sin(m) > 0;
-    the returned frame has relabeled=True in that case.
+    T(u) = 2 (u - (b1+b3)/2)/(b3-b1).  When the image z of b2 has focal
+    difference kappa = (|z+1| - |z-1|)/2 <= -TOL_M (the sin(m) < 0 branch),
+    the labels are rotated by two places (b3,b4,b1,b2), which negates the
+    frame, and relabeled=True.  |kappa| < TOL_M is m = 0 and relabels nothing.
     """
     b1, b2, b3, b4 = q.vertices
     scale = 2.0 / (b3 - b1)
@@ -185,7 +185,7 @@ def normalize(q):
     w = scale * (b4 - shift)
     relabeled = False
     kappa = (abs(z + 1) - abs(z - 1)) / 2.0
-    if kappa < 0.0:
+    if kappa <= -TOL_M:
         scale = -scale
         z, w = -w, -z
         relabeled = True
@@ -194,9 +194,9 @@ def normalize(q):
 
 
 def hyperbola_point(m, tau):
-    """Point sin(m) cosh(tau) + i cos(m) sinh(tau) on the focal hyperbola."""
-    if not 0.0 < m < math.pi / 2:
-        raise ValueError("m must lie in (0, pi/2)")
+    """Point sin(m) cosh(tau) + i cos(m) sinh(tau), 0 <= m < pi/2."""
+    if not 0.0 <= m < math.pi / 2:
+        raise ValueError("m must lie in [0, pi/2)")
     try:
         ch, sh = math.cosh(tau), math.sinh(tau)
     except OverflowError:
@@ -208,10 +208,10 @@ def hyperbolic_coordinates(z, w, tol=1e-8):
     """Recover (m, s, t) from the normalized free vertices z and w.
 
     Both points must lie on a common hyperbola with foci +-1 (which is the
-    normalized form of the Pitot condition), on the sin(m) > 0 branch as
+    normalized form of the Pitot condition), on the sin(m) >= 0 branch as
     produced by normalize().  tol bounds the acceptable mismatch of the two
     focal differences; inputs within tol are projected onto the averaged
-    hyperbola.
+    hyperbola, whose kappa = sin(m) gives m = 0 when |kappa| < TOL_M.
     """
     z, w = complex(z), complex(w)
     kz = (abs(z + 1) - abs(z - 1)) / 2.0
@@ -219,14 +219,12 @@ def hyperbolic_coordinates(z, w, tol=1e-8):
     if abs(kz - kw) > tol:
         raise NotPitot("z and w do not share a confocal hyperbola")
     kappa = (kz + kw) / 2.0
-    if abs(kappa) < TOL_M:
-        raise FociCoincide("hyperbola degenerates to the imaginary axis (sin m ~ 0)")
     if 1.0 - abs(kappa) < TOL_M:
         raise DegenerateRightAngle("hyperbola degenerates to the real axis (cos m ~ 0)")
-    if kappa < 0.0:
+    if kappa <= -TOL_M:
         raise ValueError("z lies on the sin(m) < 0 branch; use normalize() "
                          "to obtain the canonical (relabeled) frame first")
-    m = math.asin(kappa)
+    m = math.asin(kappa) if kappa >= TOL_M else 0.0
     cm = math.cos(m)
     t = math.asinh(z.imag / cm)
     s = math.asinh(w.imag / cm)

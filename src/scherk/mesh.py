@@ -37,6 +37,8 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
         raise ValueError("need n_r >= 1 and n_theta >= 3")
     if not 0.0 < r_max < 1.0:
         raise ValueError(f"r_max must lie in (0, 1), got {r_max!r}")
+    if not 0.0 < h_max < np.inf:
+        raise ValueError(f"h_max must be a finite positive number, got {h_max!r}")
     radii = r_max * np.sin(np.pi * np.arange(1, n_r + 1) / (2.0 * n_r))
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     zs = np.concatenate(([0j], np.outer(radii, np.exp(1j * thetas)).ravel()))

@@ -487,3 +487,25 @@ def test_minimal_surface_equation_fixes_height_scale(case1, case2):
             scaled = _mse_residual(lambda u: -0.5 * F(u), w)
             assert scaled > 1e-2, (
                 f"{label} at {w}: height scaled by -1/2 has residual {scaled:.3e}")
+
+
+def test_graph_over_the_square_is_scherks_surface():
+    # over the square (-1, -i, 1, i) the construction gives Scherk's 1835
+    # surface u = (sqrt 2/pi) log(cos Y / cos X), X = (pi/2)(x - y), Y =
+    # (pi/2)(x + y); checked on the grid points with |x| + |y| < 0.95 of the
+    # square itself and of a rotated, scaled and shifted copy, whose graph is
+    # a u((v - b)/a) for v = a w + b
+    g = np.linspace(-0.95, 0.95, 21)
+    w = (g[:, None] + 1j * g[None, :]).ravel()
+    w = w[np.abs(w.real) + np.abs(w.imag) < 0.95]
+    X = 0.5 * math.pi * (w.real - w.imag)
+    Y = 0.5 * math.pi * (w.real + w.imag)
+    scherk = math.sqrt(2.0) / math.pi * np.log(np.cos(Y) / np.cos(X))
+    for a, b in ((1.0, 0.0), (2.5 * np.exp(0.7j), 1.0 - 3.0j)):
+        q = validate_quadrilateral([a * v + b for v in (-1, -1j, 1, 1j)])
+        frame, forward, _ = normalize(q)
+        c = hyperbolic_coordinates(frame.z, frame.w)
+        assert c.m == 0.0 and abs(c.k) < 1e-14
+        d = scherk_data(c)
+        heights = graph_height_function(d)(forward(a * w + b)) / abs(frame.scale)
+        assert np.max(np.abs(heights - abs(a) * scherk)) <= 1e-10 * abs(a)

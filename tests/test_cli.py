@@ -16,7 +16,7 @@ import pytest
 
 import scherk
 from scherk import sample_disk
-from scherk.checks import CHECKS, run_checks
+from scherk.checks import CHECKS, growth_slopes, run_checks
 from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
@@ -88,15 +88,16 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                         io.StringIO('{"vertices": [[0,0],[2,0],[3,1],[0,1]]}'))
     code, _, err = run(capsys, "analyze", "-")
     assert code == 2 and "NotPitot" in err
-    # rhombus: the focal hyperbola degenerates
+    # a rhombus is m = 0, one more surface, not a refusal
     monkeypatch.setattr("sys.stdin",
                         io.StringIO('{"vertices": [[-1,-1],[1,-1],[1,1],[-1,1]]}'))
-    code, _, err = run(capsys, "analyze", "-")
-    assert code == 2 and "FociCoincide" in err
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 0 and err == ""
+    assert json.loads(out)["coordinates"]["m"] == 0.0
     # a library ValueError is named like a ScherkError
     code, out, err = run(capsys, "analyze", "--params", "2,1,0.3")
     assert code == 2 and out == ""
-    assert err == "error: ValueError: m must lie in (0, pi/2)\n"
+    assert err == "error: ValueError: m must lie in [0, pi/2)\n"
     # malformed JSON
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -123,6 +124,11 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                          "0.9999999999", "--nr", "2", "--ntheta", "4")
     assert code == 2 and out == ""
     assert "r_max=0.9999999999" in err and "height requires" not in err
+    # a height clamp that would flatten or blank every height
+    for h_max in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3",
+                             "--hmax", h_max, "--nr", "2", "--ntheta", "4")
+        assert code == 2 and out == "" and "h_max must be a finite" in err
     # malformed JSON values: a one-line refusal naming the field
     for doc, field in (('{"vertices": 5}', "vertices"),
                        ('{"vertices": [[1],[2],[3],[4]]}', "vertices"),
@@ -423,6 +429,56 @@ def test_asymptotics_command(capsys, tmp_path):
     assert rel < 0.01
     lines = csv.read_text().splitlines()
     assert lines[0] == "r,T" and len(lines) == 14
+
+
+def test_asymptotics_prints_the_slope_of_the_growth_row(capsys, case1, case2):
+    # the command and the radial_growth_slopes row read one fit
+    for params, (_, frame, _, d) in (("0.3,1.0,0.3", case1),
+                                     ("0.3,1.0,-0.3", case2)):
+        rels = []
+        for pole in (1, 2, 3, 4):
+            code, out, _ = run(capsys, "asymptotics", "--params", params,
+                               "--pole", str(pole))
+            assert code == 0
+            slope = float(growth_slopes(d)[pole - 1])
+            assert f"fitted slope {slope:.12g} vs" in out
+            rels.append(float(out.rsplit("rel err", 1)[1].strip().rstrip(")\n")))
+        row = dict((name, err) for name, err, *_ in run_checks(d, frame))
+        assert f"{max(rels):.3e}" == f"{row['radial_growth_slopes']:.3e}"
+
+
+def test_m_zero_kites_are_judged_not_refused(capsys, monkeypatch):
+    # kites about the diagonal b2b4 (m = 0): s, t = k +- j with j log-uniform
+    # in [0.02, 4] and |k| <= 8, placed by a random similarity so that their
+    # focal difference is rounding noise about 0.  analyze gives a finite
+    # report and verify a verdict (exit 0 or 1), never a refusal (exit 2).
+    gen = np.random.default_rng(20261019)
+    for _ in range(30):
+        j = math.exp(gen.uniform(math.log(0.02), math.log(4.0)))
+        k = gen.uniform(-8.0, 8.0)
+        a = complex(*gen.normal(size=2))
+        b = complex(*gen.normal(size=2))
+        kite = [-1, 1j * math.sinh(k - j), 1, 1j * math.sinh(k + j)]
+        doc = json.dumps({"vertices": [[(a * v + b).real, (a * v + b).imag]
+                                       for v in kite]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 0, (j, k, err)
+        report = json.loads(out)
+        assert report["coordinates"]["m"] == 0.0
+        assert abs(report["coordinates"]["j"] - j) < 1e-6 * (1 + j)
+        assert all(math.isfinite(x) for x in _leaves(report))
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, _, err = run(capsys, "verify", "-")
+        assert code in (0, 1), (j, k, err)
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _leaves(v)]
+    return [] if isinstance(obj, (bool, str)) else [obj]
 
 
 def test_build_report_and_load_quad_helpers(tmp_path):

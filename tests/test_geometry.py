@@ -7,9 +7,10 @@ import pytest
 
 from conftest import build_case, sample_triples
 from scherk import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
-                    FociCoincide, NotPitot, SelfIntersecting, ZeroArea,
-                    construct_quad, hyperbola_point, hyperbolic_coordinates,
-                    normalize, validate_quadrilateral)
+                    NotPitot, SelfIntersecting, ZeroArea, construct_quad,
+                    curvature_bound, gauss_curvature, hyperbola_point,
+                    hyperbolic_coordinates, normalize, scherk_data, taylor,
+                    validate_quadrilateral)
 
 ZV = 0.30891865372641847 + 0.29091934800929248j   # hyperbola_point(0.3, 0.3)
 WV = 0.45601150809571184 + 1.1227125823518906j    # hyperbola_point(0.3, 1.0)
@@ -79,11 +80,52 @@ def test_normalize_frame_maps_diagonal():
     assert abs(frame.w - forward(q.b4)) < 1e-14
 
 
-def test_rhombus_has_coincident_foci():
-    with pytest.raises(FociCoincide):
-        q = validate_quadrilateral([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-        frame, _, _ = normalize(q)
-        hyperbolic_coordinates(frame.z, frame.w)
+SQUARE = [(-1, 0), (0, -1), (1, 0), (0, 1)]   # Scherk's square, m = 0
+
+
+def _setup(vertices):
+    frame, _, _ = normalize(validate_quadrilateral(vertices))
+    c = hyperbolic_coordinates(frame.z, frame.w)
+    return frame, c, scherk_data(c)
+
+
+def test_rhombus_curvature_times_inradius_squared():
+    # a rhombus (-1, -i sinh j, 1, i sinh j) is m = 0, k = 0, with inradius
+    # r_in = tanh j; |K(c0)| r_in^2 = pi^2/4, K read off the Taylor jet,
+    # (u_xx u_yy - u_xy^2)/(1 + |grad u|^2)^2 = 4 (V^2 - |U|^2)/(1 + 4|P|^2)^2
+    for j in (0.1, 0.5, 1.0, 2.0):
+        frame, c, d = _setup([-1, -1j * math.sinh(j), 1, 1j * math.sinh(j)])
+        assert (c.m, c.k, frame.relabeled) == (0.0, 0.0, False)
+        assert abs(c.j - j) < 1e-15
+        t = taylor(d)
+        curv = 4.0 * (t.V ** 2 - abs(t.U) ** 2) / (1.0 + 4.0 * abs(t.P) ** 2) ** 2
+        for k0 in (curv, gauss_curvature(0.0 + 0.0j, d)):
+            assert abs(abs(k0) * math.tanh(j) ** 2 - math.pi ** 2 / 4) \
+                < 1e-12 * math.pi ** 2 / 4, j
+    # the axis-parallel square, diagonal b1b3 from (-1,-1) to (1,1): the same
+    # surface at scale sqrt(2), r_in = 1
+    frame, c, d = _setup([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    assert c.m == 0.0 and abs(curvature_bound(d, frame) - math.pi ** 2 / 4) < 1e-13
+
+
+def test_square_coordinates_do_not_depend_on_its_placement(rng):
+    # rotations, a scale, a shift, reversed order and labels rotated by two:
+    # kappa is rounding noise about 0 each time, which is m = 0 and no relabel
+    base_frame, base, d = _setup(SQUARE)
+    assert (base.m, base.k, base_frame.relabeled) == (0.0, 0.0, False)
+    k_base = gauss_curvature(0.0 + 0.0j, d) * abs(base_frame.scale) ** 2
+    pts = [complex(*v) for v in SQUARE]
+    for theta in np.linspace(0.1, 2.0 * math.pi, 13):
+        a = 3.7 * complex(math.cos(theta), math.sin(theta))
+        b = complex(*rng.normal(size=2)) * 10.0
+        moved = [a * v + b for v in pts]
+        for order in (moved, moved[::-1], moved[2:] + moved[:2]):
+            frame, c, d = _setup(order)
+            assert c.m == 0.0 and not frame.relabeled, (theta, order)
+            assert abs(c.k) < 1e-12 and abs(c.j - base.j) < 1e-12
+            # the curvature in the input's frame, times the scale squared
+            curv = gauss_curvature(0.0 + 0.0j, d) * abs(frame.scale) ** 2
+            assert abs(curv * abs(a) ** 2 - k_base) < 1e-12 * abs(k_base)
 
 
 def test_near_right_angle_rejected():
@@ -145,10 +187,11 @@ def test_off_hyperbola_pair_rejected():
 
 
 def test_hyperbola_point_domain():
-    with pytest.raises(ValueError):
-        hyperbola_point(0.0, 1.0)
-    with pytest.raises(ValueError):
-        hyperbola_point(math.pi / 2, 1.0)
+    # m = 0 is the imaginary axis; m < 0 and m >= pi/2 are refused
+    assert hyperbola_point(0.0, 1.0) == 1j * math.sinh(1.0)
+    for m in (-1e-300, -0.1, math.pi / 2, 2.0):
+        with pytest.raises(ValueError, match=r"\[0, pi/2\)"):
+            hyperbola_point(m, 1.0)
     pt = hyperbola_point(0.3, -0.7)
     assert pt.real > 0  # sin(m) > 0 branch
     # focal-distance difference is 2 sin m for every rapidity

@@ -285,6 +285,11 @@ def test_sample_disk_argument_validation(case1):
         sample_disk(d, n_theta=2)
     with pytest.raises(ValueError):
         sample_disk(d, r_max=1.0)
+    # a height clamp that is not a finite positive number is refused, named
+    for h_max in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"h_max must be a finite "
+                                             f"positive number, got {h_max!r}"):
+            sample_disk(d, n_r=2, n_theta=4, h_max=h_max)
 
 
 @pytest.mark.parametrize("n_theta", [4, 48, 400])
