@@ -15,17 +15,20 @@ and center_report, which take the frame to map results back.
 import cmath
 import math
 
+import numpy as np
+
 from .harmonic import h_prime
 
 
 def gauss_curvature(z, d):
     """Gauss curvature -4 |q'|^2 / (|h'|^2 (1 + |q|^2)^4) at z (normalized frame)."""
-    z0, c = d.z0, d.coords
-    one_minus_z0sq = 2.0 * math.cos(c.m) / (math.cosh(c.k) + math.cos(c.m))
-    qp = d.sqrtX * one_minus_z0sq / (1.0 - z * z0.conjugate()) ** 2
+    z0 = d.z0
+    # 1 - |z0|^2 = |q'(0)|, as |sqrt(X)| = 1
+    qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * z0.conjugate()) ** 2
     q = d.sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
-    # h'(0) from the record: the residue sum loses digits there at small j
-    hp = d.h0_prime if isinstance(z, complex) and z == 0 else h_prime(z, d)
+    # h'(0) from the record at any scalar zero: the residue sum loses digits
+    # there at small j
+    hp = d.h0_prime if np.ndim(z) == 0 and z == 0 else h_prime(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
 
 
@@ -63,7 +66,8 @@ def rotated_mixed_derivative(d, alpha):
     center mixed derivative itself.
     """
     q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
-    den = abs(h0p) ** 2 * (1.0 - abs(q0) ** 2) ** 3 * (1.0 + abs(q0) ** 2)
+    # 1 - |q0|^2 = 1 - |z0|^2 = |q'(0)|
+    den = abs(h0p) ** 2 * abs(q0p) ** 3 * (1.0 + abs(q0) ** 2)
     ea = cmath.exp(1j * alpha)
     num = (ea * h0p) * (1.0 - (q0 / ea) ** 4) * ((q0p / ea).conjugate())
     return 2.0 * num.real / den

@@ -160,9 +160,10 @@ CHECKS = (
     ("center_modulus_squared_law", (1e-13, 1e-14), _center_modulus),
     ("kernel_scale_identity", (1e-12, 1e-13), _kernel_scale),
     ("kernel_residues_vs_circle_oracle", (1e-7, 1e-8), _circle_residues),
-    # i (c1 - c2 + c3 - c4): the Pitot residual of the sides over 2 pi
+    # i (c1 - c2 + c3 - c4): the Pitot residual of the sides over 2 pi,
+    # relative to c1 + c2 + c3 + c4, the perimeter over 2 pi
     ("kernel_residue_sum", (1e-14, 1e-15),
-     lambda d, frame, seed: abs(sum(d.k_residues))),
+     lambda d, frame, seed: abs(sum(d.k_residues)) / sum(d.cj)),
     ("kernel_residue_sign_split", (1e-12, 1e-13), _sign_split),
     ("height_vs_contour_quadrature", (1e-8, 1e-9), _height_contour),
     ("height_zero_at_center", (1e-14, 1e-15),

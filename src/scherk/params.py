@@ -65,78 +65,71 @@ def normalized_vertices(c):
             hyperbola_point(c.m, c.s))
 
 
+def _half_angle(j):
+    """e^{ip/2} = tanh j + i sech j, unimodular, in the first quadrant for j > 0."""
+    return complex(math.tanh(j), 1.0 / math.cosh(j))
+
+
 def angle_parameter(c):
     """Angle p in (0, pi) splitting the circle into the four boundary arcs.
 
-    cos p = 1 - 4/(1 + cosh(s - t)); the positive-sine branch is taken, so
-    e_ip = cos p + i sin p with sin p > 0.
+    p = 2 atan2(1, sinh |j|) and e_ip = (tanh |j| + i sech |j|)^2, even in j;
+    cos p = 1 - 2 sech^2 j and sin p = 2 tanh |j| sech j > 0.
     """
-    E = 1.0 - 4.0 / (1.0 + math.cosh(c.s - c.t))
-    p = math.acos(E)
+    p = 2.0 * math.atan2(1.0, math.sinh(abs(c.j)))
     if min(p, math.pi - p) < 1e-8:
         raise EqualRapidities("arc endpoints collide (p degenerates to 0 or pi)")
-    return p, complex(E, math.sqrt(1.0 - E * E))
+    return p, _half_angle(abs(c.j)) ** 2
 
 
 def moebius_center(c):
-    """Double zero z0 of g' in the open disk (the Moebius center).
-
-    Numerically stable product form: a unimodular factor times
-    tanh((k + i m)/2), which also exhibits |z0|^2 = (cosh k - cos m)/
-    (cosh k + cos m) directly.
-    """
-    ej = cmath.exp(-c.j)
-    unimod = (1.0 + 1j * ej) / (1.0 - 1j * ej)
-    return -unimod * cmath.tanh((c.k + 1j * c.m) / 2.0)
+    """Double zero z0 = -e^{ip/2} tanh((k + i m)/2) of g' in the open disk
+    (the Moebius center); |z0|^2 = (cosh k - cos m)/(cosh k + cos m)."""
+    return -_half_angle(c.j) * cmath.tanh((c.k + 1j * c.m) / 2.0)
 
 
 def unimodular_factor(c):
     """Unimodular factor X of the dilatation and its square root.
 
-    sqrtX = -(i + e^{-j})/(1 + i e^{-j}) (1 + e^{im+k})/(e^{im} + e^k).  Of
-    the two roots this is the one that orients the height function: the
-    residue of h'(z) q(z) at z = 1 is +i times a positive real number, so T
-    blows up to -infinity toward +-1.
+    sqrtX = -i e^{-ip/2} cosh w / cosh conj(w), w = (k + i m)/2.  Of the two
+    roots this is the one that orients the height function: the residue of
+    h'(z) q(z) at z = 1 is +i times a positive real number, so T blows up
+    to -infinity toward +-1.
     """
-    ej = cmath.exp(-c.j)
-    emk = cmath.exp(1j * c.m + c.k)
-    em = cmath.exp(1j * c.m)
-    ek = math.exp(c.k)
-    a = (1j + ej) / (1.0 + 1j * ej)
-    b = (1.0 + emk) / (em + ek)
-    return a ** 2 * b ** 2, -a * b
+    w = (c.k + 1j * c.m) / 2.0
+    sqrtX = -1j * _half_angle(c.j).conjugate() * cmath.cosh(w) \
+        / cmath.cosh(w.conjugate())
+    return sqrtX * sqrtX, sqrtX
 
 
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c.
 
-    B = e^{2ip} h'(0), A = B X and C = B sqrt(X); the report's Z is X.
+    Every constant is a closed form in e^{ip/2} = tanh j + i sech j and
+    w = (k + i m)/2: h'(0) = (4i/pi) tanh j e^{-ip/2} cosh^2 conj(w),
+    q(0) = -i sinh w / cosh conj(w), q'(0) = -i e^{-ip/2} cos m /
+    cosh^2 conj(w), and B = e^{2ip} h'(0), A = B X, C = B sqrt(X); the
+    report's Z is X.
     """
     p, e_ip = angle_parameter(c)
     b1, b2, b3, b4 = normalized_vertices(c)
     hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
             (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I)
-    # exp(ip), not e_ip: they differ in the last bits; B, A, C keep theirs.
-    eip = cmath.exp(1j * p)
-    exp_poles = (1.0 + 0.0j, eip, -1.0 + 0.0j, -eip)
-    h_prime0 = -sum(ck / zk for ck, zk in zip(hres, exp_poles))
-    B = eip * eip * h_prime0
     z0 = moebius_center(c)
     X, sqrtX = unimodular_factor(c)
-    C = B * sqrtX
     poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
     # K = h' q: its residue at each pole is q(pole) times the residue of h'
     kres = tuple(sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
                  for zk, r in zip(poles, hres))
     lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
-    half = (c.k - 1j * c.m) / 2.0
-    q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
-    ej = math.exp(c.j)
-    q0p = -(1.0 + 1j * ej) * math.cos(c.m) / ((1j + ej) * cmath.cosh(half) ** 2)
-    h0p = 2j * (math.exp(2.0 * c.j) - 1.0) * (1.0 + cmath.cosh(c.k - 1j * c.m)) \
-        / ((1j + ej) ** 2 * math.pi)
+    w = (c.k + 1j * c.m) / 2.0
+    half_bar, cosh_wbar = _half_angle(c.j).conjugate(), cmath.cosh(w.conjugate())
+    q0 = -1j * cmath.sinh(w) / cosh_wbar
+    q0p = -1j * half_bar * math.cos(c.m) / cosh_wbar ** 2
+    h0p = (4j / math.pi) * math.tanh(c.j) * half_bar * cosh_wbar ** 2
+    B = e_ip * e_ip * h0p
     return ScherkData(
-        p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=C, poles=poles,
+        p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=B * sqrtX, poles=poles,
         h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
         k_residues=kres, lam=lam, cj=tuple(abs(r) for r in hres),
         h0=p * (b2 + b4) / (2 * math.pi), q0=q0, q0_prime=q0p, h0_prime=h0p,

@@ -15,6 +15,7 @@ from scherk import (aligning_rotation, center_mixed_derivative,
                     validate_quadrilateral)
 from scherk.checks import CHECKS, run_checks
 from scherk.cli import build_report
+from scherk.geometry import HyperbolicCoords
 from conftest import build_case, graph_height_function
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
@@ -29,8 +30,8 @@ def closed_curvature(c):
 
 
 def _center_data(c):
-    """Reference copy of the closed forms of (q(0), q'(0), h'(0)), kept
-    apart from params so that the record's fields are checked bitwise."""
+    """(q(0), q'(0), h'(0)) in exponential forms of j, kept apart from
+    params' half-angle forms e^{ip/2} = tanh j + i sech j as a second route."""
     half = (c.k - 1j * c.m) / 2.0
     q0 = -1j * cmath.sinh((c.k + 1j * c.m) / 2.0) / cmath.cosh(half)
     ej = math.exp(c.j)
@@ -40,10 +41,24 @@ def _center_data(c):
     return q0, q0p, h0p
 
 
-def test_center_constants_on_record_are_bitwise_the_closed_forms(
+def test_center_constants_on_record_match_the_exponential_forms(
         case1, case2, sweep_cases):
+    # worst 1.3e-15 relative (h'(0)); e^{2j} - 1 in the exponential h'(0)
+    # cancels as j -> 0, but the sampler keeps j >= 0.025
     for _, _, c, d in [case1, case2] + sweep_cases:
-        assert (d.q0, d.q0_prime, d.h0_prime) == _center_data(c)
+        for got, want in zip((d.q0, d.q0_prime, d.h0_prime), _center_data(c)):
+            assert abs(got - want) <= 1e-14 * abs(want), c
+
+
+def test_center_curvature_reads_the_record_at_every_scalar_zero():
+    # at j = 1e-3 the residue sum for h'(0) is off by about 3e-11 relative,
+    # so a zero that took that route would miss the closed form by 6e-11
+    c = HyperbolicCoords(0.7, 1e-3, -1e-3, 1e-3, 0.0)
+    d = scherk_data(c)
+    values = [gauss_curvature(z, d) for z in (0, 0.0, 0j, np.complex128(0))]
+    assert len({float(v).hex() for v in values}) == 1
+    want = closed_curvature(c)
+    assert abs(values[0] - want) <= 1e-13 * abs(want)
 
 
 def test_center_data_closed_forms_match_direct_evaluation(sweep_cases):

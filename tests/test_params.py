@@ -60,6 +60,33 @@ CASE2 = {
 }
 
 
+# and, built from the coordinates directly, for (m, s, t) = (0.7, 1e-3, -1e-3)
+# (j = 1e-3, where e^{2j} - 1 and the residue sum for h'(0) cancel) and
+# (0.7, 12, -12) (j = 12, where acos(1 - 2 sech^2 j) loses half the digits)
+SMALL_J = {
+    "p": 3.13959265392312648842103424701,
+    "e_ip": -0.999998000001333332577694904813 + 0.00199999833333435004108365644398j,
+    "B": 0.00112352800112948200099034530156 - 0.00000337059355340794265030398377066j,
+    "C": -0.00112353080995814538169536575612 + 0.00000224706424149157003481335556055j,
+    "h0_prime": 0.00112353249525646694190206432285 + 0.00000112353268251189220413913474084j,
+}
+LARGE_J = {
+    "p": 0.0000245768494130035693240370953387,
+    "e_ip": 0.999999999697989236480474805191 + 0.0000245768494105294116386120796645j,
+    "B": -0.0000414193679234112986156852555308 + 1.12353343068545742715052848402j,
+    "C": 1.12353343110960641394199457659 + 0.0000276129119524156143363681768788j,
+    "h0_prime": 0.0000138064559772502317460204550854 + 1.12353343136409580604249374401j,
+}
+
+
+@pytest.mark.parametrize("j,frozen", [(1e-3, SMALL_J), (12.0, LARGE_J)])
+def test_frozen_constants_off_the_box(j, frozen):
+    d = scherk_data(HyperbolicCoords(0.7, j, -j, j, 0.0))
+    for name, want in frozen.items():
+        got = getattr(d, name)
+        assert abs(got - want) <= 1e-14 * abs(want), (name, got)
+
+
 @pytest.mark.parametrize("case,frozen", [("case1", CASE1), ("case2", CASE2)])
 def test_frozen_reference_constants(case, frozen, request):
     _, _, _, d = request.getfixturevalue(case)
@@ -74,6 +101,8 @@ def test_frozen_reference_constants(case, frozen, request):
 def test_angle_parameter_forms(sweep_cases):
     for _, _, c, d in sweep_cases:
         # cosine route vs half-angle exponential route (j > 0)
+        assert abs(d.e_ip.real - (1.0 - 4.0 / (1.0 + math.cosh(c.s - c.t)))) \
+            < 1e-14
         ej = math.exp(c.j)
         assert abs(d.e_ip - ((1j + ej) / (1j - ej)) ** 2) < 1e-12
         assert abs(d.p - 4.0 * math.atan(math.exp(-c.j))) < 1e-13
@@ -167,6 +196,26 @@ def test_sign_split_rejects_wrong_growth_scale(case1, case2):
             assert err > max(tols), (d.coords, lam, err)
 
 
+def test_kernel_residue_sum_is_relative_to_the_perimeter(case1, case2):
+    # |sum of K's residues| over sum cj, the perimeter over 2 pi: rounding
+    # passes the strict profile, while z0 * 1.0001 carried into the residues
+    # (5.3e-10, 4.4e-10, 3.4e-12) and one residue * (1 + 1e-12) (at least
+    # 1.3e-13) fail both
+    err_of, tols = next((err, tols) for name, tols, err in CHECKS
+                        if name == "kernel_residue_sum")
+    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        assert err_of(d, frame, 0) <= min(tols)
+        z0 = d.z0 * 1.0001
+        moved = tuple(d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
+                      for zk, r in zip(d.poles, d.h_residues))
+        wrong = [moved] + [tuple(r * (1.0 + 1e-12) if i == n else r
+                                 for i, r in enumerate(d.k_residues))
+                           for n in range(4)]
+        for kres in wrong:
+            err = err_of(dataclasses.replace(d, k_residues=kres), frame, 0)
+            assert err > max(tols), (d.coords, err)
+
+
 def test_sign_split_moduli_without_cancellation(sweep_cases):
     # the four |1 -+ z0|^2, |1 -+ z0 e^{-ip}|^2 of the sign-split row, in
     # (m, s, t), equal the moduli computed from z0 and e^{ip}
@@ -176,9 +225,10 @@ def test_sign_split_moduli_without_cancellation(sweep_cases):
         for got, want in zip(_split_moduli(c), direct):
             assert abs(got - want) <= 1e-12 * want, c
     # |1 + z0 e^{-ip}| = 7.5e-5 at this record, built directly since the
-    # pipeline refuses it (NotPitot from the confocal check): that form put
-    # lam |1 + z0 e^{-ip}|^2 off by 3.9e-9 relative, while (cosh t - sin m)
-    # / (2 pi) has no cancellation here (cosh t = 2.88, sin m = 0.38)
+    # pipeline refuses it (NotPitot from the confocal check): rounding in
+    # 1 + z0 e^{-ip} puts lam |1 + z0 e^{-ip}|^2 off by 1.4e-12 relative,
+    # while (cosh t - sin m) / (2 pi) has no cancellation here (cosh t =
+    # 2.88, sin m = 0.38)
     m, j, k = 0.3857, 11.86, 10.14
     c = HyperbolicCoords(m, k + j, k - j, j, k)
     d = scherk_data(c)
@@ -189,7 +239,7 @@ def test_sign_split_moduli_without_cancellation(sweep_cases):
     for mm, ref in zip(_split_moduli(c), refs):
         assert abs(d.lam * mm - ref) <= 1e-15 * ref
     old = d.lam * abs(1.0 + d.z0 / d.e_ip) ** 2
-    assert abs(old - refs[3]) > 1e-10 * refs[3]
+    assert abs(old - refs[3]) > 1e-13 * refs[3]
 
 
 def test_constants_algebra(sweep_cases):
