@@ -6,9 +6,12 @@ small-circle residues, Moebius/vertex identities).  CHECKS holds one row
 per check, (name, (default_tol, strict_tol), err), in the order verify
 prints them; err(d, frame, seed) returns the check's error on the surface
 record d built in the normalized frame.  A new check is one more row.
+The rows read f, T, h' and g' from one shared pass per record (one
+map_and_height and one _derivatives call), each row its own slice.
 """
 
 import cmath
+import functools
 import math
 import sys
 
@@ -17,22 +20,49 @@ import numpy as np
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
 from .errors import ScherkError
-from .harmonic import dilatation, harmonic_map, jacobian, step_boundary
+from .harmonic import _derivatives, step_boundary
 from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
                       numeric_residue, poisson_extension, taylor)
-from .weierstrass import gauss_map_q, height_T, kernel_K
+from .weierstrass import gauss_map_q, kernel_K, map_and_height
 
-# Interior points of the contour and Poisson checks.
+# The contour and Poisson rows' points, the Jacobian grid, the winding circle.
 _POINTS = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
+_GRID = np.outer(np.linspace(0.03, 0.999, 30), np.exp(1j * np.linspace(
+    0.0, 2.0 * np.pi, 60, endpoint=False))).ravel()
+_CIRCLE = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
+GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_points(seed):
+    """The dilatation row's 40 points of |z| < 0.9 drawn from seed (64 kept)."""
+    rng = np.random.default_rng(seed)
+    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
+
+
+@functools.lru_cache(maxsize=1)
+def _values(d):
+    """{part: (f, T)} at every point the rows read, from one map_and_height."""
+    mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in step_boundary(d)])
+    parts = (np.zeros(1, complex), _POINTS, _CIRCLE,
+             (1.0 - 1e-6) * np.exp(1j * mids), np.outer(GROWTH_RADII, d.poles))
+    fT = map_and_height(np.concatenate([z.ravel() for z in parts]), d)
+    cuts = np.cumsum([z.size for z in parts])[:-1]
+    return dict(zip(("center", "points", "circle", "mids", "rays"),
+                    zip(*(np.split(v, cuts) for v in fT))))
+
+
+@functools.lru_cache(maxsize=1)
+def _primes(d, seed):
+    """(h', g') at the seeded points, then on _GRID, from one _derivatives call."""
+    return _derivatives(np.concatenate((_seeded_points(seed), _GRID)), d)
 
 
 def _dilatation(d, frame, seed):
-    # dilatation is exactly the square of the Moebius Gauss-map factor
-    rng = np.random.default_rng(seed)
-    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40))
-    th = rng.uniform(0.0, 2.0 * np.pi, 40)
-    zs = r * np.exp(1j * th)
-    return np.max(np.abs(dilatation(zs, d) - gauss_map_q(zs, d) ** 2))
+    # dilatation g'/h' is exactly the square of the Moebius Gauss-map factor
+    hp, gp = (v[:-_GRID.size] for v in _primes(d, seed))
+    return np.max(np.abs(gp / hp - gauss_map_q(_seeded_points(seed), d) ** 2))
 
 
 def _center_modulus(d, frame, seed):
@@ -75,18 +105,15 @@ def _sign_split(d, frame, seed):
 
 
 def _height_contour(d, frame, seed):
-    return np.max(np.abs(height_T(_POINTS, d)
+    return np.max(np.abs(_values(d)["points"][1]
                          - kernel_contour_height(_POINTS, d)))
-
-
-GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
 
 
 def growth_slopes(d):
     """Slopes of T against log(1 - r) on the rays r zeta_j, r in GROWTH_RADII,
     toward the four poles: the fit that tends to +-2 cj."""
-    rs = GROWTH_RADII
-    return np.polyfit(np.log(1.0 - rs), height_T(np.outer(rs, d.poles), d), 1)[0]
+    heights = _values(d)["rays"][1].reshape(GROWTH_RADII.size, 4)
+    return np.polyfit(np.log(1.0 - GROWTH_RADII), heights, 1)[0]
 
 
 def _growth_slopes(d, frame, seed):
@@ -117,24 +144,21 @@ def _graph_normal(d, frame, seed):
 
 
 def _jacobian(d, frame, seed):
-    # the harmonic map is sense-preserving
-    rr = np.linspace(0.03, 0.999, 30)
-    th = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
-    grid = np.outer(rr, np.exp(1j * th)).ravel()
-    return max(0.0, -float(np.min(jacobian(grid, d))))
+    # the harmonic map is sense-preserving: |h'|^2 - |g'|^2 > 0
+    hp, gp = (v[-_GRID.size:] for v in _primes(d, seed))
+    return max(0.0, -float(np.min(np.abs(hp) ** 2 - np.abs(gp) ** 2)))
 
 
 def _winding(d, frame, seed):
     # the boundary curve winds once around the center
-    circle = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
-    vals = harmonic_map(circle, d) - d.h0
+    vals = _values(d)["circle"][0] - d.h0
     winding = float(np.sum(np.angle(vals[1:] / vals[:-1]))) / (2.0 * np.pi)
     return abs(winding - 1.0)
 
 
 def _poisson(d, frame, seed):
     # the harmonic map vs the Poisson integral of its boundary step
-    return np.max(np.abs(harmonic_map(_POINTS, d)
+    return np.max(np.abs(_values(d)["points"][0]
                          - poisson_extension(_POINTS, step_boundary(d))))
 
 
@@ -147,10 +171,9 @@ def _harmonicity(d, frame, seed):
 
 def _boundary_steps(d, frame, seed):
     # radial boundary limits hit the step values mid-arc
-    arcs = step_boundary(d)
-    mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
-    limits = harmonic_map((1.0 - 1e-6) * np.exp(1j * mids), d)
-    return max(abs(limit - value) for (_, value), limit in zip(arcs, limits))
+    limits = _values(d)["mids"][0]
+    return max(abs(limit - value)
+               for (_, value), limit in zip(step_boundary(d), limits))
 
 
 CHECKS = (
@@ -167,7 +190,7 @@ CHECKS = (
     ("kernel_residue_sign_split", (1e-12, 1e-13), _sign_split),
     ("height_vs_contour_quadrature", (1e-8, 1e-9), _height_contour),
     ("height_zero_at_center", (1e-14, 1e-15),
-     lambda d, frame, seed: abs(height_T(0.0, d))),
+     lambda d, frame, seed: abs(_values(d)["center"][1][0])),
     ("radial_growth_slopes", (5e-3, 1e-3), _growth_slopes),
     ("center_curvature_closed_form", (1e-12, 1e-13), _center_curvature),
     ("curvature_bound_attained", (1e-12, 1e-13), _bound_attained),
@@ -184,7 +207,7 @@ CHECKS = (
     ("laplacian_defect_fd", (1e-9, 1e-10), _harmonicity),
     # f(0) equals the closed-form center
     ("center_value_consistency", (1e-14, 1e-15),
-     lambda d, frame, seed: abs(harmonic_map(0.0 + 0.0j, d) - d.h0)),
+     lambda d, frame, seed: abs(_values(d)["center"][0][0] - d.h0)),
     ("boundary_step_values", (1e-3, 1e-4), _boundary_steps),
 )
 

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import EqualRapidities
+from .errors import EqualRapidities, OutOfDomain
 from .geometry import HyperbolicCoords, hyperbola_point
 
 TWO_PI_I = 2j * math.pi
@@ -109,8 +109,10 @@ def scherk_data(c):
     w = (k + i m)/2: h'(0) = (4i/pi) tanh j e^{-ip/2} cosh^2 conj(w),
     q(0) = -i sinh w / cosh conj(w), q'(0) = -i e^{-ip/2} cos m /
     cosh^2 conj(w), and B = e^{2ip} h'(0), A = B X, C = B sqrt(X); the
-    report's Z is X.
+    report's Z is X.  j < 0 (s < t) is refused: p is even in j, z0 is not.
     """
+    if c.j < 0.0:
+        raise OutOfDomain(f"j < 0 at m={c.m!r}, s={c.s!r}, t={c.t!r}, j={c.j!r}")
     p, e_ip = angle_parameter(c)
     b1, b2, b3, b4 = normalized_vertices(c)
     hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from scherk import (NewtonDiverged, ToleranceNotMet, adaptive_quad,
-                    fd_laplacian, fd_mixed, harmonic_map, kernel_K,
-                    newton_invert, numeric_residue, poisson_extension,
-                    step_boundary)
-from scherk import oracles
+                    dilatation, fd_laplacian, fd_mixed, gauss_map_q,
+                    harmonic_map, height_T, hyperbolic_coordinates, jacobian,
+                    kernel_K, newton_invert, normalize, numeric_residue,
+                    poisson_extension, scherk_data, step_boundary,
+                    validate_quadrilateral)
+from scherk import checks, oracles
 from scherk.analysis import gauss_curvature
-from scherk.checks import CHECKS
+from scherk.checks import CHECKS, GROWTH_RADII, growth_slopes, run_checks
 from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
                             kernel_contour_height, taylor)
 
@@ -377,3 +379,98 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
                 assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
     finally:
         oracles.taylor.cache_clear()
+
+
+def _per_row_errs(d, seed):
+    """The shared-pass rows' errs and the growth fit, each row evaluating its
+    own points with the public harmonic_map, height_T, dilatation and
+    jacobian, one call per row."""
+    rng = np.random.default_rng(seed)
+    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    th = rng.uniform(0.0, 2.0 * np.pi, 40)
+    zs = r * np.exp(1j * th)
+    points = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
+    rr = np.linspace(0.03, 0.999, 30)
+    th = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+    grid = np.outer(rr, np.exp(1j * th)).ravel()
+    circle = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
+    vals = harmonic_map(circle, d) - d.h0
+    arcs = step_boundary(d)
+    mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
+    limits = harmonic_map((1.0 - 1e-6) * np.exp(1j * mids), d)
+    rs = GROWTH_RADII
+    slopes = np.polyfit(np.log(1.0 - rs),
+                        height_T(np.outer(rs, d.poles), d), 1)[0]
+    errs = {
+        "dilatation_is_moebius_square": np.max(np.abs(
+            dilatation(zs, d) - gauss_map_q(zs, d) ** 2)),
+        "height_vs_contour_quadrature": np.max(np.abs(
+            height_T(points, d) - kernel_contour_height(points, d))),
+        "height_zero_at_center": abs(height_T(0.0, d)),
+        "radial_growth_slopes": max(
+            abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv) for slope, sg, cjv
+            in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj)),
+        "jacobian_positive_on_grid": max(0.0, -float(np.min(
+            jacobian(grid, d)))),
+        "boundary_winding_number": abs(float(np.sum(np.angle(
+            vals[1:] / vals[:-1]))) / (2.0 * np.pi) - 1.0),
+        "poisson_extension_agreement": np.max(np.abs(
+            harmonic_map(points, d) - poisson_extension(points, arcs))),
+        "center_value_consistency": abs(harmonic_map(0.0 + 0.0j, d) - d.h0),
+        "boundary_step_values": max(
+            abs(limit - value) for (_, value), limit in zip(arcs, limits)),
+    }
+    return errs, slopes
+
+
+def _square():
+    q = validate_quadrilateral([-1.0, -1j, 1.0, 1j])
+    frame, _, _ = normalize(q)
+    return frame, scherk_data(hyperbolic_coordinates(frame.z, frame.w))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
+    from conftest import build_case
+    surfaces = [case1[1::2], case2[1::2], _square(),
+                build_case(0.7, 7.5, 6.5)[1::2]]   # Scherk's square, k = 7
+    for frame, d in surfaces:
+        errs, slopes = _per_row_errs(d, seed)
+        rows = {name: err_of for name, _, err_of in CHECKS}
+        for name, want in errs.items():
+            got = rows[name](d, frame, seed)
+            assert float(got) == float(want), (name, d.coords, got, want)
+        assert np.array_equal(growth_slopes(d), slopes), d.coords
+
+
+def test_verify_rows_read_one_evaluation_per_surface(case1, case2,
+                                                     monkeypatch):
+    calls = []
+    for name in ("map_and_height", "_derivatives"):
+        def counted(z, d, name=name, exact=getattr(checks, name)):
+            calls.append(name)
+            return exact(z, d)
+        monkeypatch.setattr(checks, name, counted)
+
+    def clear():
+        checks._values.cache_clear()
+        checks._primes.cache_clear()
+        oracles.taylor.cache_clear()
+
+    (_, f1, _, d1), (_, f2, _, d2) = case1, case2
+    try:
+        clear()
+        run_checks(d1, f1)
+        # taylor's own map_and_height call goes through oracles, not checks
+        assert sorted(calls) == ["_derivatives", "map_and_height"]
+        # a record, or a seed, never reads another one's cached values
+        order = ((d1, f1, 0), (d2, f2, 0), (d1, f1, 0), (d1, f1, 5))
+        fresh = []
+        for d, frame, seed in order:
+            clear()
+            fresh.append(run_checks(d, frame, seed=seed))
+        clear()
+        assert [run_checks(d, frame, seed=seed)
+                for d, frame, seed in order] == fresh
+    finally:
+        clear()

@@ -112,10 +112,15 @@ def test_angle_parameter_forms(sweep_cases):
 
 
 def test_angle_parameter_degenerates():
-    from scherk import EqualRapidities
+    from scherk import EqualRapidities, OutOfDomain
     flat = HyperbolicCoords(0.5, 20.0, -20.0, 20.0, 0.0)
     with pytest.raises(EqualRapidities):
         angle_parameter(flat)   # p -> 0 as j -> infinity
+    # s < t: p and e^{ip} are even in j while z0, sqrt(X) and h'(0) are
+    # odd-signed, so the record would be inconsistent (12 verify rows FAIL)
+    with pytest.raises(OutOfDomain,
+                       match=r"m=0\.3, s=0\.3, t=1\.0, j=-0\.35"):
+        scherk_data(HyperbolicCoords(0.3, 0.3, 1.0, -0.35, 0.65))
 
 
 def test_vertex_form_E_matches_rapidity_form(sweep_cases):
