@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .analysis import center_report
-from .checks import GROWTH_RADII, growth_slopes, run_checks
+from .checks import GROWTH_RADII, _growth_fit, run_checks
 from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
@@ -108,14 +108,9 @@ def load_quad(args):
                   "or the keys \"m\", \"s\", \"t\"")
 
 
-def _coord_tol(args):
-    """Confocal-check tolerance matching the requested side-sum tolerance."""
-    return max(1e-8, args.tol_pitot)
-
-
-def _setup(q, tol=1e-8):
+def _setup(q, tol_pitot):
     frame, _, _ = normalize(q)
-    coords = hyperbolic_coordinates(frame.z, frame.w, tol=tol)
+    coords = hyperbolic_coordinates(frame.z, frame.w, tol_pitot)
     return frame, coords, scherk_data(coords)
 
 
@@ -123,9 +118,9 @@ def _setup(q, tol=1e-8):
 # analyze
 
 
-def build_report(q, tol=1e-8):
+def build_report(q, tol_pitot=DEFAULT_TOL_PITOT):
     """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
-    frame, coords, d = _setup(q, tol)
+    frame, coords, d = _setup(q, tol_pitot)
     c1, c2, c3, c4 = d.cj
     return {
         "quad": {
@@ -161,7 +156,7 @@ def _emit(text, out):
 
 def cmd_analyze(args):
     q = load_quad(args)
-    report = build_report(q, tol=_coord_tol(args))
+    report = build_report(q, args.tol_pitot)
     _emit(canonical_json(report) + "\n", args.out)
     return 0
 
@@ -172,7 +167,7 @@ def cmd_analyze(args):
 
 def cmd_verify(args):
     q = load_quad(args)
-    frame, _, d = _setup(q, _coord_tol(args))
+    frame, _, d = _setup(q, args.tol_pitot)
     rows = run_checks(d, frame, profile=args.tol_profile, seed=args.seed)
     width = max(len(name) for name, *_ in rows)
     lines = []
@@ -188,7 +183,7 @@ def cmd_verify(args):
 
 def cmd_mesh(args):
     q = load_quad(args)
-    frame, _, d = _setup(q, _coord_tol(args))
+    frame, _, d = _setup(q, args.tol_pitot)
     mesh = sample_disk(d, frame, n_r=args.nr, n_theta=args.ntheta,
                        r_max=args.rmax, h_max=args.hmax)
     if args.out:
@@ -203,12 +198,10 @@ def cmd_mesh(args):
 
 def cmd_asymptotics(args):
     q = load_quad(args)
-    _, _, d = _setup(q, _coord_tol(args))
+    _, _, d = _setup(q, args.tol_pitot)
     if args.out:
         export_csv(radial_trace(d, args.pole, GROWTH_RADII), args.out)
-    slope = float(growth_slopes(d)[args.pole - 1])
-    target = (2, -2, 2, -2)[args.pole - 1] * d.cj[args.pole - 1]
-    rel = abs(slope - target) / abs(target)
+    slope, target, rel = _growth_fit(d)[args.pole - 1]
     sys.stdout.write(
         f"pole {args.pole}: fitted slope {slope:.12g} vs closed form "
         f"{target:.12g} (rel err {rel:.3e})\n")

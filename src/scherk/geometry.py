@@ -8,7 +8,6 @@ each point is sin(m) cosh(tau) + i cos(m) sinh(tau), so the quadrilateral
 is coded by three real numbers (m, s, t).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -117,6 +116,22 @@ def _segments_cross(p1, p2, p3, p4, eps):
     return False
 
 
+def _pitot_defect(b, tol_pitot):
+    """Side-sum defect (|b1b2| + |b3b4|) - (|b2b3| + |b4b1|) of the vertices b;
+    NotPitot when it exceeds tol_pitot times the perimeter."""
+    sides = [abs(b[i] - b[(i + 1) % 4]) for i in range(4)]
+    residual, perimeter = (sides[0] + sides[2]) - (sides[1] + sides[3]), sum(sides)
+    if abs(residual) > tol_pitot * perimeter:
+        raise NotPitot(f"side-sum defect {residual:.3e} exceeds "
+                       f"{tol_pitot:.1e} * perimeter = {tol_pitot * perimeter:.3e}")
+    return residual
+
+
+def _kappa(z):
+    """Focal difference (|z+1| - |z-1|)/2 = sin m, uncancelled at large |z|."""
+    return 2.0 * z.real / (abs(z + 1) + abs(z - 1))
+
+
 def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     """Check the Pitot condition and basic sanity; canonicalize orientation.
 
@@ -161,12 +176,7 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
        _segments_cross(b[1], b[2], b[3], b[0], eps):
         raise SelfIntersecting("nonadjacent sides intersect")
 
-    residual = (abs(b[0] - b[1]) + abs(b[2] - b[3])) - (abs(b[1] - b[2]) + abs(b[3] - b[0]))
-    perimeter = sum(abs(b[i] - b[(i + 1) % 4]) for i in range(4))
-    if abs(residual) > tol_pitot * perimeter:
-        raise NotPitot(f"side-sum defect {residual:.3e} exceeds "
-                       f"{tol_pitot:.1e} * perimeter = {tol_pitot * perimeter:.3e}")
-    return PitotQuad(b[0], b[1], b[2], b[3], residual, reversed_input)
+    return PitotQuad(*b, _pitot_defect(b, tol_pitot), reversed_input)
 
 
 def normalize(q):
@@ -184,8 +194,7 @@ def normalize(q):
     z = scale * (b2 - shift)
     w = scale * (b4 - shift)
     relabeled = False
-    kappa = (abs(z + 1) - abs(z - 1)) / 2.0
-    if kappa <= -TOL_M:
+    if _kappa(z) <= -TOL_M:
         scale = -scale
         z, w = -w, -z
         relabeled = True
@@ -204,23 +213,20 @@ def hyperbola_point(m, tau):
     return complex(math.sin(m) * ch, math.cos(m) * sh)
 
 
-def hyperbolic_coordinates(z, w, tol=1e-8):
+def hyperbolic_coordinates(z, w, tol_pitot=DEFAULT_TOL_PITOT):
     """Recover (m, s, t) from the normalized free vertices z and w.
 
-    Both points must lie on a common hyperbola with foci +-1 (which is the
-    normalized form of the Pitot condition), on the sin(m) >= 0 branch as
-    produced by normalize().  tol bounds the acceptable mismatch of the two
-    focal differences; inputs within tol are projected onto the averaged
-    hyperbola, whose kappa = sin(m) gives m = 0 when |kappa| < TOL_M.
+    (-1, z, 1, w) must pass the side-sum test of validate_quadrilateral at
+    tol_pitot: its defect is 2 (kappa(z) - kappa(w)), so z and w lie on one
+    hyperbola with foci +-1, on the sin(m) >= 0 branch as produced by
+    normalize().  They are projected onto the averaged hyperbola, whose
+    kappa = sin(m) gives m = 0 when |kappa| < TOL_M.
     """
     z, w = complex(z), complex(w)
-    kz = (abs(z + 1) - abs(z - 1)) / 2.0
-    kw = (abs(w + 1) - abs(w - 1)) / 2.0
-    if abs(kz - kw) > tol:
-        raise NotPitot("z and w do not share a confocal hyperbola")
-    kappa = (kz + kw) / 2.0
+    _pitot_defect((-1.0, z, 1.0, w), tol_pitot)
+    kappa = (_kappa(z) + _kappa(w)) / 2.0
     if 1.0 - abs(kappa) < TOL_M:
-        raise DegenerateRightAngle("hyperbola degenerates to the real axis (cos m ~ 0)")
+        raise DegenerateRightAngle(f"hyperbola degenerates (cos m ~ 0) at kappa={kappa!r}")
     if kappa <= -TOL_M:
         raise ValueError("z lies on the sin(m) < 0 branch; use normalize() "
                          "to obtain the canonical (relabeled) frame first")
@@ -228,7 +234,7 @@ def hyperbolic_coordinates(z, w, tol=1e-8):
     cm = math.cos(m)
     t = math.asinh(z.imag / cm)
     s = math.asinh(w.imag / cm)
-    roundtrip_tol = max(1e-6, 10.0 * tol)
+    roundtrip_tol = max(1e-6, 10.0 * tol_pitot)
     for point, tau, name in ((z, t, "z"), (w, s, "w")):
         mismatch = abs(hyperbola_point(m, tau) - point)
         if mismatch > roundtrip_tol * (1.0 + abs(point)):
@@ -236,7 +242,7 @@ def hyperbolic_coordinates(z, w, tol=1e-8):
                               f"m={m!r}, tau={tau!r}: mismatch {mismatch:.3g} > "
                               f"tolerance {roundtrip_tol * (1.0 + abs(point)):.3g}")
     if abs(s - t) < TOL_RAPIDITY:
-        raise EqualRapidities("s = t: free vertices coincide in rapidity")
+        raise EqualRapidities(f"free vertices coincide in rapidity: s={s!r}, t={t!r}")
     return HyperbolicCoords(m, s, t, (s - t) / 2.0, (s + t) / 2.0)
 
 
@@ -249,7 +255,7 @@ def construct_quad(m, s, t, tol_pitot=DEFAULT_TOL_PITOT):
     same quadrilateral with the roles of the two free vertices exchanged.
     """
     if abs(s - t) < TOL_RAPIDITY:
-        raise EqualRapidities("s = t produces a degenerate (triangle) input")
+        raise EqualRapidities(f"s = t gives a triangle: s={s!r}, t={t!r}")
     z = hyperbola_point(m, t)
     w = hyperbola_point(m, s)
     return validate_quadrilateral([-1.0 + 0.0j, z, 1.0 + 0.0j, w], tol_pitot)

@@ -4,9 +4,10 @@ h' and g' are rational with four simple poles on the unit circle whose
 residues are the (scaled) jumps of the boundary step function.  h, g and the
 height T weight the same four logs Log(1 - z/pole), branch-safe on the open
 disk since 1 - z/pole stays in the right half plane; _log_sums sums them in
-one pass, from real ufuncs.  Evaluators take numpy arrays or scalars (same
-bits for a point either way) in the normalized frame (-1, z, 1, w);
-NormalizedFrame.invert maps values back to the original quadrilateral.
+one pass, from real ufuncs, and refuses |z| > R_HEIGHT (TOL_POLE from the
+poles).  Evaluators take numpy arrays or scalars (same bits for a point
+either way) in the normalized frame (-1, z, 1, w); NormalizedFrame.invert
+maps values back to the original quadrilateral.
 """
 
 import math
@@ -18,6 +19,7 @@ from .errors import PoleProximity
 from .params import normalized_vertices
 
 TOL_POLE = 1e-9
+R_HEIGHT = 1.0 - TOL_POLE  # the largest |z| at which f and T are evaluated
 _BLOCK = 4096  # points per pass of _log_sums, so its temporaries stay small
 
 
@@ -85,7 +87,11 @@ def dilatation(z, d):
 def _log_sums(z, d, *coeffs):
     """sum_k c[k] Log(1 - z/pole_k) for each tuple c, in blocks of _BLOCK
     points; each sum runs from 0 in pole order, bitwise as sum() of logs."""
-    flat, sums = np.ravel(z), np.zeros((len(coeffs), np.size(z)), complex)
+    flat = np.ravel(z)
+    r = np.max(np.abs(flat), initial=0.0)
+    if r > R_HEIGHT:
+        raise ValueError(f"f and T require |z| <= 1 - 1e-9; got |z| = {r!r}")
+    sums = np.zeros((len(coeffs), flat.size), complex)
     poles, weights = np.array(d.poles)[:, None], np.array(coeffs)[..., None]
     for lo in range(0, flat.size, _BLOCK):
         # Log w at all poles by real ufuncs, ten times faster than the
@@ -104,7 +110,7 @@ def _log_sums(z, d, *coeffs):
 
 
 def harmonic_map(z, d):
-    """Value of f = h + conj(g) at z (|z| < 1), in the normalized frame.
+    """Value of f = h + conj(g) at z (|z| <= R_HEIGHT), in the normalized frame.
 
     Evaluated through principal-branch logs of 1 - z/pole, with h(0) = h0
     = f(0), the arc-length weighted vertex average p (z + w)/(2 pi), and

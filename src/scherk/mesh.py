@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IoError
-from .weierstrass import R_HEIGHT, height_T, map_and_height
+from .harmonic import R_HEIGHT
+from .weierstrass import height_T, map_and_height
 
 # Lines of OBJ text formatted per block: bounds the text held in memory.
 _OBJ_BLOCK = 4096

@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NewtonDiverged, ToleranceNotMet
-from .harmonic import TOL_POLE, _derivatives, harmonic_map
+from .harmonic import R_HEIGHT, _derivatives, harmonic_map
 from .weierstrass import kernel_K, map_and_height
 
 
@@ -192,22 +192,17 @@ def newton_invert(d, target):
     target is a point of the normalized frame or an array of them, solved
     together; a root has the same bits in any batch.  The Newton step dz =
     (conj(h') r - conj(g') conj(r)) / (|h'|^2 - |g'|^2), r = target - f(z),
-    is halved until the iterate stays in the disk and |r| decreases.  Raises
-    NewtonDiverged with the first failing point's message if a point finds no
-    descent step or misses NEWTON_TOL in NEWTON_STEPS steps; its roots and
-    notes hold each point's root (nan if it diverged) and message or None.
+    is halved until the iterate stays in |z| <= R_HEIGHT and |r| decreases.
+    Raises NewtonDiverged with the first failing point's message if a point
+    finds no descent step or misses NEWTON_TOL in NEWTON_STEPS steps; its
+    roots and notes hold each point's root (nan if it diverged) and message
+    or None.
     """
     t = np.ravel(np.asarray(target, dtype=complex))
     z, notes = np.zeros_like(t), np.full(t.size, None, object)
     r = t - harmonic_map(z, d)
     for _ in range(NEWTON_STEPS):
         idx = np.flatnonzero(np.equal(notes, None) & ~(abs(r) < NEWTON_TOL))
-        gap = np.abs(np.subtract.outer(z[idx], d.poles)).min(axis=-1)
-        near = gap < TOL_POLE
-        # an out-of-image target drags its iterate into a boundary pole
-        notes[idx[near]] = [f"iterate approached a boundary pole (evaluation "
-                            f"{g:.2e} from a boundary pole)" for g in gap[near]]
-        idx = idx[~near]
         if not idx.size:
             break
         hp, gp = _derivatives(z[idx], d)
@@ -219,7 +214,7 @@ def newton_invert(d, target):
         step = np.ones(idx.size)
         while idx.size:
             z_new, r_new = z[idx] + step * dz, np.full(idx.size, np.inf + 0j)
-            inside = np.abs(z_new) < 1.0
+            inside = np.abs(z_new) <= R_HEIGHT
             r_new[inside] = t[idx[inside]] - harmonic_map(z_new[inside], d)
             done = np.abs(r_new) < np.abs(r[idx])
             z[idx[done]], r[idx[done]] = z_new[done], r_new[done]

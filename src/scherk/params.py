@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EqualRapidities, OutOfDomain
-from .geometry import HyperbolicCoords, hyperbola_point
+from .geometry import TOL_RAPIDITY, HyperbolicCoords, hyperbola_point
 
 TWO_PI_I = 2j * math.pi
 
@@ -74,11 +74,15 @@ def angle_parameter(c):
     """Angle p in (0, pi) splitting the circle into the four boundary arcs.
 
     p = 2 atan2(1, sinh |j|) and e_ip = (tanh |j| + i sech |j|)^2, even in j;
-    cos p = 1 - 2 sech^2 j and sin p = 2 tanh |j| sech j > 0.
+    cos p = 1 - 2 sech^2 j and sin p = 2 tanh |j| sech j > 0.  Refused:
+    pi - p < TOL_RAPIDITY (s = t) and p < 1e-8 (|j| above about 19.8).
     """
     p = 2.0 * math.atan2(1.0, math.sinh(abs(c.j)))
-    if min(p, math.pi - p) < 1e-8:
-        raise EqualRapidities("arc endpoints collide (p degenerates to 0 or pi)")
+    if math.pi - p < TOL_RAPIDITY:  # pi - p ~ 2 |j| = |s - t|
+        raise EqualRapidities(f"arc endpoints collide (p ~ pi) at s={c.s!r}, t={c.t!r}")
+    if p < 1e-8:
+        raise OutOfDomain(f"p < 1e-8 at m={c.m!r}, s={c.s!r}, t={c.t!r}, "
+                          f"j={c.j!r}, p={p!r}")
     return p, _half_angle(abs(c.j)) ** 2
 
 

@@ -13,8 +13,6 @@ import numpy as np
 
 from .harmonic import _guard_poles, _log_sums
 
-R_HEIGHT = 1.0 - 1e-9  # the largest |z| at which the height is evaluated
-
 
 @dataclass(frozen=True)
 class HeightKernel:
@@ -58,11 +56,6 @@ def residues(d):
     return HeightKernel(d.poles, d.k_residues, d.lam, d.cj)
 
 
-def _guard_disk(z):
-    if np.max(np.abs(z), initial=0.0) > R_HEIGHT:
-        raise ValueError("height requires |z| <= 1 - 1e-9")
-
-
 def height_T(z, d):
     """Height T(z) = 2 Im sum_j R_j Log(1 - z/pole_j); T(0) = 0.
 
@@ -70,12 +63,10 @@ def height_T(z, d):
     disk about 1.  Grows like +2 cj log(1-r) toward +-1 and -2 cj log(1-r)
     toward +-e^{ip}.
     """
-    _guard_disk(z)
     return 2.0 * np.imag(_log_sums(z, d, d.k_residues)[0])
 
 
 def map_and_height(z, d):
     """(harmonic_map(z, d), height_T(z, d)) bitwise, from one pass of logs."""
-    _guard_disk(z)
     h, g, k = _log_sums(z, d, d.h_residues, d.g_residues, d.k_residues)
     return d.h0 + h + np.conj(g), 2.0 * np.imag(k)

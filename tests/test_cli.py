@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import scherk
-from scherk import sample_disk
-from scherk.checks import CHECKS, growth_slopes, run_checks
+from scherk import construct_quad, sample_disk
+from scherk.checks import CHECKS, _growth_fit, growth_slopes, run_checks
 from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
@@ -151,6 +151,13 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                         io.StringIO('{"m": 0.3, "s": 1000, "t": 0.3}'))
     code, _, err = run(capsys, "analyze", "-")
     assert code == 2 and "OutOfDomain" in err and "tau=1000.0" in err
+    # an arc-split angle p < 1e-8 (j above about 19.8) is a domain limit
+    # named by its inputs, not equal rapidities (these are 40 and 42 apart)
+    for params, j in (("0.3,20,-20", "20.0"), ("0.3,25,-17", "21.0")):
+        code, out, err = run(capsys, "analyze", "--params", params)
+        assert code == 2 and out == ""
+        assert re.match(r"error: OutOfDomain: p < 1e-8 at m=0\.3\d*, s=", err)
+        assert f"j={j}, p=" in err
 
 
 def test_every_error_type_is_raised():
@@ -387,13 +394,24 @@ def test_mesh_obj_blocks_match_one_shot_format(capsys, tmp_path):
     assert path.read_bytes() == want
 
 
-def test_hyperbola_round_trip_failure_is_a_typed_refusal(capsys):
-    params = "1.5705628125801272,-7.537819190044724,-8.393131908211805"
-    code, out, err = run(capsys, "analyze", "--params", params)
+def test_hyperbola_round_trip_failure_is_a_typed_refusal(capsys, monkeypatch):
+    # b2 moved by 0.15 puts the side sums 4.7e-6 of the perimeter apart:
+    # inside --tol-pitot 1e-3, but z is then 0.077 off the averaged
+    # hyperbola, past the round-trip tolerance 1e-2 (1 + |z|)
+    q = construct_quad(0.8, 9.0, 2.0)
+    verts = [[v.real, v.imag] for v in q.vertices]
+    verts[1][0] += 0.15
+    payload = json.dumps({"vertices": verts})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
     assert code == 2 and out == ""
     assert err.startswith("error: OutOfDomain: z does not round-trip through"
-                          " the hyperbola at m=1.5705628121355")
+                          " the hyperbola at m=0.81390364")
     assert re.search(r"mismatch \S+ > tolerance \S+\n$", err)
+    # at the default tolerance the one side-sum test refuses it first
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 2 and out == "" and "NotPitot: side-sum defect" in err
 
 
 def test_bench_tracer_finds_the_functions_it_names():
@@ -432,19 +450,22 @@ def test_asymptotics_command(capsys, tmp_path):
 
 
 def test_asymptotics_prints_the_slope_of_the_growth_row(capsys, case1, case2):
-    # the command and the radial_growth_slopes row read one fit
+    # the command and the radial_growth_slopes row read one fit, its closed
+    # form +-2 cj and its relative error from checks._growth_fit
     for params, (_, frame, _, d) in (("0.3,1.0,0.3", case1),
                                      ("0.3,1.0,-0.3", case2)):
-        rels = []
+        fit = _growth_fit(d)
         for pole in (1, 2, 3, 4):
             code, out, _ = run(capsys, "asymptotics", "--params", params,
                                "--pole", str(pole))
             assert code == 0
-            slope = float(growth_slopes(d)[pole - 1])
-            assert f"fitted slope {slope:.12g} vs" in out
-            rels.append(float(out.rsplit("rel err", 1)[1].strip().rstrip(")\n")))
+            slope, target, rel = fit[pole - 1]
+            assert slope == growth_slopes(d)[pole - 1]
+            assert target == (2, -2, 2, -2)[pole - 1] * d.cj[pole - 1]
+            assert out == (f"pole {pole}: fitted slope {slope:.12g} vs closed "
+                           f"form {target:.12g} (rel err {rel:.3e})\n")
         row = dict((name, err) for name, err, *_ in run_checks(d, frame))
-        assert f"{max(rels):.3e}" == f"{row['radial_growth_slopes']:.3e}"
+        assert row["radial_growth_slopes"] == max(rel for *_, rel in fit)
 
 
 def test_m_zero_kites_are_judged_not_refused(capsys, monkeypatch):

@@ -151,6 +151,24 @@ def test_collinear_vertices_rejected():
         validate_quadrilateral([(0, 0), (1, 0), (2, 0), (3, 0)])
 
 
+def test_wide_draws_are_recovered_not_refused():
+    # m in [0, 1.5), j log-uniform in [0.02, 14], k in [-14, 14]: vertices
+    # up to e^28 from the origin, where (|z+1| - |z-1|)/2 cancels (the two
+    # listed triples put a vertex 6.2e9 and 1.8e9 away).  Every draw passes
+    # the side-sum test and recovers (m, s, t) to rounding
+    gen = np.random.default_rng(2020)
+    draws = [(1.3346163029070726, -2.6588020611235557, -23.23535187162935),
+             (0.3857, 22.0, -1.72)]
+    for _ in range(200):
+        m, k = gen.uniform(0.0, 1.5), gen.uniform(-14.0, 14.0)
+        j = math.exp(gen.uniform(math.log(0.02), math.log(14.0)))
+        draws.append((m, k + j, k - j))
+    for m, s, t in draws:
+        _, _, c, _ = build_case(m, s, t)
+        for got, want in ((c.m, m), (c.s, max(s, t)), (c.t, min(s, t))):
+            assert abs(got - want) <= 1e-13 * abs(want), ((m, s, t), c)
+
+
 def test_self_intersection_rejected():
     # crossed quadrilateral with unequal lobes (nonzero signed area)
     with pytest.raises(SelfIntersecting):

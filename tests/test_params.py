@@ -113,9 +113,16 @@ def test_angle_parameter_forms(sweep_cases):
 
 def test_angle_parameter_degenerates():
     from scherk import EqualRapidities, OutOfDomain
+    # p -> 0 as j -> infinity: the rapidities are 40 apart, so this is a
+    # domain limit (p < 1e-8), not equal rapidities
     flat = HyperbolicCoords(0.5, 20.0, -20.0, 20.0, 0.0)
-    with pytest.raises(EqualRapidities):
-        angle_parameter(flat)   # p -> 0 as j -> infinity
+    with pytest.raises(OutOfDomain, match=r"p < 1e-8 at m=0\.5, s=20\.0, "
+                       r"t=-20\.0, j=20\.0, p=8\.24"):
+        angle_parameter(flat)
+    # p -> pi as j -> 0 is s = t, the test of TOL_RAPIDITY
+    close = HyperbolicCoords(0.5, 0.3 + 1e-9, 0.3 - 1e-9, 1e-9, 0.3)
+    with pytest.raises(EqualRapidities, match=r"at s=0\.300000001, t=0\.29999"):
+        angle_parameter(close)
     # s < t: p and e^{ip} are even in j while z0, sqrt(X) and h'(0) are
     # odd-signed, so the record would be inconsistent (12 verify rows FAIL)
     with pytest.raises(OutOfDomain,
@@ -221,6 +228,42 @@ def test_kernel_residue_sum_is_relative_to_the_perimeter(case1, case2):
             assert err > max(tols), (d.coords, err)
 
 
+def test_kernel_scale_and_sign_split_are_relative_to_the_perimeter(case1,
+                                                                    case2):
+    # both rows are judged relative to sum cj, the perimeter over 2 pi.  As
+    # absolute errors, rounding on terms of size 400 at k = 7 came within
+    # 2.5 times the strict tolerance, and failed both rows on this box
+    # surface of the benchmark (k = 7.3); now it passes
+    rows = {name: err for name, _, err in CHECKS}
+    tol = dict((name, tols[1]) for name, tols, _ in CHECKS)
+    _, frame, _, d = build_case(0.13890206535917143, 8.357027889913319,
+                                6.279161021161783)
+    for name in ("kernel_scale_identity", "kernel_residue_sign_split"):
+        assert rows[name](d, frame, 0) <= tol[name]
+    # rounding passes the strict profile; a mutation of 1e-12 relative (at
+    # least 1.3e-13 here) or larger, or of a sign or a root, fails it
+    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        z0 = d.z0 * 1.0001
+        moved = tuple(d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
+                      for zk, r in zip(d.poles, d.h_residues))
+        wrong = {"kernel_scale_identity": [
+            {"C": d.C * (1.0 + 1e-12)}, {"C": d.C * cmath.exp(1e-12j)},
+            {"e_ip": d.e_ip * cmath.exp(1e-12j)}, {"C": -d.C},
+            {"C": d.B * d.X}],
+            "kernel_residue_sign_split": [
+            {"lam": d.lam * (1.0 + 1e-12)}, {"k_residues": moved},
+            {"k_residues": tuple(-r for r in d.k_residues)},
+            {"k_residues": tuple(r.conjugate() for r in d.k_residues)}] + [
+            {"k_residues": tuple(r * (1.0 + 1e-12) if i == n else r
+                                 for i, r in enumerate(d.k_residues))}
+            for n in range(4)]}
+        for name, changes in wrong.items():
+            assert rows[name](d, frame, 0) <= tol[name]
+            for change in changes:
+                err = rows[name](dataclasses.replace(d, **change), frame, 0)
+                assert err > tol[name], (name, d.coords, change, err)
+
+
 def test_sign_split_moduli_without_cancellation(sweep_cases):
     # the four |1 -+ z0|^2, |1 -+ z0 e^{-ip}|^2 of the sign-split row, in
     # (m, s, t), equal the moduli computed from z0 and e^{ip}
@@ -229,14 +272,11 @@ def test_sign_split_moduli_without_cancellation(sweep_cases):
                   abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
         for got, want in zip(_split_moduli(c), direct):
             assert abs(got - want) <= 1e-12 * want, c
-    # |1 + z0 e^{-ip}| = 7.5e-5 at this record, built directly since the
-    # pipeline refuses it (NotPitot from the confocal check): rounding in
-    # 1 + z0 e^{-ip} puts lam |1 + z0 e^{-ip}|^2 off by 1.4e-12 relative,
-    # while (cosh t - sin m) / (2 pi) has no cancellation here (cosh t =
-    # 2.88, sin m = 0.38)
+    # |1 + z0 e^{-ip}| = 7.5e-5 at this record: rounding in 1 + z0 e^{-ip}
+    # puts lam |1 + z0 e^{-ip}|^2 off by 1.4e-12 relative, while (cosh t -
+    # sin m) / (2 pi) has no cancellation here (cosh t = 2.88, sin m = 0.38)
     m, j, k = 0.3857, 11.86, 10.14
-    c = HyperbolicCoords(m, k + j, k - j, j, k)
-    d = scherk_data(c)
+    _, _, c, d = build_case(m, k + j, k - j)
     sin_m = math.sin(m)
     plain = (math.cosh(c.s) - sin_m, math.cosh(c.s) + sin_m,
              math.cosh(c.t) + sin_m, math.cosh(c.t) - sin_m)

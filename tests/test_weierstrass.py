@@ -154,8 +154,13 @@ def test_kernel_pole_guard_and_height_domain(case1):
     _, _, _, d = case1
     with pytest.raises(PoleProximity):
         kernel_K(d.e_ip * (1 - 1e-12), d)
-    with pytest.raises(ValueError):
-        height_T(1.0 - 1e-10, d)
+    # every f and T evaluator shares one disk guard, |z| <= 1 - 1e-9: outside
+    # the disk and at a pole it refuses before a log is taken, so no numpy
+    # RuntimeWarning (an error under this suite's filterwarnings) appears
+    for z in (1.0 - 1e-10, 1.5, d.e_ip, np.array([0.2, d.poles[2]])):
+        for fn in (harmonic_map, height_T, map_and_height):
+            with pytest.raises(ValueError, match=r"\|z\| <= 1 - 1e-9"):
+                fn(z, d)
 
 
 def _log(w):
