@@ -123,7 +123,7 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3", "--rmax",
                          "0.9999999999", "--nr", "2", "--ntheta", "4")
     assert code == 2 and out == ""
-    assert "r_max=0.9999999999" in err and "height requires" not in err
+    assert "r_max=0.9999999999" in err and "f and T require" not in err
     # a height clamp that would flatten or blank every height
     for h_max in ("-1", "nan", "inf"):
         code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3",
