@@ -231,7 +231,6 @@ def newton_invert(d, target):
     return z
 
 
-@functools.lru_cache(maxsize=1)
 def taylor(d):
     """Taylor coefficients of f and T off two circles; the graph's 2-jet at c0.
 
@@ -242,7 +241,8 @@ def taylor(d):
     (n < 0); for T = 2 Im k, -i k's (n > 0), k' = K.  From the outer circle,
     the graph u(f(z)) = T(z) has P = u_w from P h' + conj(P) g' = T_z = -iK,
     and U = u_ww, V = u_wwbar from the 3x3 real system T_zz = -iK', T_zzbar =
-    0; so grad u = (2 Re P, -2 Im P) and u_xy = -2 Im U.
+    0; so grad u = (2 Re P, -2 Im P) and u_xy = -2 Im U.  Nothing is kept
+    between calls: checks.evaluate makes the one call per verify run.
     """
     n = np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1)
     rho = np.array(TAYLOR_RADII)[:, None, None]

@@ -77,7 +77,10 @@ def angle_parameter(c):
     cos p = 1 - 2 sech^2 j and sin p = 2 tanh |j| sech j > 0.  Refused:
     pi - p < TOL_RAPIDITY (s = t) and p < 1e-8 (|j| above about 19.8).
     """
-    p = 2.0 * math.atan2(1.0, math.sinh(abs(c.j)))
+    try:
+        p = 2.0 * math.atan2(1.0, math.sinh(abs(c.j)))
+    except OverflowError:  # |j| > 710: p ~ 4 e^{-|j|}, far below 1e-8
+        p = 4.0 * math.exp(-abs(c.j))
     if math.pi - p < TOL_RAPIDITY:  # pi - p ~ 2 |j| = |s - t|
         raise EqualRapidities(f"arc endpoints collide (p ~ pi) at s={c.s!r}, t={c.t!r}")
     if p < 1e-8:

@@ -13,7 +13,7 @@ from scherk import (aligning_rotation, center_mixed_derivative,
                     height_T, hyperbolic_coordinates, newton_invert,
                     normalize, rotated_mixed_derivative, scherk_data,
                     validate_quadrilateral)
-from scherk.checks import CHECKS, run_checks
+from scherk.checks import CHECKS, evaluate, run_checks
 from scherk.cli import build_report
 from scherk.geometry import HyperbolicCoords
 from conftest import build_case, graph_height_function
@@ -153,7 +153,7 @@ def test_graph_rows_reject_what_the_fd_rows_rejected(case1, case2):
         wrong = _wrong_constants(d)
         for row, constant in sorted(rejected):
             tols, err_of = rows[row]
-            err = err_of(wrong[constant], frame, 0)
+            err = err_of(wrong[constant], frame, evaluate(wrong[constant]))
             if (label, row, constant) == ("k7", "aligned_mixed_derivative_zero",
                                           "1/sin p"):
                 # a height scale keeps the aligned mixed derivative zero; the

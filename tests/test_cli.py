@@ -16,7 +16,8 @@ import pytest
 
 import scherk
 from scherk import construct_quad, sample_disk
-from scherk.checks import CHECKS, _growth_fit, growth_slopes, run_checks
+from scherk.checks import (CHECKS, GROWTH_RADII, evaluate, growth_fit,
+                           run_checks)
 from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
@@ -248,7 +249,7 @@ def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     idx = 10
     name, tols, _ = checks.CHECKS[idx]
 
-    def raises(d, frame, seed):
+    def raises(d, frame, ev):
         raise scherk.ToleranceNotMet("quadrature stalled")
 
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:idx] + (
@@ -276,7 +277,7 @@ def test_run_checks_lets_other_exceptions_through(case1, monkeypatch):
     import scherk.checks as checks
     _, frame, _, d = case1
 
-    def broken(d, frame, seed):
+    def broken(d, frame, ev):
         raise ValueError("not a library error")
 
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:1] + (
@@ -288,7 +289,7 @@ def test_run_checks_lets_other_exceptions_through(case1, monkeypatch):
 def test_verify_runtime_budget():
     _, frame, _, d = build_case(0.3, 1.0, 0.3)
     start = time.perf_counter()
-    rows = run_checks(d, frame, profile="default", seed=0)
+    rows = run_checks(d, frame, profile="default")
     elapsed = time.perf_counter() - start
     assert all(ok for *_, ok in rows)
     assert elapsed < 30.0
@@ -298,7 +299,7 @@ def test_verify_runtime_budget():
                          ids=[name for name, *_ in CHECKS])
 def test_check_row_passes_both_profiles(name, tols, err_of, case1, case2):
     for _, frame, _, d in (case1, case2):
-        err = err_of(d, frame, 0)
+        err = err_of(d, frame, evaluate(d))
         assert all(err <= tol for tol in tols), f"{name}: err {err:.3e}"
 
 
@@ -310,13 +311,15 @@ def test_verify_prints_check_rows_in_table_order(capsys):
     assert [ln.split()[1] for ln in out.splitlines()[:-1]] == names
 
 
-def test_verify_seed_changes_samples_not_outcome(capsys):
-    code1, out1, _ = run(capsys, "verify", "--params", "0.3,1.0,0.3",
-                         "--seed", "1")
-    code2, out2, _ = run(capsys, "verify", "--params", "0.3,1.0,0.3",
-                         "--seed", "2")
-    assert code1 == code2 == 0
-    assert out1 != out2   # sampled errors differ
+def test_verify_has_no_seed_option(capsys):
+    # every point verify reads is fixed, so there is nothing to seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--params", "0.3,1.0,0.3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,0.3")
+    assert code == 0
+    assert out.splitlines()[-1] == "21/21 checks passed (profile=default)"
 
 
 def test_mesh_command(capsys, tmp_path):
@@ -451,21 +454,44 @@ def test_asymptotics_command(capsys, tmp_path):
 
 def test_asymptotics_prints_the_slope_of_the_growth_row(capsys, case1, case2):
     # the command and the radial_growth_slopes row read one fit, its closed
-    # form +-2 cj and its relative error from checks._growth_fit
+    # form +-2 cj and its relative error from checks.growth_fit: the command
+    # on its own 52 ray heights, the row on verify's evaluation
     for params, (_, frame, _, d) in (("0.3,1.0,0.3", case1),
                                      ("0.3,1.0,-0.3", case2)):
-        fit = _growth_fit(d)
+        fit = growth_fit(d, evaluate(d)["rays"][1])
         for pole in (1, 2, 3, 4):
             code, out, _ = run(capsys, "asymptotics", "--params", params,
                                "--pole", str(pole))
             assert code == 0
             slope, target, rel = fit[pole - 1]
-            assert slope == growth_slopes(d)[pole - 1]
             assert target == (2, -2, 2, -2)[pole - 1] * d.cj[pole - 1]
             assert out == (f"pole {pole}: fitted slope {slope:.12g} vs closed "
                            f"form {target:.12g} (rel err {rel:.3e})\n")
         row = dict((name, err) for name, err, *_ in run_checks(d, frame))
         assert row["radial_growth_slopes"] == max(rel for *_, rel in fit)
+
+
+def test_asymptotics_evaluates_only_its_52_ray_points(capsys, case2,
+                                                      monkeypatch):
+    # f, T, h' and g' all come from _log_sums and _derivatives: asymptotics
+    # reads T on the 13 x 4 growth rays and nothing of verify's evaluation
+    import scherk.harmonic as harmonic
+    import scherk.weierstrass as weierstrass
+    points = []
+    for mod, name in ((harmonic, "_log_sums"), (weierstrass, "_log_sums"),
+                      (harmonic, "_derivatives")):
+        def counted(z, *args, exact=getattr(mod, name)):
+            points.append(np.size(z))
+            return exact(z, *args)
+        monkeypatch.setattr(mod, name, counted)
+    _, _, _, d = case2
+    code, out, _ = run(capsys, "asymptotics", "--params", "0.3,1.0,-0.3",
+                       "--pole", "3")
+    assert code == 0
+    assert points == [GROWTH_RADII.size * 4] == [52]
+    slope, target, rel = growth_fit(d, evaluate(d)["rays"][1])[2]
+    assert out == (f"pole 3: fitted slope {slope:.12g} vs closed form "
+                   f"{target:.12g} (rel err {rel:.3e})\n")
 
 
 def test_m_zero_kites_are_judged_not_refused(capsys, monkeypatch):

@@ -13,7 +13,8 @@ from scherk import (NewtonDiverged, ToleranceNotMet, adaptive_quad,
                     validate_quadrilateral)
 from scherk import checks, oracles
 from scherk.analysis import gauss_curvature
-from scherk.checks import CHECKS, GROWTH_RADII, growth_slopes, run_checks
+from scherk.checks import (CHECKS, GROWTH_RADII, evaluate, growth_fit,
+                           run_checks)
 from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
                             kernel_contour_height, taylor)
 
@@ -343,12 +344,7 @@ def test_taylor_is_one_evaluation_per_surface(case1, monkeypatch):
         return exact(z, d)
 
     monkeypatch.setattr(oracles, "map_and_height", counted)
-    oracles.taylor.cache_clear()
-    try:
-        for _ in range(3):
-            taylor(case1[3])
-    finally:
-        oracles.taylor.cache_clear()
+    taylor(case1[3])
     assert calls == [(2, oracles.TAYLOR_POINTS)]
 
 
@@ -368,27 +364,23 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
 
     inner, outer = oracles.TAYLOR_RADII
     monkeypatch.setattr(oracles, "map_and_height", perturbed)
-    try:
-        for _, frame, _, d in (case1, case2):
-            for field in (0, 1):
-                eps[:] = [0.0, 0.0]
-                eps[field] = 1e-6
-                oracles.taylor.cache_clear()
-                err = err_of(d, frame, 0)
-                assert err > max(tols), (field, err)
-                assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
-    finally:
-        oracles.taylor.cache_clear()
+    for _, frame, _, d in (case1, case2):
+        for field in (0, 1):
+            eps[:] = [0.0, 0.0]
+            eps[field] = 1e-6
+            err = err_of(d, frame, evaluate(d))
+            assert err > max(tols), (field, err)
+            assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
 
 
-def _per_row_errs(d, seed):
+def _per_row_errs(d):
     """The shared-pass rows' errs and the growth fit, each row evaluating its
     own points with the public harmonic_map, height_T, dilatation and
     jacobian, one call per row."""
-    rng = np.random.default_rng(seed)
-    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40))
-    th = rng.uniform(0.0, 2.0 * np.pi, 40)
-    zs = r * np.exp(1j * th)
+    # the Vogel spiral r = 0.9 sqrt((i + 1/2)/40), theta = i pi (3 - sqrt 5)
+    i = np.arange(40)
+    zs = 0.9 * np.sqrt((i + 0.5) / 40) * np.exp(
+        1j * np.pi * (3.0 - np.sqrt(5.0)) * i)
     points = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
     rr = np.linspace(0.03, 0.999, 30)
     th = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
@@ -431,46 +423,38 @@ def _square():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
-    from conftest import build_case
+    from conftest import build_case, sample_triples
+    # the verify points are fixed; the seed draws one more surface
+    m, s, t = sample_triples(np.random.default_rng(seed), 1)[0]
     surfaces = [case1[1::2], case2[1::2], _square(),
-                build_case(0.7, 7.5, 6.5)[1::2]]   # Scherk's square, k = 7
+                build_case(0.7, 7.5, 6.5)[1::2],   # Scherk's square, k = 7
+                build_case(m, s, t)[1::2]]
     for frame, d in surfaces:
-        errs, slopes = _per_row_errs(d, seed)
+        errs, slopes = _per_row_errs(d)
         rows = {name: err_of for name, _, err_of in CHECKS}
+        ev = evaluate(d)
         for name, want in errs.items():
-            got = rows[name](d, frame, seed)
+            got = rows[name](d, frame, ev)
             assert float(got) == float(want), (name, d.coords, got, want)
-        assert np.array_equal(growth_slopes(d), slopes), d.coords
+        fit = growth_fit(d, ev["rays"][1])
+        assert np.array_equal([s for s, *_ in fit], slopes), d.coords
 
 
 def test_verify_rows_read_one_evaluation_per_surface(case1, case2,
                                                      monkeypatch):
     calls = []
-    for name in ("map_and_height", "_derivatives"):
-        def counted(z, d, name=name, exact=getattr(checks, name)):
+    for name in ("map_and_height", "_derivatives", "taylor", "step_boundary"):
+        def counted(*args, name=name, exact=getattr(checks, name)):
             calls.append(name)
-            return exact(z, d)
+            return exact(*args)
         monkeypatch.setattr(checks, name, counted)
 
-    def clear():
-        checks._values.cache_clear()
-        checks._primes.cache_clear()
-        oracles.taylor.cache_clear()
-
     (_, f1, _, d1), (_, f2, _, d2) = case1, case2
-    try:
-        clear()
-        run_checks(d1, f1)
-        # taylor's own map_and_height call goes through oracles, not checks
-        assert sorted(calls) == ["_derivatives", "map_and_height"]
-        # a record, or a seed, never reads another one's cached values
-        order = ((d1, f1, 0), (d2, f2, 0), (d1, f1, 0), (d1, f1, 5))
-        fresh = []
-        for d, frame, seed in order:
-            clear()
-            fresh.append(run_checks(d, frame, seed=seed))
-        clear()
-        assert [run_checks(d, frame, seed=seed)
-                for d, frame, seed in order] == fresh
-    finally:
-        clear()
+    once = ["_derivatives", "map_and_height", "step_boundary", "taylor"]
+    first = run_checks(d1, f1)
+    # taylor's own map_and_height call goes through oracles, not checks
+    assert sorted(calls) == once
+    # nothing is kept between records: back to back, each gets its own
+    second, again = run_checks(d2, f2), run_checks(d1, f1)
+    assert sorted(calls) == sorted(once * 3)
+    assert again == first != second

@@ -8,7 +8,7 @@ import pytest
 
 from scherk import (angle_parameter, h_prime, moebius_center, scherk_data,
                     unimodular_factor)
-from scherk.checks import CHECKS, _split_moduli
+from scherk.checks import CHECKS, _split_moduli, evaluate
 from scherk.geometry import HyperbolicCoords
 from scherk.params import normalized_vertices
 from conftest import build_case
@@ -128,6 +128,10 @@ def test_angle_parameter_degenerates():
     with pytest.raises(OutOfDomain,
                        match=r"m=0\.3, s=0\.3, t=1\.0, j=-0\.35"):
         scherk_data(HyperbolicCoords(0.3, 0.3, 1.0, -0.35, 0.65))
+    # past |j| = 710 sinh overflows; p ~ 4 e^{-|j|} is refused the same way
+    with pytest.raises(OutOfDomain, match=r"p < 1e-8 at m=0\.3, s=1500\.0, "
+                       r"t=-10\.0, j=755\.0, p=0\.0"):
+        scherk_data(HyperbolicCoords(0.3, 1500.0, -10.0, 755.0, 745.0))
 
 
 def test_vertex_form_E_matches_rapidity_form(sweep_cases):
@@ -204,7 +208,8 @@ def test_sign_split_rejects_wrong_growth_scale(case1, case2):
                         if name == "kernel_residue_sign_split")
     for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
         for lam in (d.lam / math.sin(d.p), 2.0 * d.lam):
-            err = err_of(dataclasses.replace(d, lam=lam), frame, 0)
+            wrong = dataclasses.replace(d, lam=lam)
+            err = err_of(wrong, frame, evaluate(wrong))
             assert err > max(tols), (d.coords, lam, err)
 
 
@@ -216,7 +221,7 @@ def test_kernel_residue_sum_is_relative_to_the_perimeter(case1, case2):
     err_of, tols = next((err, tols) for name, tols, err in CHECKS
                         if name == "kernel_residue_sum")
     for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
-        assert err_of(d, frame, 0) <= min(tols)
+        assert err_of(d, frame, evaluate(d)) <= min(tols)
         z0 = d.z0 * 1.0001
         moved = tuple(d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
                       for zk, r in zip(d.poles, d.h_residues))
@@ -224,7 +229,8 @@ def test_kernel_residue_sum_is_relative_to_the_perimeter(case1, case2):
                                  for i, r in enumerate(d.k_residues))
                            for n in range(4)]
         for kres in wrong:
-            err = err_of(dataclasses.replace(d, k_residues=kres), frame, 0)
+            moved_d = dataclasses.replace(d, k_residues=kres)
+            err = err_of(moved_d, frame, evaluate(moved_d))
             assert err > max(tols), (d.coords, err)
 
 
@@ -239,7 +245,13 @@ def test_kernel_scale_and_sign_split_are_relative_to_the_perimeter(case1,
     _, frame, _, d = build_case(0.13890206535917143, 8.357027889913319,
                                 6.279161021161783)
     for name in ("kernel_scale_identity", "kernel_residue_sign_split"):
-        assert rows[name](d, frame, 0) <= tol[name]
+        assert rows[name](d, frame, evaluate(d)) <= tol[name]
+    # at j = 12.9, e^{2ip} - 1 cancelled to 4.7e-12 of C/(e^{2ip} - 1);
+    # 2i sin p e^{ip} does not cancel
+    _, frame, _, d = build_case(0.4024623350854257, 12.183448731400844,
+                                -13.683300511063393)
+    assert rows["kernel_scale_identity"](d, frame, evaluate(d)) \
+        <= tol["kernel_scale_identity"]
     # rounding passes the strict profile; a mutation of 1e-12 relative (at
     # least 1.3e-13 here) or larger, or of a sign or a root, fails it
     for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
@@ -258,9 +270,10 @@ def test_kernel_scale_and_sign_split_are_relative_to_the_perimeter(case1,
                                  for i, r in enumerate(d.k_residues))}
             for n in range(4)]}
         for name, changes in wrong.items():
-            assert rows[name](d, frame, 0) <= tol[name]
+            assert rows[name](d, frame, evaluate(d)) <= tol[name]
             for change in changes:
-                err = rows[name](dataclasses.replace(d, **change), frame, 0)
+                moved_d = dataclasses.replace(d, **change)
+                err = rows[name](moved_d, frame, evaluate(moved_d))
                 assert err > tol[name], (name, d.coords, change, err)
 
 
