@@ -21,11 +21,10 @@ from .geometry import (HyperbolicCoords, NormalizedFrame, PitotQuad,
                        validate_quadrilateral)
 from .harmonic import (AnalyticParts, analytic_parts, dilatation, g_prime,
                        h_prime, harmonic_map, jacobian, step_boundary)
-from .mesh import SurfaceMesh, export_csv, export_obj, radial_trace, sample_disk
+from .mesh import SurfaceMesh, export_obj, sample_disk
 from .oracles import (adaptive_quad, contour_height, fd_laplacian, fd_mixed,
                       newton_invert, numeric_residue, poisson_extension, taylor)
-from .params import (ScherkData, angle_parameter, moebius_center,
-                     scherk_data, unimodular_factor)
+from .params import ScherkData, angle_parameter, scherk_data
 from .weierstrass import (HeightKernel, gauss_map_q, height_T, kernel_K,
                           map_and_height, residues)
 

@@ -18,14 +18,14 @@ import math
 import numpy as np
 
 from .harmonic import h_prime
+from .weierstrass import gauss_map_q
 
 
 def gauss_curvature(z, d):
     """Gauss curvature -4 |q'|^2 / (|h'|^2 (1 + |q|^2)^4) at z (normalized frame)."""
-    z0 = d.z0
     # 1 - |z0|^2 = |q'(0)|, as |sqrt(X)| = 1
-    qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * z0.conjugate()) ** 2
-    q = d.sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
+    qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * d.z0.conjugate()) ** 2
+    q = gauss_map_q(z, d)
     # h'(0) from the record at any scalar zero: the residue sum loses digits
     # there at small j
     hp = d.h0_prime if np.ndim(z) == 0 and z == 0 else h_prime(z, d)

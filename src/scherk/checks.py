@@ -21,6 +21,7 @@ from .errors import ScherkError
 from .harmonic import _derivatives, step_boundary
 from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
                       numeric_residue, poisson_extension, taylor)
+from .params import normalized_vertices
 from .weierstrass import gauss_map_q, kernel_K, map_and_height
 
 # The contour and Poisson rows' points, the Jacobian grid, the winding circle,
@@ -91,10 +92,10 @@ def _split_moduli(c):
 
 
 def _sign_split(d, frame, ev):
-    # the residues from the vertex jumps, of modulus side/(2 pi), vs the
-    # growth-scale closed form +-i lam |...|^2, relative to their sum
-    return max(abs(r - sg * d.lam * mm) for r, sg, mm in zip(
-        d.k_residues, (1j, -1j, 1j, -1j), _split_moduli(d.coords))) / sum(d.cj)
+    # the residues from the vertex jumps, of modulus cj = side/(2 pi), vs the
+    # growth-scale closed form +-i lam |...|^2, each relative to its own cj
+    return max(abs(r - sg * d.lam * mm) / cj for r, sg, mm, cj in zip(
+        d.k_residues, (1j, -1j, 1j, -1j), _split_moduli(d.coords), d.cj))
 
 
 def _height_contour(d, frame, ev):
@@ -163,9 +164,12 @@ def _harmonicity(d, frame, ev):
 
 
 def _boundary_steps(d, frame, ev):
-    # radial boundary limits hit the step values mid-arc
+    # radial boundary limits hit the step values mid-arc; f at 1 - r = 1e-6
+    # misses them by about (1 - r) max|b_i| / min(p, pi - p), so relative to
+    # max|b_i|
+    scale = max(abs(b) for b in normalized_vertices(d.coords))
     return max(abs(limit - value)
-               for (_, value), limit in zip(ev["arcs"], ev["mids"][0]))
+               for (_, value), limit in zip(ev["arcs"], ev["mids"][0])) / scale
 
 
 CHECKS = (

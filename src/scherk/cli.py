@@ -26,7 +26,7 @@ from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
-from .mesh import export_csv, export_obj, obj_text, radial_trace, sample_disk
+from .mesh import export_obj, obj_text, sample_disk
 from .params import scherk_data
 from .weierstrass import height_T
 
@@ -112,7 +112,7 @@ def load_quad(args):
 def _setup(q, tol_pitot):
     frame, _, _ = normalize(q)
     coords = hyperbolic_coordinates(frame.z, frame.w, tol_pitot)
-    return frame, coords, scherk_data(coords)
+    return frame, scherk_data(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,8 @@ def _setup(q, tol_pitot):
 
 def build_report(q, tol_pitot=DEFAULT_TOL_PITOT):
     """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
-    frame, coords, d = _setup(q, tol_pitot)
+    frame, d = _setup(q, tol_pitot)
+    coords = d.coords
     c1, c2, c3, c4 = d.cj
     return {
         "quad": {
@@ -168,7 +169,7 @@ def cmd_analyze(args):
 
 def cmd_verify(args):
     q = load_quad(args)
-    frame, _, d = _setup(q, args.tol_pitot)
+    frame, d = _setup(q, args.tol_pitot)
     rows = run_checks(d, frame, profile=args.tol_profile)
     width = max(len(name) for name, *_ in rows)
     lines = []
@@ -184,7 +185,7 @@ def cmd_verify(args):
 
 def cmd_mesh(args):
     q = load_quad(args)
-    frame, _, d = _setup(q, args.tol_pitot)
+    frame, d = _setup(q, args.tol_pitot)
     mesh = sample_disk(d, frame, n_r=args.nr, n_theta=args.ntheta,
                        r_max=args.rmax, h_max=args.hmax)
     if args.out:
@@ -199,10 +200,11 @@ def cmd_mesh(args):
 
 def cmd_asymptotics(args):
     q = load_quad(args)
-    _, _, d = _setup(q, args.tol_pitot)
-    if args.out:
-        export_csv(radial_trace(d, args.pole, GROWTH_RADII), args.out)
+    _, d = _setup(q, args.tol_pitot)
     heights = height_T(np.outer(GROWTH_RADII, d.poles), d)
+    if args.out:  # the fitted ray, as CSV
+        _emit("r,T\n" + "".join(f"{r:.17g},{t:.17g}\n" for r, t in zip(
+            GROWTH_RADII, heights[:, args.pole - 1])), args.out)
     slope, target, rel = growth_fit(d, heights)[args.pole - 1]
     sys.stdout.write(
         f"pole {args.pole}: fitted slope {slope:.12g} vs closed form "

@@ -1,5 +1,5 @@
-"""Triangulated samples of the surface, radial boundary traces, and OBJ
-text whose bytes equal Python's %.17g and %d, with digits from numpy."""
+"""Triangulated samples of the surface, and OBJ text whose bytes equal
+Python's %.17g and %d, with digits from numpy."""
 
 from dataclasses import dataclass, field
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import IoError
 from .harmonic import R_HEIGHT
-from .weierstrass import height_T, map_and_height
+from .weierstrass import map_and_height
 
 # Lines of OBJ text formatted per block: bounds the text held in memory.
 _OBJ_BLOCK = 4096
@@ -69,19 +69,6 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
         "clamped": clamped,
     }
     return SurfaceMesh(vertices=vertices, faces=faces, metadata=metadata)
-
-
-def radial_trace(d, pole_index, r_list):
-    """Heights along the ray toward one boundary pole.
-
-    pole_index is 1..4 for the poles (1, e^{ip}, -1, -e^{ip}); returns a
-    list of (r, height) pairs.  Along these rays the height grows like
-    a multiple of -log(1 - r).
-    """
-    if pole_index not in (1, 2, 3, 4):
-        raise ValueError("pole_index must be 1, 2, 3, or 4")
-    heights = height_T(np.multiply(r_list, d.poles[pole_index - 1]), d)
-    return [(float(r), float(t)) for r, t in zip(r_list, heights)]
 
 
 # "0000" .. "9999" as one little-endian 4-byte word each; 10^k for k = 0 ..
@@ -199,13 +186,3 @@ def export_obj(mesh, path):
             fh.writelines(text)
     except OSError as exc:
         raise IoError(f"cannot write OBJ file {path}: {exc}") from exc
-
-
-def export_csv(trace, path):
-    """Write a radial trace as CSV with header r,T."""
-    lines = ["r,T"] + [f"{r:.17g},{t:.17g}" for r, t in trace]
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write CSV file {path}: {exc}") from exc

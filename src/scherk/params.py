@@ -89,34 +89,19 @@ def angle_parameter(c):
     return p, _half_angle(abs(c.j)) ** 2
 
 
-def moebius_center(c):
-    """Double zero z0 = -e^{ip/2} tanh((k + i m)/2) of g' in the open disk
-    (the Moebius center); |z0|^2 = (cosh k - cos m)/(cosh k + cos m)."""
-    return -_half_angle(c.j) * cmath.tanh((c.k + 1j * c.m) / 2.0)
-
-
-def unimodular_factor(c):
-    """Unimodular factor X of the dilatation and its square root.
-
-    sqrtX = -i e^{-ip/2} cosh w / cosh conj(w), w = (k + i m)/2.  Of the two
-    roots this is the one that orients the height function: the residue of
-    h'(z) q(z) at z = 1 is +i times a positive real number, so T blows up
-    to -infinity toward +-1.
-    """
-    w = (c.k + 1j * c.m) / 2.0
-    sqrtX = -1j * _half_angle(c.j).conjugate() * cmath.cosh(w) \
-        / cmath.cosh(w.conjugate())
-    return sqrtX * sqrtX, sqrtX
-
-
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c.
 
     Every constant is a closed form in e^{ip/2} = tanh j + i sech j and
-    w = (k + i m)/2: h'(0) = (4i/pi) tanh j e^{-ip/2} cosh^2 conj(w),
-    q(0) = -i sinh w / cosh conj(w), q'(0) = -i e^{-ip/2} cos m /
-    cosh^2 conj(w), and B = e^{2ip} h'(0), A = B X, C = B sqrt(X); the
-    report's Z is X.  j < 0 (s < t) is refused: p is even in j, z0 is not.
+    w = (k + i m)/2: the Moebius center z0 = -e^{ip/2} tanh w, the double
+    zero of g' in the disk, with |z0|^2 = (cosh k - cos m)/(cosh k + cos m);
+    sqrt(X) = -i e^{-ip/2} cosh w / cosh conj(w), the root of the unimodular
+    factor X that makes the residue of h' q at z = 1 +i times a positive
+    real, so T blows up to -infinity toward +-1; h'(0) = (4i/pi) tanh j
+    e^{-ip/2} cosh^2 conj(w), q(0) = -i sinh w / cosh conj(w), q'(0) =
+    -i e^{-ip/2} cos m / cosh^2 conj(w), and B = e^{2ip} h'(0), A = B X,
+    C = B sqrt(X); the report's Z is X.  j < 0 (s < t) is refused: p is
+    even in j, z0 is not.
     """
     if c.j < 0.0:
         raise OutOfDomain(f"j < 0 at m={c.m!r}, s={c.s!r}, t={c.t!r}, j={c.j!r}")
@@ -124,15 +109,18 @@ def scherk_data(c):
     b1, b2, b3, b4 = normalized_vertices(c)
     hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
             (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I)
-    z0 = moebius_center(c)
-    X, sqrtX = unimodular_factor(c)
+    half, w = _half_angle(c.j), (c.k + 1j * c.m) / 2.0
+    half_bar, cosh_wbar = half.conjugate(), cmath.cosh(w.conjugate())
+    z0 = -half * cmath.tanh(w)
+    sqrtX = -1j * half_bar * cmath.cosh(w) / cosh_wbar
+    X = sqrtX * sqrtX
     poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
-    # K = h' q: its residue at each pole is q(pole) times the residue of h'
+    # K = h' q: its residue at each pole is q(pole) times the residue of h';
+    # q is written out: weierstrass.gauss_map_q would be an import cycle
+    # (weierstrass imports harmonic, which imports this module)
     kres = tuple(sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
                  for zk, r in zip(poles, hres))
     lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
-    w = (c.k + 1j * c.m) / 2.0
-    half_bar, cosh_wbar = _half_angle(c.j).conjugate(), cmath.cosh(w.conjugate())
     q0 = -1j * cmath.sinh(w) / cosh_wbar
     q0p = -1j * half_bar * math.cos(c.m) / cosh_wbar ** 2
     h0p = (4j / math.pi) * math.tanh(c.j) * half_bar * cosh_wbar ** 2

@@ -1,4 +1,4 @@
-"""Surface sampling, OBJ/CSV export, radial traces."""
+"""Surface sampling, OBJ export, and the radial traces of asymptotics --out."""
 
 import math
 from fractions import Fraction
@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scherk import (IoError, SurfaceMesh, export_csv, export_obj, height_T,
-                    normalize, radial_trace, sample_disk,
-                    validate_quadrilateral)
+from scherk import (IoError, SurfaceMesh, export_obj, height_T, normalize,
+                    sample_disk, validate_quadrilateral)
 import scherk.mesh
+from scherk.checks import GROWTH_RADII
+from scherk.cli import main
 from scherk.mesh import _int_fields, obj_text
 
 
@@ -76,20 +77,17 @@ def test_heights_clamped_and_counted(case1):
 
 
 def test_radial_trace_values_and_signs(case1):
+    # T on the rays r zeta_j, all four from one height_T call, as asymptotics
+    # evaluates them: each equals T at its own point, and heights run
+    # monotonically toward the blow-up sign of their pole
     _, _, _, d = case1
-    rs = [0.9, 0.99, 0.999]
-    for idx, sign in ((1, -1.0), (2, 1.0), (3, -1.0), (4, 1.0)):
-        trace = radial_trace(d, idx, rs)
-        assert [r for r, _ in trace] == rs
-        zeta = d.poles[idx - 1]
-        for r, t in trace:
-            assert t == float(height_T(r * zeta, d))
-        # heights run monotonically toward the blow-up sign
-        ts = [t for _, t in trace]
+    rs = np.array([0.9, 0.99, 0.999])
+    rays = height_T(np.outer(rs, d.poles), d)
+    for ts, zeta, sign in zip(rays.T, d.poles, (-1.0, 1.0, -1.0, 1.0)):
+        for r, t in zip(rs, ts):
+            assert t == height_T(r * zeta, d)
         assert sign * (ts[-1] - ts[0]) > 0
         assert sign * ts[-1] > 0
-    with pytest.raises(ValueError):
-        radial_trace(d, 5, rs)
 
 
 def test_mesh_in_original_coordinates(case1):
@@ -256,25 +254,33 @@ def test_face_index_outside_the_vertices_is_refused(case1, tmp_path):
         assert not path.exists()
 
 
-def test_csv_export(case1, tmp_path):
+def test_csv_export(case1, tmp_path, capsys):
+    # asymptotics --out writes the ray toward its pole as CSV: a header, then
+    # "%.17g,%.17g" of r and T(r zeta) per growth radius
     _, _, _, d = case1
-    trace = radial_trace(d, 2, [0.5, 0.9, 0.99])
     path = tmp_path / "trace.csv"
-    export_csv(trace, path)
+    assert main(["asymptotics", "--params", "0.3,1.0,0.3", "--pole", "2",
+                 "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "r,T"
-    assert len(lines) == 4
-    r, t = lines[2].split(",")
-    assert float(r) == 0.9 and float(t) == trace[1][1]
+    assert len(lines) == 1 + GROWTH_RADII.size
+    for line, r in zip(lines[1:], GROWTH_RADII):
+        assert line == f"{r:.17g},{height_T(r * d.poles[1], d):.17g}"
+    assert capsys.readouterr().out.startswith("pole 2: fitted slope ")
 
 
-def test_export_io_error(case1, tmp_path):
+def test_export_io_error(case1, tmp_path, capsys):
     _, _, _, d = case1
     mesh = sample_disk(d, n_r=1, n_theta=3)
     with pytest.raises(IoError):
         export_obj(mesh, tmp_path / "missing_dir" / "x.obj")
-    with pytest.raises(IoError):
-        export_csv([(0.5, 1.0)], tmp_path / "missing_dir" / "x.csv")
+    # an unwritable --out is an IoError, exit 2, with nothing on stdout
+    path = tmp_path / "missing_dir" / "x.csv"
+    assert main(["asymptotics", "--params", "0.3,1.0,0.3",
+                 "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: IoError: cannot write {path}: ")
 
 
 def test_sample_disk_argument_validation(case1):

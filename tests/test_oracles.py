@@ -17,6 +17,7 @@ from scherk.checks import (CHECKS, GROWTH_RADII, evaluate, growth_fit,
                            run_checks)
 from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
                             kernel_contour_height, taylor)
+from scherk.params import normalized_vertices
 
 
 def test_adaptive_quad_polynomial():
@@ -373,6 +374,25 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
             assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
 
 
+def test_boundary_step_row_is_relative_to_the_largest_vertex(case1, case2):
+    # the row reads |f(r e^{i mid}) - b_i| at 1 - r = 1e-6 over max|b_i|, so
+    # the probe's offset passes strict, while the arc values rotated by one
+    # place, or every limit moved by 2e-3 max|b_i|, fail both profiles
+    from conftest import build_case
+    err_of, tols = next((err, tols) for name, tols, err in CHECKS
+                        if name == "boundary_step_values")
+    for _, frame, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        ev = evaluate(d)
+        assert err_of(d, frame, ev) <= min(tols), c
+        spans, values = zip(*ev["arcs"])
+        rotated = dict(ev, arcs=tuple(zip(spans, values[1:] + values[:1])))
+        f, T = ev["mids"]
+        scale = max(abs(b) for b in normalized_vertices(c))
+        shifted = dict(ev, mids=(f + 2e-3 * scale, T))
+        for wrong in (rotated, shifted):
+            assert err_of(d, frame, wrong) > max(tols), c
+
+
 def _per_row_errs(d):
     """The shared-pass rows' errs and the growth fit, each row evaluating its
     own points with the public harmonic_map, height_T, dilatation and
@@ -410,7 +430,8 @@ def _per_row_errs(d):
             harmonic_map(points, d) - poisson_extension(points, arcs))),
         "center_value_consistency": abs(harmonic_map(0.0 + 0.0j, d) - d.h0),
         "boundary_step_values": max(
-            abs(limit - value) for (_, value), limit in zip(arcs, limits)),
+            abs(limit - value) for (_, value), limit in zip(arcs, limits))
+        / max(abs(value) for _, value in arcs),
     }
     return errs, slopes
 
