@@ -7,12 +7,12 @@ form), and `graph_normal`, the upward normal of the height graph itself,
 which the Taylor-jet oracle reproduces; the two differ by a swap
 and sign flip of the horizontal components (see the tests).
 
-q(0), q'(0) and h'(0) are read from the record (d.q0, d.q0_prime,
-d.h0_prime).  All of it is in the normalized frame except curvature_bound
-and center_report, which take the frame to map results back.
+The normals and the mixed derivative are closed forms in (m, j, k).  q(0)
+is gauss_map_q(0, d); q'(0) and h'(0) are read from the record
+(d.q0_prime, d.h0_prime).  All of it is in the normalized frame except
+curvature_bound and center_report, which take the frame to map results back.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -32,11 +32,6 @@ def gauss_curvature(z, d):
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
 
 
-def _stereo(w):
-    den = 1.0 + abs(w) ** 2
-    return (2.0 * w.real / den, 2.0 * w.imag / den, (1.0 - abs(w) ** 2) / den)
-
-
 def center_normal(d):
     """Stereographic image of q(0): (sin m, -cos m tanh k, cos m sech k).
 
@@ -44,33 +39,35 @@ def center_normal(d):
     closed-form direction associated with the Gauss-map value; the actual
     upward normal of the height graph is graph_normal.
     """
-    return _stereo(d.q0)
+    c = d.coords
+    return (math.sin(c.m), -math.cos(c.m) * math.tanh(c.k),
+            math.cos(c.m) / math.cosh(c.k))
 
 
 def graph_normal(d):
     """Upward unit normal of the height graph at the center.
 
-    Equals the stereographic image of -i conj(q(0)), i.e.
-    (cos m tanh k, -sin m, cos m sech k); checked against the gradient of
-    the graph's Taylor jet and against the tangent cross product.
+    (cos m tanh k, -sin m, cos m sech k), the stereographic image of
+    -i conj(q(0)); checked against the gradient of the graph's Taylor jet
+    and against the tangent cross product.
     """
-    return _stereo(-1j * d.q0.conjugate())
+    c = d.coords
+    return (math.cos(c.m) * math.tanh(c.k), -math.sin(c.m),
+            math.cos(c.m) / math.cosh(c.k))
 
 
 def rotated_mixed_derivative(d, alpha):
     """Mixed derivative d2/dudv of the height graph at the center after
     rotating the quadrilateral by alpha.
 
-    Closed route through the center data; verified against the Taylor-jet
-    oracle, -2 Im(u_ww e^{-2i alpha}).  alpha = 0 gives the
-    center mixed derivative itself.
+    -(pi/2) coth j sec m (cos 2 alpha + tan m tanh k sin 2 alpha); verified
+    against the Taylor-jet oracle, -2 Im(u_ww e^{-2i alpha}).  alpha = 0
+    gives the center mixed derivative itself.
     """
-    q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
-    # 1 - |q0|^2 = 1 - |z0|^2 = |q'(0)|
-    den = abs(h0p) ** 2 * abs(q0p) ** 3 * (1.0 + abs(q0) ** 2)
-    ea = cmath.exp(1j * alpha)
-    num = (ea * h0p) * (1.0 - (q0 / ea) ** 4) * ((q0p / ea).conjugate())
-    return 2.0 * num.real / den
+    c = d.coords
+    return (-(math.pi / 2.0) / (math.tanh(c.j) * math.cos(c.m))
+            * (math.cos(2.0 * alpha)
+               + math.tan(c.m) * math.tanh(c.k) * math.sin(2.0 * alpha)))
 
 
 def center_mixed_derivative(d):
@@ -98,10 +95,10 @@ def curvature_bound(d, frame):
 def aligning_rotation(d):
     """Smallest rotation angle alpha >= 0 zeroing the center mixed derivative.
 
-    rotated_mixed_derivative(d, alpha) is 2 Re(W e^{2i alpha}) / den, whose
-    zeros satisfy tan 2 alpha = -cot m coth k.  Since cos m > 0 the first
-    zero 2 alpha lies in (0, pi), so alpha lies in (0, pi/2) and equals
-    pi/4 at k = 0.
+    rotated_mixed_derivative(d, alpha) is a multiple of cos 2 alpha +
+    tan m tanh k sin 2 alpha, whose zeros satisfy tan 2 alpha =
+    -cot m coth k.  Since cos m > 0 the first zero 2 alpha lies in (0, pi),
+    so alpha lies in (0, pi/2) and equals pi/4 at k = 0.
     """
     c = d.coords
     return 0.5 * math.atan2(math.cos(c.m), -math.sin(c.m) * math.tanh(c.k))
@@ -116,7 +113,8 @@ def center_report(d, frame):
     curv_norm = gauss_curvature(0.0 + 0.0j, d)
     return {
         "c0": complex(frame.invert(d.h0)), "c0_normalized": d.h0,
-        "q0": d.q0, "q0_prime": d.q0_prime, "h0_prime": d.h0_prime,
+        "q0": gauss_map_q(0j, d), "q0_prime": d.q0_prime,
+        "h0_prime": d.h0_prime,
         "curvature": curv_norm * abs(frame.scale) ** 2,
         "curvature_normalized": curv_norm,
         "curvature_bound": curvature_bound(d, frame),

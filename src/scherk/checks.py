@@ -115,14 +115,6 @@ def growth_fit(d, heights):
     return [(s, t, abs(s - t) / abs(t)) for s, t in zip(slopes, targets)]
 
 
-def _center_curvature(d, frame, ev):
-    c = d.coords
-    k0 = gauss_curvature(0.0 + 0.0j, d)
-    closed = -(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2 \
-        / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4)
-    return abs(k0 - closed) / abs(closed)
-
-
 def _bound_attained(d, frame, ev):
     bound = curvature_bound(d, frame)
     attained = abs(gauss_curvature(0.0 + 0.0j, d)) * abs(frame.scale) ** 2
@@ -189,7 +181,6 @@ CHECKS = (
      lambda d, frame, ev: abs(ev["center"][1][0])),
     ("radial_growth_slopes", (5e-3, 1e-3), lambda d, frame, ev: max(
         rel for *_, rel in growth_fit(d, ev["rays"][1]))),
-    ("center_curvature_closed_form", (1e-12, 1e-13), _center_curvature),
     ("curvature_bound_attained", (1e-12, 1e-13), _bound_attained),
     ("graph_normal_vs_fd", (1e-5, 1e-6), _graph_normal),
     ("mixed_derivative_vs_fd", (1e-3, 1e-4), lambda d, frame, ev: abs(

@@ -223,7 +223,8 @@ def _add_common(p):
     p.add_argument("--params", metavar="M,S,T",
                    help="construct the canonical quadrilateral from m,s,t")
     p.add_argument("--tol-pitot", type=float, default=DEFAULT_TOL_PITOT,
-                   help="relative side-sum tolerance (default %(default)g)")
+                   help="relative side-sum tolerance, in [0, 1) "
+                        "(default %(default)g)")
     p.add_argument("--out", default=None, help="write output to this file")
 
 

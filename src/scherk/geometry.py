@@ -118,7 +118,10 @@ def _segments_cross(p1, p2, p3, p4, eps):
 
 def _pitot_defect(b, tol_pitot):
     """Side-sum defect (|b1b2| + |b3b4|) - (|b2b3| + |b4b1|) of the vertices b;
-    NotPitot when it exceeds tol_pitot times the perimeter."""
+    NotPitot when it exceeds tol_pitot times the perimeter.  The defect is
+    below the perimeter, so a tol_pitot outside [0, 1) is refused."""
+    if not 0.0 <= tol_pitot < 1.0:
+        raise ValueError(f"tol_pitot must lie in [0, 1), got {tol_pitot!r}")
     sides = [abs(b[i] - b[(i + 1) % 4]) for i in range(4)]
     residual, perimeter = (sides[0] + sides[2]) - (sides[1] + sides[3]), sum(sides)
     if abs(residual) > tol_pitot * perimeter:
@@ -136,8 +139,8 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     """Check the Pitot condition and basic sanity; canonicalize orientation.
 
     vertices: iterable of four complex numbers (or (x, y) pairs).
-    tol_pitot: relative tolerance; the side-sum defect must not exceed
-        tol_pitot times the perimeter.
+    tol_pitot: relative tolerance in [0, 1); the side-sum defect must not
+        exceed tol_pitot times the perimeter.
 
     Returns a PitotQuad whose vertex order is counterclockwise (the input
     order is reversed when its signed area is negative).

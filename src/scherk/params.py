@@ -27,9 +27,9 @@ class ScherkData:
     and q(pole) times the jumps.  cj = |h_residues| are the growth rates of
     T/2, each a side length over 2 pi (the Jenkins-Serrin flux); lam is the
     scale of verify's check cj = lam |1 -+ z0|^2, lam |1 -+ z0 e^{-ip}|^2.
-    h0 = h(0) = f(0).  q0, q0_prime and h0_prime are q(0), q'(0) and h'(0),
-    closed forms in the rapidity parameters that the tests check against
-    direct evaluation at z = 0.
+    h0 = h(0) = f(0).  q0_prime and h0_prime are q'(0) and h'(0), closed
+    forms in the rapidity parameters that the tests check against direct
+    evaluation at z = 0; q(0) itself is weierstrass.gauss_map_q(0, d).
     """
     p: float
     e_ip: complex
@@ -45,7 +45,6 @@ class ScherkData:
     lam: float
     cj: tuple
     h0: complex
-    q0: complex
     q0_prime: complex
     h0_prime: complex
     coords: HyperbolicCoords
@@ -98,10 +97,10 @@ def scherk_data(c):
     sqrt(X) = -i e^{-ip/2} cosh w / cosh conj(w), the root of the unimodular
     factor X that makes the residue of h' q at z = 1 +i times a positive
     real, so T blows up to -infinity toward +-1; h'(0) = (4i/pi) tanh j
-    e^{-ip/2} cosh^2 conj(w), q(0) = -i sinh w / cosh conj(w), q'(0) =
-    -i e^{-ip/2} cos m / cosh^2 conj(w), and B = e^{2ip} h'(0), A = B X,
-    C = B sqrt(X); the report's Z is X.  j < 0 (s < t) is refused: p is
-    even in j, z0 is not.
+    e^{-ip/2} cosh^2 conj(w), q'(0) = -i e^{-ip/2} cos m / cosh^2 conj(w),
+    and B = e^{2ip} h'(0), A = B X, C = B sqrt(X); the report's Z is X and
+    its q(0) is gauss_map_q(0, d) = -sqrt(X) z0.  j < 0 (s < t) is refused:
+    p is even in j, z0 is not.
     """
     if c.j < 0.0:
         raise OutOfDomain(f"j < 0 at m={c.m!r}, s={c.s!r}, t={c.t!r}, j={c.j!r}")
@@ -121,7 +120,6 @@ def scherk_data(c):
     kres = tuple(sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
                  for zk, r in zip(poles, hres))
     lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
-    q0 = -1j * cmath.sinh(w) / cosh_wbar
     q0p = -1j * half_bar * math.cos(c.m) / cosh_wbar ** 2
     h0p = (4j / math.pi) * math.tanh(c.j) * half_bar * cosh_wbar ** 2
     B = e_ip * e_ip * h0p
@@ -129,5 +127,5 @@ def scherk_data(c):
         p=p, e_ip=e_ip, z0=z0, X=X, sqrtX=sqrtX, B=B, C=B * sqrtX, poles=poles,
         h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
         k_residues=kres, lam=lam, cj=tuple(abs(r) for r in hres),
-        h0=p * (b2 + b4) / (2 * math.pi), q0=q0, q0_prime=q0p, h0_prime=h0p,
+        h0=p * (b2 + b4) / (2 * math.pi), q0_prime=q0p, h0_prime=h0p,
         coords=c)

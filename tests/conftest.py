@@ -24,6 +24,12 @@ def graph_height_function(d):
     return lambda w: height_T(newton_invert(d, w), d)
 
 
+def stereographic(w):
+    """Unit vector of the inverse stereographic projection of the point w."""
+    den = 1.0 + abs(w) ** 2
+    return (2.0 * w.real / den, 2.0 * w.imag / den, (1.0 - abs(w) ** 2) / den)
+
+
 def sample_triples(rng, n, m_range=(0.05, 1.5), tau=2.5, gap=(0.05, 2.5)):
     """(m, s, t) samples kept clear of the degenerate boundaries."""
     ms = rng.uniform(*m_range, n)

@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from conftest import SEED, build_case, graph_height_function, sample_triples
+from conftest import (SEED, build_case, graph_height_function, sample_triples,
+                      stereographic)
 from scherk import (center_mixed_derivative, center_normal, center_report,
                     construct_quad, contour_height, dilatation, fd_laplacian,
                     fd_mixed, g_prime, gauss_map_q, graph_normal, h_prime,
@@ -377,13 +378,10 @@ def test_criterion_09_center_normal_and_mixed_derivative(case1, case2):
 
 
 def test_criterion_09_companion_stereographic_normal(case1, case2):
-    for _, _, c, d in (case1, case2):
-        closed = np.array([
-            math.sin(c.m),
-            -math.cos(c.m) * math.tanh(c.k),
-            math.cos(c.m) / math.cosh(c.k),
-        ])
-        assert np.max(np.abs(closed - np.array(center_normal(d)))) < 1e-10
+    # the closed form against the stereographic image of q(0)
+    for _, _, _, d in (case1, case2):
+        stereo = np.array(stereographic(gauss_map_q(0j, d)))
+        assert np.max(np.abs(stereo - np.array(center_normal(d)))) < 1e-10
 
 
 def test_criterion_09_companion_graph_normal_matches_fd(case1, case2):

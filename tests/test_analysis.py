@@ -13,10 +13,11 @@ from scherk import (aligning_rotation, center_mixed_derivative,
                     height_T, hyperbolic_coordinates, newton_invert,
                     normalize, rotated_mixed_derivative, scherk_data,
                     validate_quadrilateral)
+from scherk import checks
 from scherk.checks import CHECKS, evaluate, run_checks
 from scherk.cli import build_report
 from scherk.geometry import HyperbolicCoords
-from conftest import build_case, graph_height_function
+from conftest import build_case, graph_height_function, stereographic
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
 ALPHA_CASE2 = 0.837238183568728665209007018006
@@ -46,7 +47,8 @@ def test_center_constants_on_record_match_the_exponential_forms(
     # worst 1.3e-15 relative (h'(0)); e^{2j} - 1 in the exponential h'(0)
     # cancels as j -> 0, but the sampler keeps j >= 0.025
     for _, _, c, d in [case1, case2] + sweep_cases:
-        for got, want in zip((d.q0, d.q0_prime, d.h0_prime), _center_data(c)):
+        got_all = (gauss_map_q(0j, d), d.q0_prime, d.h0_prime)
+        for got, want in zip(got_all, _center_data(c)):
             assert abs(got - want) <= 1e-14 * abs(want), c
 
 
@@ -63,8 +65,7 @@ def test_center_curvature_reads_the_record_at_every_scalar_zero():
 
 def test_center_data_closed_forms_match_direct_evaluation(sweep_cases):
     for _, _, c, d in sweep_cases:
-        q0, q0p, h0p = d.q0, d.q0_prime, d.h0_prime
-        assert abs(q0 - gauss_map_q(0.0 + 0.0j, d)) < 1e-13
+        q0p, h0p = d.q0_prime, d.h0_prime
         direct_q0p = d.sqrtX * (1.0 - abs(d.z0) ** 2)
         assert abs(q0p - direct_q0p) < 1e-13
         assert abs(h0p - h_prime(0.0 + 0.0j, d)) < 1e-13
@@ -81,7 +82,7 @@ def test_center_curvature_closed_form(sweep_cases):
 LARGE_K_PARAMS = ((1.3310895653591717, 7.8739001972487195, 7.274288713826383),
                   (1.4404645653591717, 7.315722958976075, 5.78446595209903),
                   (1.3693708153591715, 8.036090585012234, 7.931298326062872))
-CURVATURE_ROWS = ("center_curvature_closed_form", "curvature_bound_attained")
+CURVATURE_ROWS = ("curvature_bound_attained",)
 
 
 def _curvature_rows(d, frame):
@@ -97,7 +98,7 @@ def test_curvature_rows_pass_at_large_k(params):
 
 def test_curvature_rows_pass_strict_at_small_j():
     # j = 0.024: the residue sum for h'(0) is off by 9.4e-14 relative there,
-    # which failed both rows of the strict profile at err 1.9e-13
+    # which failed the strict profile's curvature rows at err 1.9e-13
     _, frame, _, d = build_case(1.2381208153591716, 0.3275948943101834,
                                 0.2797940167649149)
     rows = [row for row in run_checks(d, frame, "strict")
@@ -106,12 +107,21 @@ def test_curvature_rows_pass_strict_at_small_j():
         assert tol == 1e-13 and err <= tol and ok, name
 
 
-def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2):
-    # q(0) = -sqrt(X) z0 still carries z0 into the curvature
-    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2,
+                                                          monkeypatch):
+    # q(0) = -sqrt(X) z0 still carries z0 into the curvature, and the row
+    # sees a bound off by 1e-11 relative
+    cases = (case1, case2, build_case(0.7, 7.5, 6.5))
+    for _, frame, _, d in cases:
         wrong = dataclasses.replace(d, z0=d.z0 * 1.0001)
         rows = _curvature_rows(wrong, frame)
-        assert len(rows) == 2 and not any(ok for *_, ok in rows)
+        assert len(rows) == 1 and not any(ok for *_, ok in rows)
+    exact = checks.curvature_bound
+    monkeypatch.setattr(checks, "curvature_bound",
+                        lambda d, frame: (1.0 + 1e-11) * exact(d, frame))
+    for _, frame, _, d in cases:
+        rows = _curvature_rows(d, frame)
+        assert len(rows) == 1 and not any(ok for *_, ok in rows)
 
 
 def _wrong_constants(d):
@@ -211,17 +221,17 @@ def test_curvature_bound_scales_like_inverse_area():
 
 
 def test_center_normal_closed_form(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        want = (math.sin(c.m), -math.cos(c.m) * math.tanh(c.k),
-                math.cos(c.m) / math.cosh(c.k))
+    # against the stereographic image of q(0)
+    for _, _, _, d in sweep_cases:
+        want = stereographic(gauss_map_q(0j, d))
         got = center_normal(d)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-13
 
 
 def test_graph_normal_closed_form(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        want = (math.cos(c.m) * math.tanh(c.k), -math.sin(c.m),
-                math.cos(c.m) / math.cosh(c.k))
+    # against the stereographic image of -i conj(q(0))
+    for _, _, _, d in sweep_cases:
+        want = stereographic(-1j * gauss_map_q(0j, d).conjugate())
         got = graph_normal(d)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-13
 
@@ -256,9 +266,21 @@ def test_graph_normal_matches_graph_gradient(case1, case2):
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-6
 
 
+def _mixed_derivative_from_center_data(d, alpha):
+    """2 Re(e^{i alpha} h'(0) (1 - (q(0) e^{-i alpha})^4) conj(q'(0) e^{-i
+    alpha})) / (|h'(0)|^2 |q'(0)|^3 (1 + |q(0)|^2)): the rotated mixed
+    derivative through q(0), q'(0) and h'(0), a route apart from the closed
+    form in (m, j, k); 1 - |q(0)|^2 = |q'(0)|."""
+    q0, q0p, h0p = gauss_map_q(0j, d), d.q0_prime, d.h0_prime
+    den = abs(h0p) ** 2 * abs(q0p) ** 3 * (1.0 + abs(q0) ** 2)
+    ea = cmath.exp(1j * alpha)
+    num = (ea * h0p) * (1.0 - (q0 / ea) ** 4) * ((q0p / ea).conjugate())
+    return 2.0 * num.real / den
+
+
 def test_mixed_derivative_closed_form(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        want = -(math.pi / 2.0) / (math.tanh(c.j) * math.cos(c.m))
+    for _, _, _, d in sweep_cases:
+        want = _mixed_derivative_from_center_data(d, 0.0)
         got = center_mixed_derivative(d)
         assert abs(got - want) < 1e-11 * abs(want)
 
@@ -296,6 +318,12 @@ def test_aligning_rotation_zeroes_the_cross_term(sweep_cases):
         alpha = aligning_rotation(d)
         assert 0.0 <= alpha < math.pi / 2 + 1e-12
         assert abs(rotated_mixed_derivative(d, alpha)) < 1e-8
+    # at large |k| the route through q(0), where 1 - (q(0) e^{-i alpha})^4
+    # cancels as |q(0)| -> 1, left 7.4e-13 of the center value
+    for params in LARGE_K_PARAMS + ((0.7, 7.5, 6.5),):
+        _, _, _, d = build_case(*params)
+        aligned = rotated_mixed_derivative(d, aligning_rotation(d))
+        assert abs(aligned) <= 1e-14 * abs(center_mixed_derivative(d)), params
 
 
 def _paper_alpha(c):
@@ -359,6 +387,6 @@ def test_center_report_assembly(case1):
     assert abs(rep["mixed_derivative"] - center_mixed_derivative(d)) == 0.0
     assert abs(rep["alpha"] - aligning_rotation(d)) == 0.0
     assert (rep["q0"], rep["q0_prime"], rep["h0_prime"]) == (
-        d.q0, d.q0_prime, d.h0_prime)
+        gauss_map_q(0j, d), d.q0_prime, d.h0_prime)
     # analyze prints exactly this object under "center"
     assert build_report(q)["center"] == rep

@@ -189,6 +189,15 @@ def test_tol_pitot_flag(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, _, _ = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
     assert code == 0
+    # a tolerance outside [0, 1) would switch the rule off (nan, and 1 or
+    # more: the defect is below the perimeter) or fail every quadrilateral
+    quad = '{"vertices": [[-1,0],[0.3,0.5],[1,0],[0.2,1.2]]}'
+    for tol in ("nan", "inf", "-1", "1"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(quad))
+        code, out, err = run(capsys, "analyze", "-", "--tol-pitot", tol)
+        assert code == 2 and out == "", tol
+        assert err == (f"error: ValueError: tol_pitot must lie in [0, 1), "
+                       f"got {float(tol)!r}\n"), tol
 
 
 def test_verify_passes_both_profiles(capsys):
@@ -214,7 +223,7 @@ def test_verify_graph_rows_are_finite_where_newton_diverged(capsys):
         status = {ln.split()[1]: (ln.split()[0],
                                   float(ln.split("err=")[1].split()[0]))
                   for ln in out.splitlines()[:-1]}
-        assert len(status) == 21
+        assert len(status) == 20
         for name in ("graph_normal_vs_fd", "mixed_derivative_vs_fd",
                      "aligned_mixed_derivative_zero", "laplacian_defect_fd"):
             verdict, value = status[name]
@@ -234,7 +243,7 @@ def test_verify_calls_no_newton_inversion(capsys, monkeypatch):
     for params in ("0.3,1.0,-0.3", "1.4,8.02,7.98", "0.7,7.5,6.5"):
         code, out, err = run(capsys, "verify", "--params", params)
         assert code in (0, 1) and err == ""
-        assert len(out.splitlines()) == 22
+        assert len(out.splitlines()) == 21
 
 
 def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
@@ -249,7 +258,7 @@ def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
 
 def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     # a row that raises any ScherkError fails with its reason and the other
-    # 20 rows still print
+    # 19 rows still print
     import scherk.checks as checks
     idx = 10
     name, tols, _ = checks.CHECKS[idx]
@@ -267,7 +276,7 @@ def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     assert row[:2] == ["FAIL", name]
     assert float(lines[idx].split("err=")[1].split()[0]) == math.inf
     assert err == f"note: {name}: ToleranceNotMet: quadrature stalled\n"
-    assert out.splitlines()[-1].startswith("20/21 checks passed")
+    assert out.splitlines()[-1].startswith("19/20 checks passed")
 
 
 def test_analyze_near_right_angle(capsys):
@@ -310,7 +319,7 @@ def test_check_row_passes_both_profiles(name, tols, err_of, case1, case2):
 
 def test_verify_prints_check_rows_in_table_order(capsys):
     names = [name for name, *_ in CHECKS]
-    assert len(names) == len(set(names)) == 21
+    assert len(names) == len(set(names)) == 20
     code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
     assert code == 0
     assert [ln.split()[1] for ln in out.splitlines()[:-1]] == names
@@ -324,7 +333,7 @@ def test_verify_has_no_seed_option(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
     code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,0.3")
     assert code == 0
-    assert out.splitlines()[-1] == "21/21 checks passed (profile=default)"
+    assert out.splitlines()[-1] == "20/20 checks passed (profile=default)"
 
 
 def test_mesh_command(capsys, tmp_path):

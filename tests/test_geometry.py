@@ -141,6 +141,16 @@ def test_not_pitot_rejected():
         validate_quadrilateral([(0, 0), (2, 0), (3, 1), (0, 1)])
 
 
+def test_pitot_tolerance_outside_the_unit_interval_refused():
+    # the side-sum defect is below the perimeter, so a tolerance of 1 or more
+    # (or nan) would admit every quadrilateral and a negative one none
+    square = [(-1, 0), (0, -1), (1, 0), (0, 1)]
+    for tol in (math.nan, math.inf, -1.0, 1.0):
+        with pytest.raises(ValueError, match=r"tol_pitot must lie in \[0, 1\)"):
+            validate_quadrilateral(square, tol_pitot=tol)
+    assert validate_quadrilateral(square, tol_pitot=0.0).pitot_residual == 0.0
+
+
 def test_coincident_vertices_rejected():
     with pytest.raises(DegenerateVertices):
         validate_quadrilateral([(0, 0), (0, 0), (1, 1), (0, 1)])

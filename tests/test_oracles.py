@@ -315,20 +315,21 @@ def _center_jet(d):
 def test_taylor_jet_matches_the_center_closed_forms(sweep_cases,
                                                     near_edge_cases):
     # h'(0), q(0) = K(0)/h'(0), q'(0) from K' = h'' q + h' q' and g'/h' = q^2
-    # at 0, against the record's closed forms; and the Gauss curvature of the
-    # graph's 2-jet, (u_xx u_yy - u_xy^2)/(1 + |grad u|^2)^2 = 4 (V^2 - |U|^2)
-    # /(1 + 4|P|^2)^2, against the Weierstrass form.  q'(0) and the curvature
-    # vanish like cos m and cos^2 m as m -> pi/2 while the jet's terms do
-    # not, so near the edge their relative error grows by about those factors.
+    # at 0, against the record's closed forms and gauss_map_q(0); and the
+    # Gauss curvature of the graph's 2-jet, (u_xx u_yy - u_xy^2)/(1 +
+    # |grad u|^2)^2 = 4 (V^2 - |U|^2)/(1 + 4|P|^2)^2, against the Weierstrass
+    # form.  q'(0) and the curvature vanish like cos m and cos^2 m as
+    # m -> pi/2 while the jet's terms do not, so near the edge their relative
+    # error grows by about those factors.
     for cases, qp_rel in ((sweep_cases, 1e-11), (near_edge_cases, 1e-7)):
         for _, _, c, d in cases:
             hp, gp, K, Kp, hpp = _center_jet(d)
-            q = K / hp
+            q, q0 = K / hp, gauss_map_q(0j, d)
             assert abs(hp - d.h0_prime) <= 1e-12 * abs(d.h0_prime), c
-            assert abs(q - d.q0) <= 1e-12, c
+            assert abs(q - q0) <= 1e-12, c
             assert abs((Kp - hpp * q) / hp - d.q0_prime) \
                 <= qp_rel * abs(d.q0_prime), c
-            assert abs(gp / hp - d.q0 ** 2) <= 1e-12, c
+            assert abs(gp / hp - q0 ** 2) <= 1e-12, c
             t = taylor(d)
             curv = (4.0 * (t.V ** 2 - abs(t.U) ** 2)
                     / (1.0 + 4.0 * abs(t.P) ** 2) ** 2)
