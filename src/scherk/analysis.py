@@ -11,14 +11,13 @@ The normals and the mixed derivative are closed forms in (m, j, k).  q(0)
 is gauss_map_q(0, d); q'(0) and h'(0) are read from the record
 (d.q0_prime, d.h0_prime).  All of it is in the normalized frame except
 curvature_bound and center_report, which take the frame to map results back.
+No numpy at import: gauss_curvature imports h_prime only for points other
+than a scalar zero, so `scherk analyze` never loads numpy.
 """
 
 import math
 
-import numpy as np
-
-from .harmonic import h_prime
-from .weierstrass import gauss_map_q
+from .params import gauss_map_q
 
 
 def gauss_curvature(z, d):
@@ -26,9 +25,12 @@ def gauss_curvature(z, d):
     # 1 - |z0|^2 = |q'(0)|, as |sqrt(X)| = 1
     qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * d.z0.conjugate()) ** 2
     q = gauss_map_q(z, d)
-    # h'(0) from the record at any scalar zero: the residue sum loses digits
-    # there at small j
-    hp = d.h0_prime if np.ndim(z) == 0 and z == 0 else h_prime(z, d)
+    # h'(0) from the record at any scalar zero, np.complex128(0) included:
+    # the residue sum loses digits there at small j
+    hp = d.h0_prime
+    if getattr(z, "ndim", 0) != 0 or z != 0:
+        from .harmonic import h_prime
+        hp = h_prime(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
 
 

@@ -21,8 +21,8 @@ from .errors import ScherkError
 from .harmonic import _derivatives, step_boundary
 from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
                       numeric_residue, poisson_extension, taylor)
-from .params import normalized_vertices
-from .weierstrass import gauss_map_q, kernel_K, map_and_height
+from .params import gauss_map_q, normalized_vertices
+from .weierstrass import kernel_K, map_and_height
 
 # The contour and Poisson rows' points, the Jacobian grid, the winding circle,
 # and the dilatation row's 40 points of |z| < 0.9 on a Vogel spiral.

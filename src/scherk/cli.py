@@ -11,24 +11,23 @@ builds the surface record once and formats what the library computes on it:
 
 Exit codes: 0 success, 1 verify found a failing check, 2 invalid input or
 degenerate geometry.
+
+numpy and the array layers (checks, mesh, weierstrass) are imported inside
+the commands that use them: analyze, --help and input refusals never load them.
 """
 
 import argparse
 import json
 import math
+import numbers
 import sys
 
-import numpy as np
-
 from .analysis import center_report
-from .checks import GROWTH_RADII, growth_fit, run_checks
 from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
-from .mesh import export_obj, obj_text, sample_disk
 from .params import scherk_data
-from .weierstrass import height_T
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +47,13 @@ def canonical_json(obj):
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    # builtin types skip the ABC check; numpy scalars except np.bool_ register
+    if isinstance(obj, (int, numbers.Integral)):
         return str(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, numbers.Real)):
         return _fmt_float(obj)
+    if isinstance(obj, (complex, numbers.Complex)):
+        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -168,6 +168,7 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
+    from .checks import run_checks
     q = load_quad(args)
     frame, d = _setup(q, args.tol_pitot)
     rows = run_checks(d, frame, profile=args.tol_profile)
@@ -184,6 +185,7 @@ def cmd_verify(args):
 
 
 def cmd_mesh(args):
+    from .mesh import export_obj, obj_text, sample_disk
     q = load_quad(args)
     frame, d = _setup(q, args.tol_pitot)
     mesh = sample_disk(d, frame, n_r=args.nr, n_theta=args.ntheta,
@@ -199,6 +201,9 @@ def cmd_mesh(args):
 
 
 def cmd_asymptotics(args):
+    import numpy as np
+    from .checks import GROWTH_RADII, growth_fit
+    from .weierstrass import height_T
     q = load_quad(args)
     _, d = _setup(q, args.tol_pitot)
     heights = height_T(np.outer(GROWTH_RADII, d.poles), d)

@@ -3,8 +3,8 @@
 Everything the surface needs is a handful of constants computed once from
 the hyperbolic coordinates (m, s, t): the pole-splitting angle p, the
 Moebius center z0, the unimodular factor X and its root, the scaling
-constants B, A, C, and the pole residues, read off the vertex jumps.  Their
-second routes (vertex-coordinate forms, K's rational form) are checks.
+constants B, A, C, the pole residues read off the vertex jumps, and q(z).
+All are math/cmath; second routes (vertex forms, K's rational form) are checks.
 """
 
 import cmath
@@ -29,7 +29,7 @@ class ScherkData:
     scale of verify's check cj = lam |1 -+ z0|^2, lam |1 -+ z0 e^{-ip}|^2.
     h0 = h(0) = f(0).  q0_prime and h0_prime are q'(0) and h'(0), closed
     forms in the rapidity parameters that the tests check against direct
-    evaluation at z = 0; q(0) itself is weierstrass.gauss_map_q(0, d).
+    evaluation at z = 0; q(0) itself is gauss_map_q(0, d).
     """
     p: float
     e_ip: complex
@@ -88,6 +88,15 @@ def angle_parameter(c):
     return p, _half_angle(abs(c.j)) ** 2
 
 
+def _moebius(z, sqrtX, z0):
+    return sqrtX * (z - z0) / (1.0 - z * z0.conjugate())
+
+
+def gauss_map_q(z, d):
+    """Moebius factor q(z) = sqrtX (z - z0)/(1 - z conj(z0)); |q| < 1 on the disk."""
+    return _moebius(z, d.sqrtX, d.z0)
+
+
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c.
 
@@ -114,11 +123,8 @@ def scherk_data(c):
     sqrtX = -1j * half_bar * cmath.cosh(w) / cosh_wbar
     X = sqrtX * sqrtX
     poles = (1.0 + 0.0j, e_ip, -1.0 + 0.0j, -e_ip)
-    # K = h' q: its residue at each pole is q(pole) times the residue of h';
-    # q is written out: weierstrass.gauss_map_q would be an import cycle
-    # (weierstrass imports harmonic, which imports this module)
-    kres = tuple(sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
-                 for zk, r in zip(poles, hres))
+    # K = h' q: its residue at each pole is q(pole) times the residue of h'
+    kres = tuple(_moebius(zk, sqrtX, z0) * r for zk, r in zip(poles, hres))
     lam = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) / (4 * math.pi)
     q0p = -1j * half_bar * math.cos(c.m) / cosh_wbar ** 2
     h0p = (4j / math.pi) * math.tanh(c.j) * half_bar * cosh_wbar ** 2

@@ -5,6 +5,7 @@ automorphism of the disk (so the Gauss map covers a hemisphere exactly
 once) and the product K = h' q is rational with four simple circle poles,
 whose residues drive Scherk-type logarithmic height growth toward the four
 sides of Q.  map_and_height gives f and T from one pass over the pole logs.
+q itself, gauss_map_q, is numpy-free and lives in params; it is re-exported.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import _guard_poles, _log_sums
+from .params import gauss_map_q  # noqa: F401  (scherk.weierstrass.gauss_map_q)
 
 
 @dataclass(frozen=True)
@@ -28,11 +30,6 @@ class HeightKernel:
     residues: tuple
     lam: float
     cj: tuple
-
-
-def gauss_map_q(z, d):
-    """Moebius factor q(z) = sqrtX (z - z0)/(1 - z conj(z0)); |q| < 1 on the disk."""
-    return d.sqrtX * (z - d.z0) / (1.0 - z * np.conj(d.z0))
 
 
 def kernel_K(z, d):

@@ -6,7 +6,9 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -37,6 +39,99 @@ def test_canonical_json_formatting():
     assert canonical_json(0.1) == "0.10000000000000001"
     with pytest.raises(ValueError):
         canonical_json(math.inf)
+    # numpy scalars print as their Python counterparts; np.bool_ is refused
+    for value, want in ((np.float64(0.1), "0.10000000000000001"),
+                        (np.float32(0.1), "0.10000000149011612"),
+                        (np.int64(7), "7"), (np.uint8(3), "3"),
+                        (np.complex128(1 - 2j), "[1, -2]"), (True, "true"),
+                        ((1, 2.5, 3j), "[1, 2.5, [0, 3]]"),
+                        ({"a": np.float64(-0.0)}, '{"a": -0}')):
+        assert canonical_json(value) == want, repr(value)
+    with pytest.raises(TypeError):
+        canonical_json(np.bool_(True))
+
+
+# the package's public names, as the eager imports of the namespace bound them
+PUBLIC_NAMES = [
+    "AnalyticParts", "DegenerateRightAngle", "DegenerateVertices",
+    "EqualRapidities", "HeightKernel", "HyperbolicCoords", "IoError",
+    "NewtonDiverged", "NormalizedFrame", "NotPitot", "OutOfDomain",
+    "PitotQuad", "PoleProximity", "ScherkData", "ScherkError",
+    "SelfIntersecting", "SurfaceMesh", "ToleranceNotMet", "ZeroArea",
+    "adaptive_quad", "aligning_rotation", "analysis", "analytic_parts",
+    "angle_parameter", "center_mixed_derivative", "center_normal",
+    "center_report", "construct_quad", "contour_height", "curvature_bound",
+    "dilatation", "errors", "export_obj", "fd_laplacian", "fd_mixed",
+    "g_prime", "gauss_curvature", "gauss_map_q", "geometry", "graph_normal",
+    "h_prime", "harmonic", "harmonic_map", "height_T", "hyperbola_point",
+    "hyperbolic_coordinates", "jacobian", "kernel_K", "map_and_height",
+    "mesh", "newton_invert", "normalize", "numeric_residue", "oracles",
+    "params", "poisson_extension", "residues", "rotated_mixed_derivative",
+    "sample_disk", "scherk_data", "step_boundary", "taylor",
+    "validate_quadrilateral", "weierstrass"]
+
+
+def test_package_namespace_is_unchanged():
+    assert len(PUBLIC_NAMES) == 64
+    assert scherk.__all__ == PUBLIC_NAMES
+    star = {}
+    exec("from scherk import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(scherk))
+    for name in PUBLIC_NAMES:
+        obj = getattr(scherk, name)
+        assert star[name] is obj, name
+        if inspect.ismodule(obj):
+            assert obj is sys.modules[f"scherk.{name}"], name
+        else:
+            home = sys.modules[obj.__module__]
+            assert home.__name__.startswith("scherk."), name
+            assert vars(home)[name] is obj, name
+    assert scherk.gauss_map_q is scherk.params.gauss_map_q
+    assert scherk.params.gauss_map_q is scherk.weierstrass.gauss_map_q
+    with pytest.raises(AttributeError, match="no_such_name"):
+        scherk.no_such_name
+
+
+def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, tmp_path):
+    square = tmp_path / "square.json"
+    square.write_text('{"vertices": [[-1, 0], [0, -1], [1, 0], [0, 1]]}')
+    calls = [["analyze", "--params", "0.3,1.0,-0.3"], ["analyze", str(square)],
+             ["--help"], ["analyze", "--params", "0.3,1.0"],
+             ["analyze", "--params", "0.3,1.0,-0.3", "--tol-pitot", "2"]]
+    # --help wraps at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    want = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        want.append([code, *capsys.readouterr()])
+    assert [w[0] for w in want] == [0, 0, 0, 2, 2]
+    code = """
+import contextlib, io, json, sys
+import scherk.cli
+print(sorted({"numpy", "scherk.harmonic", "scherk.weierstrass", "scherk.oracles",
+              "scherk.mesh", "scherk.checks"} & set(sys.modules)))
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = scherk.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    print(json.dumps([rc, out.getvalue(), err.getvalue()]))
+"""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, *got = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert [json.loads(line) for line in got] == want
 
 
 def test_analyze_params_report(capsys):
