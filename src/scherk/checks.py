@@ -6,7 +6,8 @@ small-circle residues, Moebius/vertex identities).  CHECKS holds one row
 per check, (name, (default_tol, strict_tol), err), in the order verify
 prints them; err(d, frame, ev) returns the check's error on the surface
 record d built in the normalized frame from its slice of ev = evaluate(d),
-which run_checks builds once per call.  A new check is one more row.
+which run_checks builds once per call.  A new check is one more row; none
+reads f(0) = h0 or T(0) = 0, which hold by construction.
 """
 
 import cmath
@@ -21,7 +22,7 @@ from .errors import ScherkError
 from .harmonic import _derivatives, step_boundary
 from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
                       numeric_residue, poisson_extension, taylor)
-from .params import gauss_map_q, normalized_vertices
+from .params import gauss_map_q
 from .weierstrass import kernel_K, map_and_height
 
 # The contour and Poisson rows' points, the Jacobian grid, the winding circle,
@@ -35,17 +36,23 @@ _SPIRAL = 0.9 * np.sqrt((np.arange(40) + 0.5) / 40) * np.exp(
 GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
 
 
+def growth_rays(d):
+    """(GROWTH_RADII, the 13 x 4 points r zeta_j toward the poles of d)."""
+    return GROWTH_RADII, np.outer(GROWTH_RADII, d.poles)
+
+
 def evaluate(d):
-    """What the rows read on d: {part: (f, T)} from one map_and_height call,
-    "hp", "gp" (h', g' on _SPIRAL then _GRID) from one _derivatives call,
-    "jet" = taylor(d) and "arcs" = step_boundary(d)."""
+    """What the rows read on d: {part: (f, T)} on "points", "circle", "mids"
+    (1 - 1e-6 in from the arc midpoints) and "rays" (growth_rays(d)) from one
+    map_and_height call, "hp", "gp" (h', g' on _SPIRAL then _GRID) from one
+    _derivatives call, "jet" = taylor(d) and "arcs" = step_boundary(d)."""
     arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
-    parts = (np.zeros(1, complex), _POINTS, _CIRCLE,
-             (1.0 - 1e-6) * np.exp(1j * mids), np.outer(GROWTH_RADII, d.poles))
+    parts = (_POINTS, _CIRCLE, (1.0 - 1e-6) * np.exp(1j * mids),
+             growth_rays(d)[1])
     fT = map_and_height(np.concatenate([z.ravel() for z in parts]), d)
     cuts = np.cumsum([z.size for z in parts])[:-1]
-    ev = dict(zip(("center", "points", "circle", "mids", "rays"),
+    ev = dict(zip(("points", "circle", "mids", "rays"),
                   zip(*(np.split(v, cuts) for v in fT))))
     ev["hp"], ev["gp"] = _derivatives(np.concatenate((_SPIRAL, _GRID)), d)
     ev["jet"], ev["arcs"] = taylor(d), arcs
@@ -105,12 +112,12 @@ def _height_contour(d, frame, ev):
 def growth_fit(d, heights):
     """(slope, closed form +-2 cj, relative error) toward each pole.
 
-    heights are T on the rays r zeta_j, r in GROWTH_RADII (13 x 4, in the
-    order of np.outer(GROWTH_RADII, d.poles)); the slope is that of T
-    against log(1 - r), the fit that tends to +-2 cj.
+    heights are T on the 13 x 4 points of growth_rays(d), in their order;
+    the slope is that of T against log(1 - r), the fit that tends to +-2 cj.
     """
-    slopes = np.polyfit(np.log(1.0 - GROWTH_RADII),
-                        np.reshape(heights, (GROWTH_RADII.size, 4)), 1)[0]
+    radii = growth_rays(d)[0]
+    slopes = np.polyfit(np.log(1.0 - radii),
+                        np.reshape(heights, (radii.size, 4)), 1)[0]
     targets = (2.0 * d.cj[0], -2.0 * d.cj[1], 2.0 * d.cj[2], -2.0 * d.cj[3])
     return [(s, t, abs(s - t) / abs(t)) for s, t in zip(slopes, targets)]
 
@@ -159,7 +166,7 @@ def _boundary_steps(d, frame, ev):
     # radial boundary limits hit the step values mid-arc; f at 1 - r = 1e-6
     # misses them by about (1 - r) max|b_i| / min(p, pi - p), so relative to
     # max|b_i|
-    scale = max(abs(b) for b in normalized_vertices(d.coords))
+    scale = max(abs(b) for b in d.vertices)
     return max(abs(limit - value)
                for (_, value), limit in zip(ev["arcs"], ev["mids"][0])) / scale
 
@@ -177,8 +184,6 @@ CHECKS = (
      lambda d, frame, ev: abs(sum(d.k_residues)) / sum(d.cj)),
     ("kernel_residue_sign_split", (1e-12, 1e-13), _sign_split),
     ("height_vs_contour_quadrature", (1e-8, 1e-9), _height_contour),
-    ("height_zero_at_center", (1e-14, 1e-15),
-     lambda d, frame, ev: abs(ev["center"][1][0])),
     ("radial_growth_slopes", (5e-3, 1e-3), lambda d, frame, ev: max(
         rel for *_, rel in growth_fit(d, ev["rays"][1]))),
     ("curvature_bound_attained", (1e-12, 1e-13), _bound_attained),
@@ -193,9 +198,6 @@ CHECKS = (
     ("boundary_winding_number", (1e-8, 1e-10), _winding),
     ("poisson_extension_agreement", (1e-6, 1e-8), _poisson),
     ("laplacian_defect_fd", (1e-9, 1e-10), _harmonicity),
-    # f(0) equals the closed-form center
-    ("center_value_consistency", (1e-14, 1e-15),
-     lambda d, frame, ev: abs(ev["center"][0][0] - d.h0)),
     ("boundary_step_values", (1e-3, 1e-4), _boundary_steps),
 )
 

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Input and output only: four subcommands over a common input format (a
-JSON file with "vertices" or "m","s","t", or --params m,s,t), each of which
-builds the surface record once and formats what the library computes on it:
+JSON file with "vertices" or "m","s","t", or --params m,s,t).  main loads
+the quadrilateral q and builds its normalized frame and surface record d
+once; each command takes (args, q, frame, d) and formats what the library
+computes on them:
 
   analyze      closed-form report of the surface as canonical JSON
   verify       print the rows of the self-check suite (checks.CHECKS)
@@ -109,19 +111,13 @@ def load_quad(args):
                   "or the keys \"m\", \"s\", \"t\"")
 
 
-def _setup(q, tol_pitot):
-    frame, _, _ = normalize(q)
-    coords = hyperbolic_coordinates(frame.z, frame.w, tol_pitot)
-    return frame, scherk_data(coords)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def build_report(q, tol_pitot=DEFAULT_TOL_PITOT):
-    """All closed-form data of a validated quadrilateral, as a JSON-ready dict."""
-    frame, d = _setup(q, tol_pitot)
+def build_report(q, frame, d):
+    """All closed-form data of the quadrilateral q, its normalized frame and
+    its surface record d, as a JSON-ready dict."""
     coords = d.coords
     c1, c2, c3, c4 = d.cj
     return {
@@ -156,9 +152,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def cmd_analyze(args):
-    q = load_quad(args)
-    report = build_report(q, args.tol_pitot)
+def cmd_analyze(args, q, frame, d):
+    report = build_report(q, frame, d)
     _emit(canonical_json(report) + "\n", args.out)
     return 0
 
@@ -167,10 +162,8 @@ def cmd_analyze(args):
 # verify / mesh / asymptotics
 
 
-def cmd_verify(args):
+def cmd_verify(args, q, frame, d):
     from .checks import run_checks
-    q = load_quad(args)
-    frame, d = _setup(q, args.tol_pitot)
     rows = run_checks(d, frame, profile=args.tol_profile)
     width = max(len(name) for name, *_ in rows)
     lines = []
@@ -184,10 +177,8 @@ def cmd_verify(args):
     return 0 if n_ok == len(rows) else 1
 
 
-def cmd_mesh(args):
+def cmd_mesh(args, q, frame, d):
     from .mesh import export_obj, obj_text, sample_disk
-    q = load_quad(args)
-    frame, d = _setup(q, args.tol_pitot)
     mesh = sample_disk(d, frame, n_r=args.nr, n_theta=args.ntheta,
                        r_max=args.rmax, h_max=args.hmax)
     if args.out:
@@ -200,16 +191,14 @@ def cmd_mesh(args):
     return 0
 
 
-def cmd_asymptotics(args):
-    import numpy as np
-    from .checks import GROWTH_RADII, growth_fit
+def cmd_asymptotics(args, q, frame, d):
+    from .checks import growth_fit, growth_rays
     from .weierstrass import height_T
-    q = load_quad(args)
-    _, d = _setup(q, args.tol_pitot)
-    heights = height_T(np.outer(GROWTH_RADII, d.poles), d)
+    radii, rays = growth_rays(d)
+    heights = height_T(rays, d)
     if args.out:  # the fitted ray, as CSV
         _emit("r,T\n" + "".join(f"{r:.17g},{t:.17g}\n" for r, t in zip(
-            GROWTH_RADII, heights[:, args.pole - 1])), args.out)
+            radii, heights[:, args.pole - 1])), args.out)
     slope, target, rel = growth_fit(d, heights)[args.pole - 1]
     sys.stdout.write(
         f"pole {args.pole}: fitted slope {slope:.12g} vs closed form "
@@ -274,7 +263,10 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        q = load_quad(args)
+        frame, _, _ = normalize(q)
+        coords = hyperbolic_coordinates(frame.z, frame.w, args.tol_pitot)
+        return _COMMANDS[args.command](args, q, frame, scherk_data(coords))
     except (ScherkError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

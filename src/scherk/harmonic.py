@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleProximity
-from .params import normalized_vertices
 
 TOL_POLE = 1e-9
 R_HEIGHT = 1.0 - TOL_POLE  # the largest |z| at which f and T are evaluated
@@ -36,9 +35,9 @@ def step_boundary(d):
 
     A 4-tuple of arcs ((theta_lo, theta_hi), vertex_value) covering
     [0, 2pi): the arc endpoints are 0, p, pi, pi+p, 2pi and the values run
-    b4, b1, b2, b3.
+    b4, b1, b2, b3, read from the record's d.vertices.
     """
-    b1, b2, b3, b4 = normalized_vertices(d.coords)
+    b1, b2, b3, b4 = d.vertices
     p, pi = d.p, math.pi
     return (((0.0, p), b4), ((p, pi), b1),
             ((pi, pi + p), b2), ((pi + p, 2 * pi), b3))

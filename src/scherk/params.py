@@ -3,7 +3,8 @@
 Everything the surface needs is a handful of constants computed once from
 the hyperbolic coordinates (m, s, t): the pole-splitting angle p, the
 Moebius center z0, the unimodular factor X and its root, the scaling
-constants B, A, C, the pole residues read off the vertex jumps, and q(z).
+constants B, A, C, the canonical vertices and the pole residues read off
+their jumps, and q(z).
 All are math/cmath; second routes (vertex forms, K's rational form) are checks.
 """
 
@@ -21,8 +22,10 @@ TWO_PI_I = 2j * math.pi
 class ScherkData:
     """All scalar data of one surface in the normalized frame.
 
-    h_residues, g_residues and k_residues are the residues of h', g' and
-    K = h' q at the poles (1, e^{ip}, -1, -e^{ip}): the vertex jumps
+    vertices = (b1, b2, b3, b4) = (-1, z, 1, w) is the canonical frame's
+    quadrilateral, the values f takes on the four boundary arcs.  h_residues,
+    g_residues and k_residues are the residues of h', g' and K = h' q at
+    the poles (1, e^{ip}, -1, -e^{ip}): the vertex jumps
     (b3 - b4, b4 - b1, b1 - b2, b2 - b3)/(2 pi i), their negated conjugates
     and q(pole) times the jumps.  cj = |h_residues| are the growth rates of
     T/2, each a side length over 2 pi (the Jenkins-Serrin flux); lam is the
@@ -47,6 +50,7 @@ class ScherkData:
     h0: complex
     q0_prime: complex
     h0_prime: complex
+    vertices: tuple
     coords: HyperbolicCoords
 
     @property
@@ -56,12 +60,6 @@ class ScherkData:
     @property
     def A(self):
         return self.B * self.X
-
-
-def normalized_vertices(c):
-    """Vertices (b1, b2, b3, b4) = (-1, z, 1, w) of the canonical frame."""
-    return (-1.0 + 0.0j, hyperbola_point(c.m, c.t), 1.0 + 0.0j,
-            hyperbola_point(c.m, c.s))
 
 
 def _half_angle(j):
@@ -100,9 +98,11 @@ def gauss_map_q(z, d):
 def scherk_data(c):
     """Assemble the full ScherkData record for hyperbolic coordinates c.
 
-    Every constant is a closed form in e^{ip/2} = tanh j + i sech j and
-    w = (k + i m)/2: the Moebius center z0 = -e^{ip/2} tanh w, the double
-    zero of g' in the disk, with |z0|^2 = (cosh k - cos m)/(cosh k + cos m);
+    The vertices (-1, z, 1, w) put z and w on the hyperbolas of t and s,
+    and the h' residues are their jumps over 2 pi i.  Every other constant
+    is a closed form in e^{ip/2} = tanh j + i sech j and w = (k + i m)/2:
+    the Moebius center z0 = -e^{ip/2} tanh w, the double zero of g' in the
+    disk, with |z0|^2 = (cosh k - cos m)/(cosh k + cos m);
     sqrt(X) = -i e^{-ip/2} cosh w / cosh conj(w), the root of the unimodular
     factor X that makes the residue of h' q at z = 1 +i times a positive
     real, so T blows up to -infinity toward +-1; h'(0) = (4i/pi) tanh j
@@ -114,7 +114,8 @@ def scherk_data(c):
     if c.j < 0.0:
         raise OutOfDomain(f"j < 0 at m={c.m!r}, s={c.s!r}, t={c.t!r}, j={c.j!r}")
     p, e_ip = angle_parameter(c)
-    b1, b2, b3, b4 = normalized_vertices(c)
+    b1, b2, b3, b4 = (-1.0 + 0.0j, hyperbola_point(c.m, c.t), 1.0 + 0.0j,
+                      hyperbola_point(c.m, c.s))
     hres = ((b3 - b4) / TWO_PI_I, (b4 - b1) / TWO_PI_I,
             (b1 - b2) / TWO_PI_I, (b2 - b3) / TWO_PI_I)
     half, w = _half_angle(c.j), (c.k + 1j * c.m) / 2.0
@@ -134,4 +135,4 @@ def scherk_data(c):
         h_residues=hres, g_residues=tuple(-r.conjugate() for r in hres),
         k_residues=kres, lam=lam, cj=tuple(abs(r) for r in hres),
         h0=p * (b2 + b4) / (2 * math.pi), q0_prime=q0p, h0_prime=h0p,
-        coords=c)
+        vertices=(b1, b2, b3, b4), coords=c)

@@ -389,4 +389,4 @@ def test_center_report_assembly(case1):
     assert (rep["q0"], rep["q0_prime"], rep["h0_prime"]) == (
         gauss_map_q(0j, d), d.q0_prime, d.h0_prime)
     # analyze prints exactly this object under "center"
-    assert build_report(q)["center"] == rep
+    assert build_report(q, frame, d)["center"] == rep

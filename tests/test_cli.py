@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import scherk
-from scherk import construct_quad, sample_disk
-from scherk.checks import (CHECKS, GROWTH_RADII, evaluate, growth_fit,
+from scherk import (IoError, construct_quad, hyperbolic_coordinates,
+                    normalize, sample_disk, scherk_data)
+from scherk.checks import (CHECKS, evaluate, growth_fit, growth_rays,
                            run_checks)
 from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
@@ -318,7 +319,7 @@ def test_verify_graph_rows_are_finite_where_newton_diverged(capsys):
         status = {ln.split()[1]: (ln.split()[0],
                                   float(ln.split("err=")[1].split()[0]))
                   for ln in out.splitlines()[:-1]}
-        assert len(status) == 20
+        assert len(status) == len(CHECKS)
         for name in ("graph_normal_vs_fd", "mixed_derivative_vs_fd",
                      "aligned_mixed_derivative_zero", "laplacian_defect_fd"):
             verdict, value = status[name]
@@ -338,7 +339,7 @@ def test_verify_calls_no_newton_inversion(capsys, monkeypatch):
     for params in ("0.3,1.0,-0.3", "1.4,8.02,7.98", "0.7,7.5,6.5"):
         code, out, err = run(capsys, "verify", "--params", params)
         assert code in (0, 1) and err == ""
-        assert len(out.splitlines()) == 21
+        assert len(out.splitlines()) == len(CHECKS) + 1
 
 
 def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
@@ -353,7 +354,7 @@ def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
 
 def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     # a row that raises any ScherkError fails with its reason and the other
-    # 19 rows still print
+    # rows still print
     import scherk.checks as checks
     idx = 10
     name, tols, _ = checks.CHECKS[idx]
@@ -371,7 +372,8 @@ def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     assert row[:2] == ["FAIL", name]
     assert float(lines[idx].split("err=")[1].split()[0]) == math.inf
     assert err == f"note: {name}: ToleranceNotMet: quadrature stalled\n"
-    assert out.splitlines()[-1].startswith("19/20 checks passed")
+    assert out.splitlines()[-1].startswith(
+        f"{len(CHECKS) - 1}/{len(CHECKS)} checks passed")
 
 
 def test_analyze_near_right_angle(capsys):
@@ -414,7 +416,7 @@ def test_check_row_passes_both_profiles(name, tols, err_of, case1, case2):
 
 def test_verify_prints_check_rows_in_table_order(capsys):
     names = [name for name, *_ in CHECKS]
-    assert len(names) == len(set(names)) == 20
+    assert len(names) == len(set(names)) == 18
     code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
     assert code == 0
     assert [ln.split()[1] for ln in out.splitlines()[:-1]] == names
@@ -428,7 +430,8 @@ def test_verify_has_no_seed_option(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
     code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,0.3")
     assert code == 0
-    assert out.splitlines()[-1] == "20/20 checks passed (profile=default)"
+    assert out.splitlines()[-1] == (
+        f"{len(CHECKS)}/{len(CHECKS)} checks passed (profile=default)")
 
 
 def test_mesh_command(capsys, tmp_path):
@@ -601,14 +604,15 @@ def test_asymptotics_evaluates_only_its_52_ray_points(capsys, case2,
         code, out, _ = run(capsys, "asymptotics", "--params", "0.3,1.0,-0.3",
                            "--pole", "3", *extra)
         assert code == 0
-        assert points == [GROWTH_RADII.size * 4] == [52]
+        assert points == [growth_rays(d)[1].size] == [52]
     rays = evaluate(d)["rays"][1]
     slope, target, rel = growth_fit(d, rays)[2]
     assert out == (f"pole 3: fitted slope {slope:.12g} vs closed form "
                    f"{target:.12g} (rel err {rel:.3e})\n")
-    column = np.reshape(rays, (GROWTH_RADII.size, 4))[:, 2]
+    radii = growth_rays(d)[0]
+    column = np.reshape(rays, (radii.size, 4))[:, 2]
     assert csv.read_text().splitlines() == ["r,T"] + [
-        f"{r:.17g},{t:.17g}" for r, t in zip(GROWTH_RADII, column)]
+        f"{r:.17g},{t:.17g}" for r, t in zip(radii, column)]
 
 
 def test_m_zero_kites_are_judged_not_refused(capsys, monkeypatch):
@@ -652,7 +656,16 @@ def test_build_report_and_load_quad_helpers(tmp_path):
         tol_pitot = DEFAULT_TOL_PITOT
 
     q = load_quad(Args())
-    doc = build_report(q)
+    frame, _, _ = normalize(q)
+    d = scherk_data(hyperbolic_coordinates(frame.z, frame.w))
+    doc = build_report(q, frame, d)
     assert set(doc) == {"quad", "normalization", "coordinates", "parameters",
                         "growth", "center"}
     assert doc["growth"]["lam"] > 0
+    # a JSON object with neither "vertices" nor all of m, s, t
+    for text in ('{"m": 0.3, "s": 1.0}', '{"points": []}'):
+        path = tmp_path / "partial.json"
+        path.write_text(text)
+        Args.params, Args.input = None, str(path)
+        with pytest.raises(IoError, match="must contain"):
+            load_quad(Args())

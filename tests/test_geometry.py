@@ -154,6 +154,8 @@ def test_pitot_tolerance_outside_the_unit_interval_refused():
 def test_coincident_vertices_rejected():
     with pytest.raises(DegenerateVertices):
         validate_quadrilateral([(0, 0), (0, 0), (1, 1), (0, 1)])
+    with pytest.raises(DegenerateVertices, match="all vertices coincide"):
+        validate_quadrilateral([(0.5, -2.0)] * 4)
 
 
 def test_collinear_vertices_rejected():
@@ -183,6 +185,16 @@ def test_self_intersection_rejected():
     # crossed quadrilateral with unequal lobes (nonzero signed area)
     with pytest.raises(SelfIntersecting):
         validate_quadrilateral([(-2, 0), (1, 0), (0, -1), (0, 1)])
+    # all four vertices lie within 2e-12 of the real axis: the signed area
+    # passes the zero-area test, but every orientation test of two
+    # nonadjacent sides falls inside the tolerance, so the collinear branch
+    # compares the sides' projections, which overlap
+    with pytest.raises(SelfIntersecting):
+        validate_quadrilateral([
+            -0.013791911134231949 - 1.6776910854721036e-12j,
+            0.9777750504128204 - 1.157939758282358e-13j,
+            -0.5517236929990799 + 0j,
+            -0.7464825272258393 - 5.799779810289084e-13j])
 
 
 def test_wrong_count_and_nonfinite_rejected():

@@ -9,7 +9,7 @@ import pytest
 from scherk import (IoError, SurfaceMesh, export_obj, height_T, normalize,
                     sample_disk, validate_quadrilateral)
 import scherk.mesh
-from scherk.checks import GROWTH_RADII
+from scherk.checks import growth_rays
 from scherk.cli import main
 from scherk.mesh import _int_fields, obj_text
 
@@ -263,8 +263,9 @@ def test_csv_export(case1, tmp_path, capsys):
                  "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "r,T"
-    assert len(lines) == 1 + GROWTH_RADII.size
-    for line, r in zip(lines[1:], GROWTH_RADII):
+    radii = growth_rays(d)[0]
+    assert len(lines) == 1 + radii.size
+    for line, r in zip(lines[1:], radii):
         assert line == f"{r:.17g},{height_T(r * d.poles[1], d):.17g}"
     assert capsys.readouterr().out.startswith("pole 2: fitted slope ")
 

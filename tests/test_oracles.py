@@ -1,5 +1,6 @@
 """The numeric oracles, checked on problems with known answers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,9 @@ from scherk import (NewtonDiverged, ToleranceNotMet, adaptive_quad,
                     validate_quadrilateral)
 from scherk import checks, oracles
 from scherk.analysis import gauss_curvature
-from scherk.checks import (CHECKS, GROWTH_RADII, evaluate, growth_fit,
-                           run_checks)
+from scherk.checks import CHECKS, evaluate, growth_fit, run_checks
 from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
                             kernel_contour_height, taylor)
-from scherk.params import normalized_vertices
 
 
 def test_adaptive_quad_polynomial():
@@ -388,10 +387,26 @@ def test_boundary_step_row_is_relative_to_the_largest_vertex(case1, case2):
         spans, values = zip(*ev["arcs"])
         rotated = dict(ev, arcs=tuple(zip(spans, values[1:] + values[:1])))
         f, T = ev["mids"]
-        scale = max(abs(b) for b in normalized_vertices(c))
+        scale = max(abs(b) for b in d.vertices)
         shifted = dict(ev, mids=(f + 2e-3 * scale, T))
         for wrong in (rotated, shifted):
             assert err_of(d, frame, wrong) > max(tols), c
+
+
+def test_center_offsets_fail_the_poisson_and_contour_rows(case1, case2):
+    # no row reads f(0) = h0 or T(0) = 0, which hold by construction; an
+    # offset in f (h0 moved by 1e-5) fails the Poisson row and one in T (1e-6
+    # on the evaluation) the contour row, in both profiles
+    from conftest import build_case
+    rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
+    for _, frame, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        moved = dataclasses.replace(d, h0=d.h0 + 1e-5)
+        tols, err_of = rows["poisson_extension_agreement"]
+        assert err_of(moved, frame, evaluate(moved)) > max(tols), c
+        ev = evaluate(d)
+        f, T = ev["points"]
+        tols, err_of = rows["height_vs_contour_quadrature"]
+        assert err_of(d, frame, dict(ev, points=(f, T + 1e-6))) > max(tols), c
 
 
 def _per_row_errs(d):
@@ -411,7 +426,7 @@ def _per_row_errs(d):
     arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
     limits = harmonic_map((1.0 - 1e-6) * np.exp(1j * mids), d)
-    rs = GROWTH_RADII
+    rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
     slopes = np.polyfit(np.log(1.0 - rs),
                         height_T(np.outer(rs, d.poles), d), 1)[0]
     errs = {
@@ -419,7 +434,6 @@ def _per_row_errs(d):
             dilatation(zs, d) - gauss_map_q(zs, d) ** 2)),
         "height_vs_contour_quadrature": np.max(np.abs(
             height_T(points, d) - kernel_contour_height(points, d))),
-        "height_zero_at_center": abs(height_T(0.0, d)),
         "radial_growth_slopes": max(
             abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv) for slope, sg, cjv
             in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj)),
@@ -429,7 +443,6 @@ def _per_row_errs(d):
             vals[1:] / vals[:-1]))) / (2.0 * np.pi) - 1.0),
         "poisson_extension_agreement": np.max(np.abs(
             harmonic_map(points, d) - poisson_extension(points, arcs))),
-        "center_value_consistency": abs(harmonic_map(0.0 + 0.0j, d) - d.h0),
         "boundary_step_values": max(
             abs(limit - value) for (_, value), limit in zip(arcs, limits))
         / max(abs(value) for _, value in arcs),

@@ -9,7 +9,6 @@ import pytest
 from scherk import angle_parameter, h_prime, scherk_data
 from scherk.checks import CHECKS, _split_moduli, evaluate
 from scherk.geometry import HyperbolicCoords
-from scherk.params import normalized_vertices
 from conftest import build_case
 
 
@@ -193,7 +192,7 @@ def test_growth_rates_are_jenkins_serrin_fluxes(sweep_cases, near_edge_cases):
     # 2 pi cj is the length of the side that pole j opens onto (Jenkins and
     # Serrin, ARMA 21, 1966): 1 <-> b3b4, 2 <-> b4b1, 3 <-> b1b2, 4 <-> b2b3
     for _, _, c, d in sweep_cases + near_edge_cases:
-        b1, b2, b3, b4 = normalized_vertices(c)
+        b1, b2, b3, b4 = d.vertices
         for cj, side in zip(d.cj, (b3 - b4, b4 - b1, b1 - b2, b2 - b3)):
             flux = abs(side) / (2.0 * math.pi)
             assert abs(cj - flux) <= 2.0 * math.ulp(flux)
@@ -339,9 +338,9 @@ def test_poles_property(case1):
     assert abs(d.e_2ip - d.e_ip ** 2) < 1e-16
 
 
-def test_normalized_vertices_match_frame(case1):
-    _, frame, c, _ = case1
-    b1, b2, b3, b4 = normalized_vertices(c)
+def test_record_vertices_match_frame(case1):
+    _, frame, _, d = case1
+    b1, b2, b3, b4 = d.vertices
     assert b1 == -1.0 and b3 == 1.0
     assert abs(b2 - frame.z) < 1e-14
     assert abs(b4 - frame.w) < 1e-14
