@@ -45,25 +45,31 @@ def _fmt_float(x):
 
 def canonical_json(obj):
     """Deterministic JSON: sorted keys, .17g floats, complex as [re, im]."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    # builtin types skip the ABC check; numpy scalars except np.bool_ register
-    if isinstance(obj, (int, numbers.Integral)):
-        return str(int(obj))
-    if isinstance(obj, (float, numbers.Real)):
+    # the builtin types first, most frequent first; np.float64 and
+    # np.complex128 subclass float and complex, and bool comes before int
+    if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, (complex, numbers.Complex)):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {canonical_json(v)}"
                           for k, v in sorted(obj.items()))
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
+    if isinstance(obj, complex):
+        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    # the other numpy scalars register with the ABCs, except np.bool_
+    if isinstance(obj, (int, numbers.Integral)):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return _fmt_float(obj)
+    if isinstance(obj, numbers.Complex):
+        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -9,7 +9,7 @@ is coded by three real numbers (m, s, t).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
                      NotPitot, OutOfDomain, SelfIntersecting, ZeroArea)
@@ -21,20 +21,16 @@ TOL_RAPIDITY = 1e-8
 DEFAULT_TOL_PITOT = 1e-9
 
 
-@dataclass(frozen=True)
-class PitotQuad:
-    """Four validated vertices, counterclockwise, with the Pitot certificate.
+class PitotQuad(namedtuple("PitotQuad", "b1 b2 b3 b4 pitot_residual "
+                           "reversed_input", defaults=(False,))):
+    """Four validated complex vertices, counterclockwise, with the Pitot
+    certificate; an immutable named tuple.
 
     pitot_residual is the signed defect (|b1b2|+|b3b4|) - (|b2b3|+|b4b1|);
-    reversed_input records whether the input order had to be reversed to
-    make the signed area positive.
+    reversed_input (default False) records whether the input order had to
+    be reversed to make the signed area positive.
     """
-    b1: complex
-    b2: complex
-    b3: complex
-    b4: complex
-    pitot_residual: float
-    reversed_input: bool = False
+    __slots__ = ()
 
     @property
     def vertices(self):
@@ -45,20 +41,17 @@ class PitotQuad:
         return sum(abs(b[i] - b[(i + 1) % 4]) for i in range(4))
 
 
-@dataclass(frozen=True)
-class NormalizedFrame:
-    """Similarity data mapping the quadrilateral onto (-1, z, 1, w).
+class NormalizedFrame(namedtuple("NormalizedFrame", "scale shift z w relabeled",
+                                 defaults=(False,))):
+    """Similarity data mapping the quadrilateral onto (-1, z, 1, w); an
+    immutable named tuple.
 
-    The forward map is T(u) = scale * (u - shift).  relabeled records
-    whether the vertex labels were rotated by two places (a 180-degree
-    rotation of the canonical frame) to land on the sin(m) >= 0 branch of
-    the hyperbola.
+    The forward map is T(u) = scale * (u - shift).  relabeled (default
+    False) records whether the vertex labels were rotated by two places (a
+    180-degree rotation of the canonical frame) to land on the sin(m) >= 0
+    branch of the hyperbola.
     """
-    scale: complex
-    shift: complex
-    z: complex
-    w: complex
-    relabeled: bool = False
+    __slots__ = ()
 
     def apply(self, u):
         return self.scale * (u - self.shift)
@@ -67,20 +60,16 @@ class NormalizedFrame:
         return u / self.scale + self.shift
 
 
-@dataclass(frozen=True)
-class HyperbolicCoords:
-    """Hyperbola parameters (m, s, t) and the derived half-sum/difference.
+class HyperbolicCoords(namedtuple("HyperbolicCoords", "m s t j k")):
+    """Hyperbola parameters (m, s, t) and the derived half-sum/difference;
+    an immutable named tuple of five floats.
 
     m in [0, pi/2) is the angle fixing the hyperbola axes (sin m, cos m);
     m = 0 (the imaginary axis) is a kite about b2b4, a rhombus or a square.
     t and s are the rapidities of the normalized vertices z and w.
     j = (s - t)/2 and k = (s + t)/2 appear in every closed form downstream.
     """
-    m: float
-    s: float
-    t: float
-    j: float
-    k: float
+    __slots__ = ()
 
 
 def _shoelace(pts):

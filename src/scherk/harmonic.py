@@ -11,7 +11,7 @@ maps values back to the original quadrilateral.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,12 +22,10 @@ R_HEIGHT = 1.0 - TOL_POLE  # the largest |z| at which f and T are evaluated
 _BLOCK = 4096  # points per pass of _log_sums, so its temporaries stay small
 
 
-@dataclass(frozen=True)
-class AnalyticParts:
-    """Pole/residue tables of h' and g'."""
-    poles: tuple
-    h_residues: tuple
-    g_residues: tuple
+class AnalyticParts(namedtuple("AnalyticParts", "poles h_residues g_residues")):
+    """Pole/residue tables of h' and g': an immutable named tuple of three
+    4-tuples."""
+    __slots__ = ()
 
 
 def step_boundary(d):

@@ -1,7 +1,8 @@
 """Triangulated samples of the surface, and OBJ text whose bytes equal
 Python's %.17g and %d, with digits from numpy."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -13,13 +14,12 @@ from .weierstrass import map_and_height
 _OBJ_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class SurfaceMesh:
-    """Triangle mesh: an (n, 3) float array of vertices (x, y, height), an
-    (m, 3) integer array of 0-based faces, and sampling metadata."""
-    vertices: np.ndarray
-    faces: np.ndarray
-    metadata: dict = field(default_factory=dict)
+class SurfaceMesh(namedtuple("SurfaceMesh", "vertices faces metadata",
+                             defaults=(MappingProxyType({}),))):
+    """Triangle mesh, an immutable named tuple: an (n, 3) float array of
+    vertices (x, y, height), an (m, 3) integer array of 0-based faces, and
+    sampling metadata (by default an empty read-only mapping)."""
+    __slots__ = ()
 
 
 def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):

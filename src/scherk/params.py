@@ -10,7 +10,7 @@ All are math/cmath; second routes (vertex forms, K's rational form) are checks.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EqualRapidities, OutOfDomain
 from .geometry import TOL_RAPIDITY, HyperbolicCoords, hyperbola_point
@@ -18,9 +18,11 @@ from .geometry import TOL_RAPIDITY, HyperbolicCoords, hyperbola_point
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class ScherkData:
-    """All scalar data of one surface in the normalized frame.
+class ScherkData(namedtuple(
+        "ScherkData", "p e_ip z0 X sqrtX B C poles h_residues g_residues "
+        "k_residues lam cj h0 q0_prime h0_prime vertices coords")):
+    """All scalar data of one surface in the normalized frame, as an
+    immutable named tuple of 18 fields; e_2ip and A are derived properties.
 
     vertices = (b1, b2, b3, b4) = (-1, z, 1, w) is the canonical frame's
     quadrilateral, the values f takes on the four boundary arcs.  h_residues,
@@ -32,26 +34,10 @@ class ScherkData:
     scale of verify's check cj = lam |1 -+ z0|^2, lam |1 -+ z0 e^{-ip}|^2.
     h0 = h(0) = f(0).  q0_prime and h0_prime are q'(0) and h'(0), closed
     forms in the rapidity parameters that the tests check against direct
-    evaluation at z = 0; q(0) itself is gauss_map_q(0, d).
+    evaluation at z = 0; q(0) itself is gauss_map_q(0, d).  coords is the
+    record's HyperbolicCoords.
     """
-    p: float
-    e_ip: complex
-    z0: complex
-    X: complex
-    sqrtX: complex
-    B: complex
-    C: complex
-    poles: tuple
-    h_residues: tuple
-    g_residues: tuple
-    k_residues: tuple
-    lam: float
-    cj: tuple
-    h0: complex
-    q0_prime: complex
-    h0_prime: complex
-    vertices: tuple
-    coords: HyperbolicCoords
+    __slots__ = ()
 
     @property
     def e_2ip(self):

@@ -8,7 +8,7 @@ sides of Q.  map_and_height gives f and T from one pass over the pole logs.
 q itself, gauss_map_q, is numpy-free and lives in params; it is re-exported.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -16,9 +16,9 @@ from .harmonic import _guard_poles, _log_sums
 from .params import gauss_map_q  # noqa: F401  (scherk.weierstrass.gauss_map_q)
 
 
-@dataclass(frozen=True)
-class HeightKernel:
-    """Partial-fraction data of K = h' q.
+class HeightKernel(namedtuple("HeightKernel", "poles residues lam cj")):
+    """Partial-fraction data of K = h' q: an immutable named tuple
+    (poles, residues, lam, cj).
 
     residues[i] is the residue at poles[i], q(pole) times the residue of h'
     there; lam is the common positive scale: the residue is
@@ -26,10 +26,7 @@ class HeightKernel:
     cj are the residue moduli, side length / (2 pi), which are the
     logarithmic growth rates of T/2.
     """
-    poles: tuple
-    residues: tuple
-    lam: float
-    cj: tuple
+    __slots__ = ()
 
 
 def kernel_K(z, d):

@@ -1,7 +1,6 @@
 """Center data: curvature, normals, mixed derivative, aligning rotation."""
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -113,7 +112,7 @@ def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2,
     # sees a bound off by 1e-11 relative
     cases = (case1, case2, build_case(0.7, 7.5, 6.5))
     for _, frame, _, d in cases:
-        wrong = dataclasses.replace(d, z0=d.z0 * 1.0001)
+        wrong = d._replace(z0=d.z0 * 1.0001)
         rows = _curvature_rows(wrong, frame)
         assert len(rows) == 1 and not any(ok for *_, ok in rows)
     exact = checks.curvature_bound
@@ -132,11 +131,11 @@ def _wrong_constants(d):
         return tuple(scale * d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate())
                      * r for zk, r in zip(d.poles, d.h_residues))
 
-    return {"1/sin p": dataclasses.replace(d, k_residues=kres(1 / math.sin(d.p))),
-            "4 pi": dataclasses.replace(d, k_residues=kres(0.5)),
-            "height * -1/2": dataclasses.replace(d, k_residues=kres(-0.5)),
-            "z0 * 1.0001": dataclasses.replace(d, z0=d.z0 * 1.0001,
-                                               k_residues=kres(z0=d.z0 * 1.0001))}
+    return {"1/sin p": d._replace(k_residues=kres(1 / math.sin(d.p))),
+            "4 pi": d._replace(k_residues=kres(0.5)),
+            "height * -1/2": d._replace(k_residues=kres(-0.5)),
+            "z0 * 1.0001": d._replace(z0=d.z0 * 1.0001,
+                                      k_residues=kres(z0=d.z0 * 1.0001))}
 
 
 # What the finite-difference rows over Newton-inverted heights rejected: per

@@ -114,8 +114,10 @@ def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, tmp_path):
 import contextlib, io, json, sys
 import scherk.cli
 print(sorted({"numpy", "scherk.harmonic", "scherk.weierstrass", "scherk.oracles",
-              "scherk.mesh", "scherk.checks"} & set(sys.modules)))
+              "scherk.mesh", "scherk.checks", "dataclasses", "inspect"}
+             & set(sys.modules)))
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.modules["dataclasses"] = sys.modules["inspect"] = None
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -133,6 +135,18 @@ for argv in json.loads(sys.argv[1]):
     loaded, *got = proc.stdout.splitlines()
     assert loaded == "[]"
     assert [json.loads(line) for line in got] == want
+
+
+def test_records_load_no_dataclasses():
+    # the records are named tuples; numpy loads inspect but not dataclasses
+    code = ("import sys\n"
+            "import scherk.checks, scherk.mesh, scherk.oracles, scherk.cli\n"
+            "print('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_analyze_params_report(capsys):

@@ -220,6 +220,20 @@ def test_obj_text_of_a_large_mesh_and_of_no_faces(case1):
     assert list(obj_text(empty)) == []
 
 
+def test_default_metadata_is_empty_and_read_only():
+    # two default-built meshes share no mutable metadata dict: each one's is
+    # an empty read-only mapping, and a write to it raises
+    one = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
+    two = SurfaceMesh(np.zeros((1, 3)), np.zeros((0, 3), np.int64))
+    for mesh in (one, two):
+        assert not isinstance(mesh.metadata, dict)
+        with pytest.raises(TypeError):
+            mesh.metadata["clamped"] = 0
+        with pytest.raises(AttributeError):
+            mesh.metadata = {}
+    assert dict(one.metadata) == dict(two.metadata) == {}
+
+
 def test_obj_text_formats_each_vertex_label_once(case1, monkeypatch):
     _, _, _, d = case1
     mesh = sample_disk(d, n_r=10, n_theta=40)

@@ -1,6 +1,5 @@
 """The numeric oracles, checked on problems with known answers."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -400,7 +399,7 @@ def test_center_offsets_fail_the_poisson_and_contour_rows(case1, case2):
     from conftest import build_case
     rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
     for _, frame, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
-        moved = dataclasses.replace(d, h0=d.h0 + 1e-5)
+        moved = d._replace(h0=d.h0 + 1e-5)
         tols, err_of = rows["poisson_extension_agreement"]
         assert err_of(moved, frame, evaluate(moved)) > max(tols), c
         ev = evaluate(d)
