@@ -15,7 +15,7 @@ import importlib
 
 _MODULES = {
     "analysis": "aligning_rotation center_mixed_derivative center_normal "
-                "center_report curvature_bound gauss_curvature graph_normal "
+                "curvature_bound gauss_curvature graph_normal "
                 "rotated_mixed_derivative",
     "errors": "DegenerateRightAngle DegenerateVertices EqualRapidities IoError "
               "NewtonDiverged NotPitot OutOfDomain PoleProximity ScherkError "

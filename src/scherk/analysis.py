@@ -1,18 +1,16 @@
 """Curvature, normal, and bending data at the harmonic center.
 
-Everything here is reported for the graph {(u, v, height(u, v))} over the
-quadrilateral.  Two unit vectors are exposed at the center: `normal`, the
-stereographic image of the Gauss-map value q(0) (the conventional closed
-form), and `graph_normal`, the upward normal of the height graph itself,
-which the Taylor-jet oracle reproduces; the two differ by a swap
-and sign flip of the horizontal components (see the tests).
-
-The normals and the mixed derivative are closed forms in (m, j, k).  q(0)
-is gauss_map_q(0, d); q'(0) and h'(0) are read from the record
-(d.q0_prime, d.h0_prime).  All of it is in the normalized frame except
-curvature_bound and center_report, which take the frame to map results back.
-No numpy at import: gauss_curvature imports h_prime only for points other
-than a scalar zero, so `scherk analyze` never loads numpy.
+Everything here is for the graph {(u, v, height(u, v))} over the normalized
+quadrilateral (-1, z, 1, w) that d was built in, and takes no frame:
+cli.build_report maps the center data back to the input quadrilateral.
+The normals and the mixed derivative are closed forms in (m, j, k):
+center_normal is the stereographic image of the Gauss-map value q(0), and
+graph_normal the upward normal of the height graph, which the Taylor jet
+reproduces; the two differ by a swap and sign flip of the horizontal
+components.  q(0) is gauss_map_q(0, d); q'(0) and h'(0) are read from the
+record (d.q0_prime, d.h0_prime).  No numpy at import: gauss_curvature
+imports h_prime only for points other than a scalar zero, so `scherk
+analyze` never loads numpy.
 """
 
 import math
@@ -81,17 +79,14 @@ def center_mixed_derivative(d):
     return rotated_mixed_derivative(d, 0.0)
 
 
-def curvature_bound(d, frame):
-    """Sharp center-curvature bound of the surface d over its quadrilateral.
-
-    pi^2 cos^2 m coth^2 j sech^4 k / |b1 - b3|^2, with |b1 - b3| =
-    2/|frame.scale| read from the normalized frame d was built in; the
-    constructed surface attains it in absolute value at the harmonic center.
-    """
+def curvature_bound(d):
+    """Sharp center-curvature bound of d in its normalized frame, where
+    |b1 - b3| = 2: pi^2 cos^2 m coth^2 j sech^4 k / |b1 - b3|^2, which the
+    surface attains in absolute value at the harmonic center.  Over the
+    input quadrilateral it scales like 1/|b1 - b3|^2 (cli.build_report)."""
     c = d.coords
-    scale2 = (2.0 / abs(frame.scale)) ** 2
     return (math.pi ** 2 * math.cos(c.m) ** 2
-            / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4) / scale2)
+            / (math.tanh(c.j) ** 2 * math.cosh(c.k) ** 4) / 4.0)
 
 
 def aligning_rotation(d):
@@ -105,22 +100,3 @@ def aligning_rotation(d):
     c = d.coords
     return 0.5 * math.atan2(math.cos(c.m), -math.sin(c.m) * math.tanh(c.k))
 
-
-def center_report(d, frame):
-    """The "center" object of the analyze report of the surface d.
-
-    frame is the NormalizedFrame of the quadrilateral that d was built in;
-    c0, curvature and curvature_bound are in the original coordinates.
-    """
-    curv_norm = gauss_curvature(0.0 + 0.0j, d)
-    return {
-        "c0": complex(frame.invert(d.h0)), "c0_normalized": d.h0,
-        "q0": gauss_map_q(0j, d), "q0_prime": d.q0_prime,
-        "h0_prime": d.h0_prime,
-        "curvature": curv_norm * abs(frame.scale) ** 2,
-        "curvature_normalized": curv_norm,
-        "curvature_bound": curvature_bound(d, frame),
-        "normal": list(center_normal(d)), "graph_normal": list(graph_normal(d)),
-        "mixed_derivative": center_mixed_derivative(d),
-        "alpha": aligning_rotation(d),
-    }

@@ -4,7 +4,8 @@ Input and output only: four subcommands over a common input format (a
 JSON file with "vertices" or "m","s","t", or --params m,s,t).  main loads
 the quadrilateral q and builds its normalized frame and surface record d
 once; each command takes (args, q, frame, d) and formats what the library
-computes on them:
+computes on them; frame maps results back to q only in build_report and
+mesh.sample_disk:
 
   analyze      closed-form report of the surface as canonical JSON
   verify       print the rows of the self-check suite (checks.CHECKS)
@@ -24,12 +25,14 @@ import math
 import numbers
 import sys
 
-from .analysis import center_report
+from .analysis import (aligning_rotation, center_mixed_derivative,
+                       center_normal, curvature_bound, gauss_curvature,
+                       graph_normal)
 from .errors import IoError, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
-from .params import scherk_data
+from .params import gauss_map_q, scherk_data
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,16 @@ def _read_text(path):
 def _floats(values, source):
     try:
         return [float(x) for x in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IoError(f"{source}: {exc}") from exc
+
+
+def _json_float(x, source):
+    """A number of a JSON document as a float; float() would also read true,
+    false and numeric strings."""
+    if type(x) not in (int, float):
+        raise IoError(f"{source}: not a number: {json.dumps(x)}")
+    return _floats([x], source)[0]
 
 
 def load_quad(args):
@@ -110,9 +121,14 @@ def load_quad(args):
     except json.JSONDecodeError as exc:
         raise IoError(f"invalid JSON in {args.input}: {exc}") from exc
     if isinstance(data, dict) and "vertices" in data:
-        return validate_quadrilateral(data["vertices"], tol_pitot=tol)
+        vertices, key = data["vertices"], 'JSON "vertices"'
+        if isinstance(vertices, list):  # validate checks the shape
+            vertices = [[_json_float(x, key) for x in v] if isinstance(v, list)
+                        else _json_float(v, key) for v in vertices]
+        return validate_quadrilateral(vertices, tol_pitot=tol)
     if isinstance(data, dict) and all(k in data for k in ("m", "s", "t")):
-        return construct_quad(*_floats(map(data.get, "mst"), "JSON m,s,t"), tol)
+        return construct_quad(*(_json_float(data[k], f'JSON m,s,t: "{k}"')
+                                for k in "mst"), tol)
     raise IoError("JSON input must contain \"vertices\" ([[x,y], ...]) "
                   "or the keys \"m\", \"s\", \"t\"")
 
@@ -123,9 +139,11 @@ def load_quad(args):
 
 def build_report(q, frame, d):
     """All closed-form data of the quadrilateral q, its normalized frame and
-    its surface record d, as a JSON-ready dict."""
+    its surface record d, as a JSON-ready dict; the center data are mapped
+    from the normalized frame back to q here, where |b1 - b3| = 2/|scale|."""
     coords = d.coords
     c1, c2, c3, c4 = d.cj
+    curvature, scale = gauss_curvature(0.0 + 0.0j, d), abs(frame.scale)
     return {
         "quad": {
             "vertices": [[b.real, b.imag] for b in q.vertices],
@@ -143,7 +161,18 @@ def build_report(q, frame, d):
                        "sqrt_X": d.sqrtX, "B": d.B, "Z": d.X, "A": d.A,
                        "C": d.C},
         "growth": {"lam": d.lam, "c1": c1, "c2": c2, "c3": c3, "c4": c4},
-        "center": center_report(d, frame),
+        "center": {
+            "c0": complex(frame.invert(d.h0)), "c0_normalized": d.h0,
+            "q0": gauss_map_q(0j, d), "q0_prime": d.q0_prime,
+            "h0_prime": d.h0_prime, "curvature_normalized": curvature,
+            "curvature": curvature * scale ** 2,
+            # 4 x is exact, so the bound keeps the bits of its closed form
+            "curvature_bound": 4.0 * curvature_bound(d) / (2.0 / scale) ** 2,
+            "normal": list(center_normal(d)),
+            "graph_normal": list(graph_normal(d)),
+            "mixed_derivative": center_mixed_derivative(d),
+            "alpha": aligning_rotation(d),
+        },
     }
 
 
@@ -159,8 +188,7 @@ def _emit(text, out):
 
 
 def cmd_analyze(args, q, frame, d):
-    report = build_report(q, frame, d)
-    _emit(canonical_json(report) + "\n", args.out)
+    _emit(canonical_json(build_report(q, frame, d)) + "\n", args.out)
     return 0
 
 
@@ -170,12 +198,10 @@ def cmd_analyze(args, q, frame, d):
 
 def cmd_verify(args, q, frame, d):
     from .checks import run_checks
-    rows = run_checks(d, frame, profile=args.tol_profile)
+    rows = run_checks(d, profile=args.tol_profile)
     width = max(len(name) for name, *_ in rows)
-    lines = []
-    for name, err, tol, ok in rows:
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status}  {name:<{width}}  err={err:9.3e}  tol={tol:9.3e}")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  err={err:9.3e}  "
+             f"tol={tol:9.3e}" for name, err, tol, ok in rows]
     n_ok = sum(1 for *_, ok in rows if ok)
     lines.append(f"{n_ok}/{len(rows)} checks passed "
                  f"(profile={args.tol_profile})")
@@ -258,12 +284,8 @@ def build_parser():
     return ap
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
-    "mesh": cmd_mesh,
-    "asymptotics": cmd_asymptotics,
-}
+_COMMANDS = {"analyze": cmd_analyze, "verify": cmd_verify, "mesh": cmd_mesh,
+             "asymptotics": cmd_asymptotics}
 
 
 def main(argv=None):

@@ -24,6 +24,21 @@ def graph_height_function(d):
     return lambda w: height_T(newton_invert(d, w), d)
 
 
+def wrong_constants(d):
+    """The record d with each known wrong constant: K's residues (so the
+    height) over sin p, halved as by 4 pi in place of 2 pi, times -1/2, and
+    z0 * 1.0001 carried into K's residues q(pole) h_res."""
+    def kres(scale=1.0, z0=d.z0):
+        return tuple(scale * d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate())
+                     * r for zk, r in zip(d.poles, d.h_residues))
+
+    return {"1/sin p": d._replace(k_residues=kres(1 / math.sin(d.p))),
+            "4 pi": d._replace(k_residues=kres(0.5)),
+            "height * -1/2": d._replace(k_residues=kres(-0.5)),
+            "z0 * 1.0001": d._replace(z0=d.z0 * 1.0001,
+                                      k_residues=kres(z0=d.z0 * 1.0001))}
+
+
 def stereographic(w):
     """Unit vector of the inverse stereographic projection of the point w."""
     den = 1.0 + abs(w) ** 2

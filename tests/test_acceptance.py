@@ -17,13 +17,14 @@ import numpy as np
 
 from conftest import (SEED, build_case, graph_height_function, sample_triples,
                       stereographic)
-from scherk import (center_mixed_derivative, center_normal, center_report,
+from scherk import (center_mixed_derivative, center_normal,
                     construct_quad, contour_height, dilatation, fd_laplacian,
                     fd_mixed, g_prime, gauss_map_q, graph_normal, h_prime,
                     harmonic_map, height_T, hyperbolic_coordinates, jacobian,
                     kernel_K,
                     normalize, numeric_residue, poisson_extension, residues,
                     scherk_data, step_boundary, validate_quadrilateral)
+from scherk.cli import build_report
 
 TWO_PI = 2.0 * math.pi
 
@@ -300,7 +301,7 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
     for q in quads:
         frame, _, _ = normalize(q)
         c = hyperbolic_coordinates(frame.z, frame.w)
-        rep = center_report(scherk_data(c), frame)
+        rep = build_report(q, frame, scherk_data(c))["center"]
         coth_j = math.cosh(c.j) / math.sinh(c.j)
         closed = (-(math.pi ** 2 / 4.0) * math.cos(c.m) ** 2
                   * coth_j ** 2 / math.cosh(c.k) ** 4)

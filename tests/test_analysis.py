@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scherk import (aligning_rotation, center_mixed_derivative,
-                    center_normal, center_report, curvature_bound, fd_mixed,
+                    center_normal, curvature_bound, fd_mixed,
                     gauss_curvature, gauss_map_q, graph_normal, h_prime,
                     height_T, hyperbolic_coordinates, newton_invert,
                     normalize, rotated_mixed_derivative, scherk_data,
@@ -16,7 +16,8 @@ from scherk import checks
 from scherk.checks import CHECKS, evaluate, run_checks
 from scherk.cli import build_report
 from scherk.geometry import HyperbolicCoords
-from conftest import build_case, graph_height_function, stereographic
+from conftest import (build_case, graph_height_function, stereographic,
+                      wrong_constants)
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
 ALPHA_CASE2 = 0.837238183568728665209007018006
@@ -84,23 +85,23 @@ LARGE_K_PARAMS = ((1.3310895653591717, 7.8739001972487195, 7.274288713826383),
 CURVATURE_ROWS = ("curvature_bound_attained",)
 
 
-def _curvature_rows(d, frame):
-    return [row for row in run_checks(d, frame) if row[0] in CURVATURE_ROWS]
+def _curvature_rows(d):
+    return [row for row in run_checks(d) if row[0] in CURVATURE_ROWS]
 
 
 @pytest.mark.parametrize("params", LARGE_K_PARAMS)
 def test_curvature_rows_pass_at_large_k(params):
-    _, frame, _, d = build_case(*params)
-    for name, err, tol, ok in _curvature_rows(d, frame):
+    d = build_case(*params)[3]
+    for name, err, tol, ok in _curvature_rows(d):
         assert tol == 1e-12 and err <= tol and ok, name
 
 
 def test_curvature_rows_pass_strict_at_small_j():
     # j = 0.024: the residue sum for h'(0) is off by 9.4e-14 relative there,
     # which failed the strict profile's curvature rows at err 1.9e-13
-    _, frame, _, d = build_case(1.2381208153591716, 0.3275948943101834,
-                                0.2797940167649149)
-    rows = [row for row in run_checks(d, frame, "strict")
+    d = build_case(1.2381208153591716, 0.3275948943101834,
+                   0.2797940167649149)[3]
+    rows = [row for row in run_checks(d, "strict")
             if row[0] in CURVATURE_ROWS]
     for name, err, tol, ok in rows:
         assert tol == 1e-13 and err <= tol and ok, name
@@ -111,31 +112,16 @@ def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2,
     # q(0) = -sqrt(X) z0 still carries z0 into the curvature, and the row
     # sees a bound off by 1e-11 relative
     cases = (case1, case2, build_case(0.7, 7.5, 6.5))
-    for _, frame, _, d in cases:
+    for _, _, _, d in cases:
         wrong = d._replace(z0=d.z0 * 1.0001)
-        rows = _curvature_rows(wrong, frame)
+        rows = _curvature_rows(wrong)
         assert len(rows) == 1 and not any(ok for *_, ok in rows)
     exact = checks.curvature_bound
     monkeypatch.setattr(checks, "curvature_bound",
-                        lambda d, frame: (1.0 + 1e-11) * exact(d, frame))
-    for _, frame, _, d in cases:
-        rows = _curvature_rows(d, frame)
+                        lambda d: (1.0 + 1e-11) * exact(d))
+    for _, _, _, d in cases:
+        rows = _curvature_rows(d)
         assert len(rows) == 1 and not any(ok for *_, ok in rows)
-
-
-def _wrong_constants(d):
-    """The record with each known wrong constant: K's residues (so the
-    height) over sin p, halved as by 4 pi in place of 2 pi, times -1/2, and
-    z0 * 1.0001 carried into K's residues q(pole) h_res."""
-    def kres(scale=1.0, z0=d.z0):
-        return tuple(scale * d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate())
-                     * r for zk, r in zip(d.poles, d.h_residues))
-
-    return {"1/sin p": d._replace(k_residues=kres(1 / math.sin(d.p))),
-            "4 pi": d._replace(k_residues=kres(0.5)),
-            "height * -1/2": d._replace(k_residues=kres(-0.5)),
-            "z0 * 1.0001": d._replace(z0=d.z0 * 1.0001,
-                                      k_residues=kres(z0=d.z0 * 1.0001))}
 
 
 # What the finite-difference rows over Newton-inverted heights rejected: per
@@ -158,11 +144,10 @@ def test_graph_rows_reject_what_the_fd_rows_rejected(case1, case2):
     rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
     cases = {"case1": case1, "case2": case2, "k7": build_case(0.7, 7.5, 6.5)}
     for (label, pick), rejected in FD_ROWS_REJECTED.items():
-        _, frame, _, d = cases[label]
-        wrong = _wrong_constants(d)
+        wrong = wrong_constants(cases[label][3])
         for row, constant in sorted(rejected):
             tols, err_of = rows[row]
-            err = err_of(wrong[constant], frame, evaluate(wrong[constant]))
+            err = err_of(wrong[constant], evaluate(wrong[constant]))
             if (label, row, constant) == ("k7", "aligned_mixed_derivative_zero",
                                           "1/sin p"):
                 # a height scale keeps the aligned mixed derivative zero; the
@@ -205,18 +190,22 @@ def test_curvature_vs_graph_finite_differences(case1, case2):
 
 def test_curvature_bound_attained_and_covariant(sweep_cases):
     for q, frame, c, d in sweep_cases[:50]:
-        bound = curvature_bound(d, frame)
+        bound = curvature_bound(d)
+        attained = abs(gauss_curvature(0.0 + 0.0j, d))
+        assert abs(attained - bound) < 1e-12 * bound
+        bound = build_report(q, frame, d)["center"]["curvature_bound"]
         attained = abs(gauss_curvature(0.0 + 0.0j, d)) * abs(frame.scale) ** 2
         assert abs(attained - bound) < 1e-12 * bound
 
 
 def test_curvature_bound_scales_like_inverse_area():
     q, frame, _, d = build_case(0.4, 1.1, -0.2)
-    bound = curvature_bound(d, frame)
+    bound = build_report(q, frame, d)["center"]["curvature_bound"]
     bigger = validate_quadrilateral([3.0 * v for v in q.vertices])
     fb, _, _ = normalize(bigger)
     db = scherk_data(hyperbolic_coordinates(fb.z, fb.w))
-    assert abs(curvature_bound(db, fb) - bound / 9.0) < 1e-12 * bound
+    got = build_report(bigger, fb, db)["center"]["curvature_bound"]
+    assert abs(got - bound / 9.0) < 1e-12 * bound
 
 
 def test_center_normal_closed_form(sweep_cases):
@@ -373,19 +362,25 @@ def test_aligning_rotation_zeroes_fd(case1):
 
 
 def test_center_report_assembly(case1):
-    q, frame, c, d = case1
-    rep = center_report(d, frame)
-    assert abs(rep["c0"] - frame.invert(d.h0)) < 1e-15
-    assert rep["c0_normalized"] == d.h0
-    assert abs(rep["curvature_normalized"] - gauss_curvature(0j, d)) < 1e-15
-    assert abs(rep["curvature"]
-               - rep["curvature_normalized"] * abs(frame.scale) ** 2) < 1e-12
-    assert abs(abs(rep["curvature"]) - rep["curvature_bound"]) < 1e-10
-    assert rep["normal"] == list(center_normal(d))
-    assert rep["graph_normal"] == list(graph_normal(d))
-    assert abs(rep["mixed_derivative"] - center_mixed_derivative(d)) == 0.0
-    assert abs(rep["alpha"] - aligning_rotation(d)) == 0.0
-    assert (rep["q0"], rep["q0_prime"], rep["h0_prime"]) == (
-        gauss_map_q(0j, d), d.q0_prime, d.h0_prime)
-    # analyze prints exactly this object under "center"
-    assert build_report(q, frame, d)["center"] == rep
+    # case1 is its own normalized frame; the moved copy maps back through a
+    # frame of scale 1/|1.5 - 0.5i|
+    q1 = case1[0]
+    moved = validate_quadrilateral([(1.5 - 0.5j) * v + (2.0 + 1.0j)
+                                    for v in q1.vertices])
+    for q in (q1, moved):
+        frame, _, _ = normalize(q)
+        d = scherk_data(hyperbolic_coordinates(frame.z, frame.w))
+        rep = build_report(q, frame, d)["center"]
+        assert abs(rep["c0"] - frame.invert(d.h0)) < 1e-15
+        assert rep["c0_normalized"] == d.h0
+        assert abs(rep["curvature_normalized"]
+                   - gauss_curvature(0j, d)) < 1e-15
+        assert abs(rep["curvature"]
+                   - rep["curvature_normalized"] * abs(frame.scale) ** 2) < 1e-12
+        assert abs(abs(rep["curvature"]) - rep["curvature_bound"]) < 1e-10
+        assert rep["normal"] == list(center_normal(d))
+        assert rep["graph_normal"] == list(graph_normal(d))
+        assert abs(rep["mixed_derivative"] - center_mixed_derivative(d)) == 0.0
+        assert abs(rep["alpha"] - aligning_rotation(d)) == 0.0
+        assert (rep["q0"], rep["q0_prime"], rep["h0_prime"]) == (
+            gauss_map_q(0j, d), d.q0_prime, d.h0_prime)

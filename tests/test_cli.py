@@ -61,7 +61,7 @@ PUBLIC_NAMES = [
     "SelfIntersecting", "SurfaceMesh", "ToleranceNotMet", "ZeroArea",
     "adaptive_quad", "aligning_rotation", "analysis", "analytic_parts",
     "angle_parameter", "center_mixed_derivative", "center_normal",
-    "center_report", "construct_quad", "contour_height", "curvature_bound",
+    "construct_quad", "contour_height", "curvature_bound",
     "dilatation", "errors", "export_obj", "fd_laplacian", "fd_mixed",
     "g_prime", "gauss_curvature", "gauss_map_q", "geometry", "graph_normal",
     "h_prime", "harmonic", "harmonic_map", "height_T", "hyperbola_point",
@@ -73,7 +73,7 @@ PUBLIC_NAMES = [
 
 
 def test_package_namespace_is_unchanged():
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 63
     assert scherk.__all__ == PUBLIC_NAMES
     star = {}
     exec("from scherk import *", star)
@@ -159,6 +159,39 @@ def test_analyze_params_report(capsys):
     assert abs(rep["parameters"]["p"] - 2.4554616339854150) < 1e-12
     assert rep["quad"]["reversed_input"] is False
     assert abs(rep["center"]["curvature"] + 9.0195199228049745) < 1e-10
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, stdin, golden", [
+    (("--params", "0.3,1.0,0.3"), None, "analyze_params_0.3_1.0_0.3.json"),
+    (("-",), '{"vertices": [[-1,0],[0,-1],[1,0],[0,1]]}',
+     "analyze_square.json")])
+def test_analyze_output_is_byte_identical_to_golden(capsys, monkeypatch,
+                                                    argv, stdin, golden):
+    # every leaf of the report, to the last printed digit
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_analysis_and_checks_take_no_frame():
+    # both layers work in the normalized frame: only cli.build_report and
+    # mesh.sample_disk map results back to the input quadrilateral
+    import scherk.analysis as analysis
+    import scherk.checks as checks
+    functions = [f for mod in (analysis, checks) for f in vars(mod).values()
+                 if inspect.isfunction(f) and f.__module__ == mod.__name__]
+    functions += [err_of for *_, err_of in CHECKS]
+    assert len(functions) > len(CHECKS)
+    for f in functions:
+        assert "frame" not in inspect.signature(f).parameters, f.__qualname__
+    assert list(inspect.signature(run_checks).parameters) == ["d", "profile"]
+    for *_, err_of in CHECKS:
+        assert list(inspect.signature(err_of).parameters) == ["d", "ev"]
 
 
 def test_analyze_deterministic_output(capsys):
@@ -252,6 +285,27 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+    # JSON true, false and strings are not numbers, though float() and
+    # complex() read them (m = true was analyzed as m = 1), and an integer
+    # past the float range is no traceback
+    huge = "1" + "0" * 400
+    for doc, field in (('{"m": true, "s": 1.0, "t": 0.3}', '"m"'),
+                       ('{"m": 0.3, "s": "1.0", "t": 0.3}', '"s"'),
+                       ('{"m": 0.3, "s": 1.0, "t": false}', '"t"'),
+                       (f'{{"m": {huge}, "s": 1.0, "t": 0.3}}', '"m"'),
+                       ('{"vertices": [[false,-1],[true,0],[1,0],[0,1]]}',
+                        '"vertices"'),
+                       ('{"vertices": [[-1,0],[0,"-1"],[1,0],[0,1]]}',
+                        '"vertices"'),
+                       ('{"vertices": [[-1,0],"0-1j",[1,0],[0,1]]}',
+                        '"vertices"'),
+                       (f'{{"vertices": [[-1,0],[0,-1],[{huge},0],[0,1]]}}',
+                        '"vertices"')):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: IoError: JSON ") and field in err
+        assert err.count("\n") == 1
     # rapidities whose hyperbola point overflows a float name m and tau
     for params in ("0.3,1000,0.3", "0.3,1,-720"):
         for command in ("analyze", "verify"):
@@ -373,7 +427,7 @@ def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
     idx = 10
     name, tols, _ = checks.CHECKS[idx]
 
-    def raises(d, frame, ev):
+    def raises(d, ev):
         raise scherk.ToleranceNotMet("quadrature stalled")
 
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:idx] + (
@@ -400,21 +454,21 @@ def test_analyze_near_right_angle(capsys):
 
 def test_run_checks_lets_other_exceptions_through(case1, monkeypatch):
     import scherk.checks as checks
-    _, frame, _, d = case1
+    _, _, _, d = case1
 
-    def broken(d, frame, ev):
+    def broken(d, ev):
         raise ValueError("not a library error")
 
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:1] + (
         ("broken", (1.0, 1.0), broken),))
     with pytest.raises(ValueError, match="not a library error"):
-        checks.run_checks(d, frame)
+        checks.run_checks(d)
 
 
 def test_verify_runtime_budget():
-    _, frame, _, d = build_case(0.3, 1.0, 0.3)
+    _, _, _, d = build_case(0.3, 1.0, 0.3)
     start = time.perf_counter()
-    rows = run_checks(d, frame, profile="default")
+    rows = run_checks(d, profile="default")
     elapsed = time.perf_counter() - start
     assert all(ok for *_, ok in rows)
     assert elapsed < 30.0
@@ -423,8 +477,8 @@ def test_verify_runtime_budget():
 @pytest.mark.parametrize("name, tols, err_of", CHECKS,
                          ids=[name for name, *_ in CHECKS])
 def test_check_row_passes_both_profiles(name, tols, err_of, case1, case2):
-    for _, frame, _, d in (case1, case2):
-        err = err_of(d, frame, evaluate(d))
+    for _, _, _, d in (case1, case2):
+        err = err_of(d, evaluate(d))
         assert all(err <= tol for tol in tols), f"{name}: err {err:.3e}"
 
 
@@ -582,7 +636,7 @@ def test_asymptotics_prints_the_slope_of_the_growth_row(capsys, case1, case2):
     # the command and the radial_growth_slopes row read one fit, its closed
     # form +-2 cj and its relative error from checks.growth_fit: the command
     # on its own 52 ray heights, the row on verify's evaluation
-    for params, (_, frame, _, d) in (("0.3,1.0,0.3", case1),
+    for params, (_, _, _, d) in (("0.3,1.0,0.3", case1),
                                      ("0.3,1.0,-0.3", case2)):
         fit = growth_fit(d, evaluate(d)["rays"][1])
         for pole in (1, 2, 3, 4):
@@ -593,7 +647,7 @@ def test_asymptotics_prints_the_slope_of_the_growth_row(capsys, case1, case2):
             assert target == (2, -2, 2, -2)[pole - 1] * d.cj[pole - 1]
             assert out == (f"pole {pole}: fitted slope {slope:.12g} vs closed "
                            f"form {target:.12g} (rel err {rel:.3e})\n")
-        row = dict((name, err) for name, err, *_ in run_checks(d, frame))
+        row = dict((name, err) for name, err, *_ in run_checks(d))
         assert row["radial_growth_slopes"] == max(rel for *_, rel in fit)
 
 
@@ -627,6 +681,27 @@ def test_asymptotics_evaluates_only_its_52_ray_points(capsys, case2,
     column = np.reshape(rays, (radii.size, 4))[:, 2]
     assert csv.read_text().splitlines() == ["r,T"] + [
         f"{r:.17g},{t:.17g}" for r, t in zip(radii, column)]
+
+
+def test_asymptotics_builds_the_growth_rays_once(capsys, monkeypatch):
+    # growth_fit reads the radii itself: one growth_rays call per asymptotics
+    # run, and one per verify run, in its evaluation
+    import scherk.checks as checks
+    calls = []
+
+    def counted(d, exact=checks.growth_rays):
+        calls.append(d)
+        return exact(d)
+
+    monkeypatch.setattr(checks, "growth_rays", counted)
+    for pole in ("1", "4"):
+        calls.clear()
+        code, _, _ = run(capsys, "asymptotics", "--params", "0.3,1.0,-0.3",
+                         "--pole", pole)
+        assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "--params", "0.3,1.0,-0.3")
+    assert code == 0 and len(calls) == 1
 
 
 def test_m_zero_kites_are_judged_not_refused(capsys, monkeypatch):

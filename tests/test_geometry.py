@@ -8,9 +8,10 @@ import pytest
 from conftest import build_case, sample_triples
 from scherk import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
                     NotPitot, SelfIntersecting, ZeroArea, construct_quad,
-                    curvature_bound, gauss_curvature, hyperbola_point,
+                    gauss_curvature, hyperbola_point,
                     hyperbolic_coordinates, normalize, scherk_data, taylor,
                     validate_quadrilateral)
+from scherk.cli import build_report
 
 ZV = 0.30891865372641847 + 0.29091934800929248j   # hyperbola_point(0.3, 0.3)
 WV = 0.45601150809571184 + 1.1227125823518906j    # hyperbola_point(0.3, 1.0)
@@ -104,8 +105,10 @@ def test_rhombus_curvature_times_inradius_squared():
                 < 1e-12 * math.pi ** 2 / 4, j
     # the axis-parallel square, diagonal b1b3 from (-1,-1) to (1,1): the same
     # surface at scale sqrt(2), r_in = 1
-    frame, c, d = _setup([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-    assert c.m == 0.0 and abs(curvature_bound(d, frame) - math.pi ** 2 / 4) < 1e-13
+    square = validate_quadrilateral([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    frame, c, d = _setup(square.vertices)
+    bound = build_report(square, frame, d)["center"]["curvature_bound"]
+    assert c.m == 0.0 and abs(bound - math.pi ** 2 / 4) < 1e-13
 
 
 def test_square_coordinates_do_not_depend_on_its_placement(rng):

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, analytic_parts, center_report, dilatation,
+from scherk import (PoleProximity, analytic_parts, dilatation,
                     g_prime, gauss_map_q, h_prime, harmonic_map, jacobian,
                     normalize, poisson_extension, step_boundary,
                     validate_quadrilateral)
+from scherk.cli import build_report
 
 C0_CASE1 = 0.298933832635220044875722312242 + 0.5524457420684848288083219245j
 C0_CASE2 = 0.234294879480996107591142024427 + 0.254774756337459863218731547597j
@@ -73,7 +74,8 @@ def test_center_in_original_coordinates(case1, rng):
     b = -2.0 + 1.0j
     moved = validate_quadrilateral([a * v + b for v in q.vertices])
     frame, _, _ = normalize(moved)
-    assert abs(center_report(d, frame)["c0"] - (a * d.h0 + b)) < 1e-13
+    c0 = build_report(moved, frame, d)["center"]["c0"]
+    assert abs(c0 - (a * d.h0 + b)) < 1e-13
 
 
 def test_boundary_radial_limits_hit_vertices(case1):

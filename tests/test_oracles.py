@@ -364,11 +364,11 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
 
     inner, outer = oracles.TAYLOR_RADII
     monkeypatch.setattr(oracles, "map_and_height", perturbed)
-    for _, frame, _, d in (case1, case2):
+    for _, _, _, d in (case1, case2):
         for field in (0, 1):
             eps[:] = [0.0, 0.0]
             eps[field] = 1e-6
-            err = err_of(d, frame, evaluate(d))
+            err = err_of(d, evaluate(d))
             assert err > max(tols), (field, err)
             assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
 
@@ -380,16 +380,16 @@ def test_boundary_step_row_is_relative_to_the_largest_vertex(case1, case2):
     from conftest import build_case
     err_of, tols = next((err, tols) for name, tols, err in CHECKS
                         if name == "boundary_step_values")
-    for _, frame, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+    for _, _, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
         ev = evaluate(d)
-        assert err_of(d, frame, ev) <= min(tols), c
+        assert err_of(d, ev) <= min(tols), c
         spans, values = zip(*ev["arcs"])
         rotated = dict(ev, arcs=tuple(zip(spans, values[1:] + values[:1])))
         f, T = ev["mids"]
         scale = max(abs(b) for b in d.vertices)
         shifted = dict(ev, mids=(f + 2e-3 * scale, T))
         for wrong in (rotated, shifted):
-            assert err_of(d, frame, wrong) > max(tols), c
+            assert err_of(d, wrong) > max(tols), c
 
 
 def test_center_offsets_fail_the_poisson_and_contour_rows(case1, case2):
@@ -398,14 +398,14 @@ def test_center_offsets_fail_the_poisson_and_contour_rows(case1, case2):
     # on the evaluation) the contour row, in both profiles
     from conftest import build_case
     rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
-    for _, frame, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+    for _, _, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
         moved = d._replace(h0=d.h0 + 1e-5)
         tols, err_of = rows["poisson_extension_agreement"]
-        assert err_of(moved, frame, evaluate(moved)) > max(tols), c
+        assert err_of(moved, evaluate(moved)) > max(tols), c
         ev = evaluate(d)
         f, T = ev["points"]
         tols, err_of = rows["height_vs_contour_quadrature"]
-        assert err_of(d, frame, dict(ev, points=(f, T + 1e-6))) > max(tols), c
+        assert err_of(d, dict(ev, points=(f, T + 1e-6))) > max(tols), c
 
 
 def _per_row_errs(d):
@@ -452,7 +452,7 @@ def _per_row_errs(d):
 def _square():
     q = validate_quadrilateral([-1.0, -1j, 1.0, 1j])
     frame, _, _ = normalize(q)
-    return frame, scherk_data(hyperbolic_coordinates(frame.z, frame.w))
+    return scherk_data(hyperbolic_coordinates(frame.z, frame.w))
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -460,15 +460,15 @@ def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
     from conftest import build_case, sample_triples
     # the verify points are fixed; the seed draws one more surface
     m, s, t = sample_triples(np.random.default_rng(seed), 1)[0]
-    surfaces = [case1[1::2], case2[1::2], _square(),
-                build_case(0.7, 7.5, 6.5)[1::2],   # Scherk's square, k = 7
-                build_case(m, s, t)[1::2]]
-    for frame, d in surfaces:
+    surfaces = [case1[3], case2[3], _square(),
+                build_case(0.7, 7.5, 6.5)[3],   # Scherk's square, k = 7
+                build_case(m, s, t)[3]]
+    for d in surfaces:
         errs, slopes = _per_row_errs(d)
         rows = {name: err_of for name, _, err_of in CHECKS}
         ev = evaluate(d)
         for name, want in errs.items():
-            got = rows[name](d, frame, ev)
+            got = rows[name](d, ev)
             assert float(got) == float(want), (name, d.coords, got, want)
         fit = growth_fit(d, ev["rays"][1])
         assert np.array_equal([s for s, *_ in fit], slopes), d.coords
@@ -483,12 +483,12 @@ def test_verify_rows_read_one_evaluation_per_surface(case1, case2,
             return exact(*args)
         monkeypatch.setattr(checks, name, counted)
 
-    (_, f1, _, d1), (_, f2, _, d2) = case1, case2
+    d1, d2 = case1[3], case2[3]
     once = ["_derivatives", "map_and_height", "step_boundary", "taylor"]
-    first = run_checks(d1, f1)
+    first = run_checks(d1)
     # taylor's own map_and_height call goes through oracles, not checks
     assert sorted(calls) == once
     # nothing is kept between records: back to back, each gets its own
-    second, again = run_checks(d2, f2), run_checks(d1, f1)
+    second, again = run_checks(d2), run_checks(d1)
     assert sorted(calls) == sorted(once * 3)
     assert again == first != second

@@ -8,7 +8,7 @@ import pytest
 from scherk import angle_parameter, h_prime, scherk_data
 from scherk.checks import CHECKS, _split_moduli, evaluate
 from scherk.geometry import HyperbolicCoords
-from conftest import build_case
+from conftest import build_case, wrong_constants
 
 
 def vertex_form_E(z, w):
@@ -201,10 +201,10 @@ def test_sign_split_rejects_wrong_growth_scale(case1, case2):
     # the row compares the residues with +-i lam |...|^2, so a wrong lam fails
     err_of, tols = next((err, tols) for name, tols, err in CHECKS
                         if name == "kernel_residue_sign_split")
-    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+    for _, _, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
         for lam in (d.lam / math.sin(d.p), 2.0 * d.lam):
             wrong = d._replace(lam=lam)
-            err = err_of(wrong, frame, evaluate(wrong))
+            err = err_of(wrong, evaluate(wrong))
             assert err > max(tols), (d.coords, lam, err)
 
 
@@ -215,17 +215,15 @@ def test_kernel_residue_sum_is_relative_to_the_perimeter(case1, case2):
     # 1.3e-13) fail both
     err_of, tols = next((err, tols) for name, tols, err in CHECKS
                         if name == "kernel_residue_sum")
-    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
-        assert err_of(d, frame, evaluate(d)) <= min(tols)
-        z0 = d.z0 * 1.0001
-        moved = tuple(d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
-                      for zk, r in zip(d.poles, d.h_residues))
+    for _, _, _, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
+        assert err_of(d, evaluate(d)) <= min(tols)
+        moved = wrong_constants(d)["z0 * 1.0001"].k_residues
         wrong = [moved] + [tuple(r * (1.0 + 1e-12) if i == n else r
                                  for i, r in enumerate(d.k_residues))
                            for n in range(4)]
         for kres in wrong:
             moved_d = d._replace(k_residues=kres)
-            err = err_of(moved_d, frame, evaluate(moved_d))
+            err = err_of(moved_d, evaluate(moved_d))
             assert err > max(tols), (d.coords, err)
 
 
@@ -240,23 +238,21 @@ def test_kernel_scale_and_sign_split_are_relative_to_the_perimeter(case1,
     rows = {name: err for name, _, err in CHECKS}
     tol = dict((name, tols[1]) for name, tols, _ in CHECKS)
     k73 = build_case(0.13890206535917143, 8.357027889913319, 6.279161021161783)
-    _, frame, _, d = k73
+    _, _, _, d = k73
     for name in ("kernel_scale_identity", "kernel_residue_sign_split"):
-        assert rows[name](d, frame, evaluate(d)) <= tol[name]
+        assert rows[name](d, evaluate(d)) <= tol[name]
     # at j = 12.9, e^{2ip} - 1 cancelled to 4.7e-12 of C/(e^{2ip} - 1);
     # 2i sin p e^{ip} does not cancel
-    _, frame, _, d = build_case(0.4024623350854257, 12.183448731400844,
+    _, _, _, d = build_case(0.4024623350854257, 12.183448731400844,
                                 -13.683300511063393)
-    assert rows["kernel_scale_identity"](d, frame, evaluate(d)) \
+    assert rows["kernel_scale_identity"](d, evaluate(d)) \
         <= tol["kernel_scale_identity"]
     # rounding passes the strict profile; a mutation of 1e-12 relative (at
     # least 1.3e-13 here) or larger, or of a sign or a root, fails it.  On
     # k73 a small residue * (1 + 1e-12) read 5.6e-14 over sum cj; over its
     # own cj it reads 1e-12
-    for _, frame, _, d in (case1, case2, build_case(0.7, 7.5, 6.5), k73):
-        z0 = d.z0 * 1.0001
-        moved = tuple(d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate()) * r
-                      for zk, r in zip(d.poles, d.h_residues))
+    for _, _, _, d in (case1, case2, build_case(0.7, 7.5, 6.5), k73):
+        moved = wrong_constants(d)["z0 * 1.0001"].k_residues
         wrong = {"kernel_scale_identity": [
             {"C": d.C * (1.0 + 1e-12)}, {"C": d.C * cmath.exp(1e-12j)},
             {"e_ip": d.e_ip * cmath.exp(1e-12j)}, {"C": -d.C},
@@ -269,10 +265,10 @@ def test_kernel_scale_and_sign_split_are_relative_to_the_perimeter(case1,
                                  for i, r in enumerate(d.k_residues))}
             for n in range(4)]}
         for name, changes in wrong.items():
-            assert rows[name](d, frame, evaluate(d)) <= tol[name]
+            assert rows[name](d, evaluate(d)) <= tol[name]
             for change in changes:
                 moved_d = d._replace(**change)
-                err = rows[name](moved_d, frame, evaluate(moved_d))
+                err = rows[name](moved_d, evaluate(moved_d))
                 assert err > tol[name], (name, d.coords, change, err)
 
 
