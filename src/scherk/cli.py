@@ -122,9 +122,12 @@ def load_quad(args):
         raise IoError(f"invalid JSON in {args.input}: {exc}") from exc
     if isinstance(data, dict) and "vertices" in data:
         vertices, key = data["vertices"], 'JSON "vertices"'
-        if isinstance(vertices, list):  # validate checks the shape
-            vertices = [[_json_float(x, key) for x in v] if isinstance(v, list)
-                        else _json_float(v, key) for v in vertices]
+        if isinstance(vertices, list):  # validate checks the pair length
+            bare = [v for v in vertices if not isinstance(v, list)]
+            if bare:
+                raise IoError(f"{key}: not an [x, y] pair: "
+                              f"{json.dumps(bare[0])}")
+            vertices = [[_json_float(x, key) for x in v] for v in vertices]
         return validate_quadrilateral(vertices, tol_pitot=tol)
     if isinstance(data, dict) and all(k in data for k in ("m", "s", "t")):
         return construct_quad(*(_json_float(data[k], f'JSON m,s,t: "{k}"')

@@ -286,8 +286,9 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
     # JSON true, false and strings are not numbers, though float() and
-    # complex() read them (m = true was analyzed as m = 1), and an integer
-    # past the float range is no traceback
+    # complex() read them (m = true was analyzed as m = 1), a bare number is
+    # not an [x, y] vertex (it was read as x + 0i), and an integer past the
+    # float range is no traceback
     huge = "1" + "0" * 400
     for doc, field in (('{"m": true, "s": 1.0, "t": 0.3}', '"m"'),
                        ('{"m": 0.3, "s": "1.0", "t": 0.3}', '"s"'),
@@ -298,6 +299,8 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
                        ('{"vertices": [[-1,0],[0,"-1"],[1,0],[0,1]]}',
                         '"vertices"'),
                        ('{"vertices": [[-1,0],"0-1j",[1,0],[0,1]]}',
+                        '"vertices"'),
+                       ('{"vertices": [-1, [0, -1], 1, [0, 1]]}',
                         '"vertices"'),
                        (f'{{"vertices": [[-1,0],[0,-1],[{huge},0],[0,1]]}}',
                         '"vertices"')):

@@ -11,7 +11,8 @@ import pytest
 from scherk import (PoleProximity, adaptive_quad, g_prime, gauss_map_q,
                     h_prime, harmonic_map, height_T, kernel_K, map_and_height,
                     numeric_residue, residues)
-from scherk.harmonic import _log_sums
+from scherk.checks import _CIRCLE, _POINTS, growth_rays
+from scherk.harmonic import _BLOCK, _log_sums, step_boundary
 from conftest import build_case
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
@@ -196,8 +197,13 @@ def test_one_pass_evaluators_are_bitwise_the_two_pass_formulas(
     grid = rows * np.exp(1j * np.linspace(0.0, 2 * np.pi, 13)[:-1])
     scalars = [0j, complex(-0.0, -0.0), 0.3 + 0.2j, -0.7 + 0.1j,
                0.995 * cmath.exp(2.5j)]
+    # three blocks of _log_sums, with 0.995 x the poles astride the first cut
+    n = 2 * _BLOCK + 7
+    spiral = 0.995 * np.sqrt(np.arange(n) / n) * np.exp(2.4j * np.arange(n))
     for _, _, _, d in [case1, case2] + sweep_cases:
-        for z in [grid, 0.995 * np.array(d.poles)] + scalars:
+        long = spiral.copy()
+        long[_BLOCK - 2:_BLOCK + 2] = 0.995 * np.array(d.poles)
+        for z in [grid, 0.995 * np.array(d.poles), long] + scalars:
             f, t = _two_pass_reference(z, d)
             assert _same_bits(harmonic_map(z, d), f)
             assert _same_bits(height_T(z, d), t)
@@ -226,6 +232,32 @@ def test_pole_logs_as_accurate_as_numpy_complex_log():
     assert np.all(np.abs(got.imag - want.imag) <= 2.5e-16 * np.abs(want.imag))
 
 
+def _traced_peak(evaluate, z, d):
+    """tracemalloc peak of evaluate(z, d), after one untraced call."""
+    evaluate(z, d)
+    tracemalloc.start()
+    try:
+        evaluate(z, d)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_evaluation_footprint(case1):
+    """map_and_height on checks.evaluate's 780 points peaks under 300 KiB.
+
+    Summing pole by pole keeps the temporaries at (coeffs, points), so a
+    verify op frees no heap top for glibc to trim that the next op would
+    fault back in; (coeffs, 4, points) products peak at 503 KiB.
+    """
+    d = case1[3]
+    mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in step_boundary(d)])
+    z = np.concatenate([_POINTS, _CIRCLE, (1.0 - 1e-6) * np.exp(1j * mids),
+                        growth_rays(d)[1].ravel()])
+    assert z.size == 780
+    assert _traced_peak(map_and_height, z, d) <= 300 * 1024
+
+
 @pytest.mark.parametrize("evaluate, arrays", [
     (map_and_height, 5), (harmonic_map, 4), (height_T, 3)])
 def test_evaluators_peak_memory_in_point_arrays(evaluate, arrays, case1):
@@ -235,13 +267,6 @@ def test_evaluators_peak_memory_in_point_arrays(evaluate, arrays, case1):
     n = 80001
     z = (0.995 * np.sqrt(gen.uniform(0.0, 1.0, n))
          * np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n)))
-    evaluate(z, d)
-    tracemalloc.start()
-    try:
-        evaluate(z, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # z.nbytes is one point-sized complex array; 64 KiB covers the
     # interpreter's own small allocations.
-    assert peak <= arrays * z.nbytes + 2 ** 16
+    assert _traced_peak(evaluate, z, d) <= arrays * z.nbytes + 2 ** 16
