@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Input and output only: four subcommands over a common input format (a
-JSON file with "vertices" or "m","s","t", or --params m,s,t).  main loads
+Input and output only: four subcommands share one parent parser's inputs
+(a JSON file with "vertices" or "m","s","t", or --params m,s,t).  main loads
 the quadrilateral q and builds its normalized frame and surface record d
 once; each command takes (args, q, frame, d) and formats what the library
 computes on them; frame maps results back to q only in build_report and
@@ -22,7 +22,6 @@ the commands that use them: analyze, --help and input refusals never load them.
 import argparse
 import json
 import math
-import numbers
 import sys
 
 from .analysis import (aligning_rotation, center_mixed_derivative,
@@ -48,8 +47,8 @@ def _fmt_float(x):
 
 def canonical_json(obj):
     """Deterministic JSON: sorted keys, .17g floats, complex as [re, im]."""
-    # the builtin types first, most frequent first; np.float64 and
-    # np.complex128 subclass float and complex, and bool comes before int
+    # a report holds only these types, most frequent first; np.float64 and
+    # np.complex128 subclass float and complex
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, dict):
@@ -60,19 +59,8 @@ def canonical_json(obj):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, complex):
         return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    # the other numpy scalars register with the ABCs, except np.bool_
-    if isinstance(obj, (int, numbers.Integral)):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _fmt_float(obj)
-    if isinstance(obj, numbers.Complex):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -245,43 +233,40 @@ def cmd_asymptotics(args, q, frame, d):
 # argument parsing
 
 
-def _add_common(p):
-    p.add_argument("input", nargs="?", default=None,
-                   help="JSON input file ('-' for stdin) with \"vertices\" "
-                        "or \"m\",\"s\",\"t\"")
-    p.add_argument("--params", metavar="M,S,T",
-                   help="construct the canonical quadrilateral from m,s,t")
-    p.add_argument("--tol-pitot", type=float, default=DEFAULT_TOL_PITOT,
-                   help="relative side-sum tolerance, in [0, 1) "
-                        "(default %(default)g)")
-    p.add_argument("--out", default=None, help="write output to this file")
-
-
 def build_parser():
+    common = argparse.ArgumentParser(add_help=False)  # each command's input
+    common.add_argument("input", nargs="?", default=None,
+                        help="JSON input file ('-' for stdin) with "
+                             "\"vertices\" or \"m\",\"s\",\"t\"")
+    common.add_argument("--params", metavar="M,S,T",
+                        help="construct the canonical quadrilateral from m,s,t")
+    common.add_argument("--tol-pitot", type=float, default=DEFAULT_TOL_PITOT,
+                        help="relative side-sum tolerance, in [0, 1) "
+                             "(default %(default)g)")
+    common.add_argument("--out", help="write output to this file")
     ap = argparse.ArgumentParser(
         prog="scherk",
         description="Saddle-type minimal graphs over Pitot quadrilaterals: "
                     "closed-form construction, verification, and export.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="print the closed-form report as JSON")
-    _add_common(pa)
+    sub.add_parser("analyze", parents=[common],
+                   help="print the closed-form report as JSON")
 
-    pv = sub.add_parser("verify", help="run the oracle self-check suite")
-    _add_common(pv)
+    pv = sub.add_parser("verify", parents=[common],
+                        help="run the oracle self-check suite")
     pv.add_argument("--tol-profile", choices=("default", "strict"),
                     default="default", help="tolerance profile")
 
-    pm = sub.add_parser("mesh", help="export a triangulated surface sample")
-    _add_common(pm)
+    pm = sub.add_parser("mesh", parents=[common],
+                        help="export a triangulated surface sample")
     pm.add_argument("--nr", type=int, default=24, help="number of rings")
     pm.add_argument("--ntheta", type=int, default=48, help="points per ring")
     pm.add_argument("--rmax", type=float, default=0.995, help="outer radius")
     pm.add_argument("--hmax", type=float, default=5.0, help="height clamp")
 
-    ps = sub.add_parser("asymptotics",
+    ps = sub.add_parser("asymptotics", parents=[common],
                         help="fit logarithmic height growth along a ray")
-    _add_common(ps)
     ps.add_argument("--pole", type=int, choices=(1, 2, 3, 4), default=1,
                     help="which boundary pole to approach")
     return ap

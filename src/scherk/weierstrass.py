@@ -4,8 +4,8 @@ The pair (p, q) = (h', sqrt(g'/h')) generates the graph: q is a Moebius
 automorphism of the disk (so the Gauss map covers a hemisphere exactly
 once) and the product K = h' q is rational with four simple circle poles,
 whose residues drive Scherk-type logarithmic height growth toward the four
-sides of Q.  map_and_height gives f and T from one pass over the pole logs.
-q itself, gauss_map_q, is numpy-free and lives in params; it is re-exported.
+sides of Q.  map_and_height gives f and T from one pass over the pole logs;
+q itself is params.gauss_map_q.
 """
 
 from collections import namedtuple
@@ -13,7 +13,6 @@ from collections import namedtuple
 import numpy as np
 
 from .harmonic import _guard_poles, _log_sums
-from .params import gauss_map_q  # noqa: F401  (scherk.weierstrass.gauss_map_q)
 
 
 class HeightKernel(namedtuple("HeightKernel", "poles residues lam cj")):

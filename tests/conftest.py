@@ -45,6 +45,12 @@ def stereographic(w):
     return (2.0 * w.real / den, 2.0 * w.imag / den, (1.0 - abs(w) ** 2) / den)
 
 
+def disk_points(rng, n, r_max):
+    """n points uniform by area in the disk |z| < r_max, drawn from rng."""
+    r = r_max * np.sqrt(rng.uniform(0.0, 1.0, n))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+
 def sample_triples(rng, n, m_range=(0.05, 1.5), tau=2.5, gap=(0.05, 2.5)):
     """(m, s, t) samples kept clear of the degenerate boundaries."""
     ms = rng.uniform(*m_range, n)

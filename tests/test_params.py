@@ -150,13 +150,6 @@ def test_moebius_center_two_routes(sweep_cases):
         assert abs(d.z0 - vertex) < 1e-9
 
 
-def test_moebius_center_modulus_squared_law(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        ratio = (math.cosh(c.k) - math.cos(c.m)) / (math.cosh(c.k) + math.cos(c.m))
-        assert abs(abs(d.z0) ** 2 - ratio) < 1e-13
-        assert abs(d.z0) < 1.0
-
-
 def test_unimodular_factor_three_routes(sweep_cases):
     for _, frame, c, d in sweep_cases:
         assert abs(abs(d.X) - 1.0) < 1e-13
