@@ -20,8 +20,9 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
 from .errors import ScherkError
 from .harmonic import _derivatives, step_boundary
-from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, kernel_contour_height,
-                      numeric_residue, poisson_extension, taylor)
+from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, TAYLOR_Z, _jet,
+                      kernel_contour_height, numeric_residue,
+                      poisson_extension)
 from .params import gauss_map_q
 from .weierstrass import kernel_K, map_and_height
 
@@ -42,20 +43,25 @@ def growth_rays(d):
 
 
 def evaluate(d):
-    """What the rows read on d: {part: (f, T)} on "points", "circle", "mids"
-    (1 - 1e-6 in from the arc midpoints) and "rays" (growth_rays(d)) from one
-    map_and_height call, "hp", "gp" (h', g' on _SPIRAL then _GRID) from one
-    _derivatives call, "jet" = taylor(d) and "arcs" = step_boundary(d)."""
+    """What the rows read on d, all from one f/T and one h'/g' evaluation.
+
+    One map_and_height call on 908 points gives {part: (f, T)} on "points"
+    (_POINTS), "circle" (_CIRCLE), "mids" (1 - 1e-6 in from the arc
+    midpoints) and "rays" (growth_rays(d)), and "jet", taylor(d) bit for bit,
+    from its last 2 x 64 points, TAYLOR_Z.  "hp", "gp" are h', g' on _SPIRAL
+    then _GRID from one _derivatives call, and "arcs" is step_boundary(d).
+    """
     arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
     parts = (_POINTS, _CIRCLE, (1.0 - 1e-6) * np.exp(1j * mids),
-             growth_rays(d)[1])
-    fT = map_and_height(np.concatenate([z.ravel() for z in parts]), d)
-    cuts = np.cumsum([z.size for z in parts])[:-1]
-    ev = dict(zip(("points", "circle", "mids", "rays"),
-                  zip(*(np.split(v, cuts) for v in fT))))
+             growth_rays(d)[1], TAYLOR_Z)
+    f, T = map_and_height(np.concatenate([z.ravel() for z in parts]), d)
+    ev, lo = {"arcs": arcs}, 0
+    for name, z in zip(("points", "circle", "mids", "rays"), parts):
+        ev[name], lo = (f[lo:lo + z.size], T[lo:lo + z.size]), lo + z.size
+    ev["jet"] = _jet(f[lo:].reshape(TAYLOR_Z.shape),
+                     T[lo:].reshape(TAYLOR_Z.shape))
     ev["hp"], ev["gp"] = _derivatives(np.concatenate((_SPIRAL, _GRID)), d)
-    ev["jet"], ev["arcs"] = taylor(d), arcs
     return ev
 
 

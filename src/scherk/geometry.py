@@ -139,8 +139,9 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
              else complex(v) for v in vertices]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"vertices must be pairs of numbers: {exc}") from exc
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in b):
-        raise ValueError("vertices must be finite")
+    for i, v in enumerate(b):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"vertices must be finite; vertex {i + 1} is {v!r}")
     if len(b) != 4:
         raise ValueError("exactly four vertices required")
 
@@ -197,7 +198,7 @@ def normalize(q):
 def hyperbola_point(m, tau):
     """Point sin(m) cosh(tau) + i cos(m) sinh(tau), 0 <= m < pi/2."""
     if not 0.0 <= m < math.pi / 2:
-        raise ValueError("m must lie in [0, pi/2)")
+        raise ValueError(f"m must lie in [0, pi/2); got m = {m!r}")
     try:
         ch, sh = math.cosh(tau), math.sinh(tau)
     except OverflowError:
@@ -220,8 +221,9 @@ def hyperbolic_coordinates(z, w, tol_pitot=DEFAULT_TOL_PITOT):
     if 1.0 - abs(kappa) < TOL_M:
         raise DegenerateRightAngle(f"hyperbola degenerates (cos m ~ 0) at kappa={kappa!r}")
     if kappa <= -TOL_M:
-        raise ValueError("z lies on the sin(m) < 0 branch; use normalize() "
-                         "to obtain the canonical (relabeled) frame first")
+        raise ValueError(f"z lies on the sin(m) < 0 branch (kappa={kappa!r}); "
+                         "use normalize() to obtain the canonical (relabeled) "
+                         "frame first")
     m = math.asin(kappa) if kappa >= TOL_M else 0.0
     cm = math.cos(m)
     t = math.asinh(z.imag / cm)

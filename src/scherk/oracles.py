@@ -25,6 +25,14 @@ NEWTON_TOL, NEWTON_STEPS = 1e-12, 50  # Newton residual tolerance, steps
 # Taylor circles |z| = rho (inner, outer), points per circle, highest |n|
 TAYLOR_RADII, TAYLOR_POINTS, TAYLOR_ORDER = (0.3, 0.6), 64, 12
 Taylor = namedtuple("Taylor", "coeffs P U V")
+# The (2, TAYLOR_POINTS) points of the two circles, the Fourier indices n
+# kept, and the weights TAYLOR_POINTS rho^|n| that turn FFT values into
+# Taylor coefficients.
+_N = np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1)
+_RHO = np.array(TAYLOR_RADII)[:, None, None]
+TAYLOR_Z = _RHO[:, 0] * np.exp(
+    2j * math.pi * np.arange(TAYLOR_POINTS) / TAYLOR_POINTS)
+_TAYLOR_WEIGHTS = TAYLOR_POINTS * _RHO ** np.abs(_N)
 # Unit offsets of the five-point Laplacian stencil; the center comes last.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
 
@@ -64,7 +72,9 @@ def _quad_levels(fn, a, b):
     for depth in range(MAX_DEPTH + 1):
         # the two halves of each pending panel, left then right, in order
         mid = 0.5 * (a + b)
-        a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
+        lo, hi = np.empty(2 * a.size), np.empty(2 * a.size)
+        lo[0::2], lo[1::2], hi[0::2], hi[1::2] = a, mid, mid, b
+        a, b = lo, hi
         owner = np.repeat(owner, 2)
         halves = _panels(fn, a, b, owner)
         pair = halves[0::2] + halves[1::2]
@@ -234,21 +244,23 @@ def newton_invert(d, target):
 def taylor(d):
     """Taylor coefficients of f and T off two circles; the graph's 2-jet at c0.
 
-    The FFT of one map_and_height call on TAYLOR_POINTS points of each circle
+    The FFT of f and T on the TAYLOR_POINTS points of each circle, TAYLOR_Z,
     gives the Fourier coefficients F_n, to about rho^TAYLOR_POINTS (Lyness
     and Moler 1967).  coeffs[i, 0 or 1, TAYLOR_ORDER + n] is F_n / rho^|n| of
     f or T on circle i: for f, h's Taylor coefficients (n > 0) and conj g's
     (n < 0); for T = 2 Im k, -i k's (n > 0), k' = K.  From the outer circle,
     the graph u(f(z)) = T(z) has P = u_w from P h' + conj(P) g' = T_z = -iK,
     and U = u_ww, V = u_wwbar from the 3x3 real system T_zz = -iK', T_zzbar =
-    0; so grad u = (2 Re P, -2 Im P) and u_xy = -2 Im U.  Nothing is kept
-    between calls: checks.evaluate makes the one call per verify run.
+    0; so grad u = (2 Re P, -2 Im P) and u_xy = -2 Im U.  This is _jet on
+    one map_and_height call of its own; checks.evaluate instead adds
+    TAYLOR_Z to the call it makes anyway and applies _jet to that slice.
     """
-    n = np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1)
-    rho = np.array(TAYLOR_RADII)[:, None, None]
-    z = rho[:, 0] * np.exp(2j * math.pi * np.arange(TAYLOR_POINTS) / TAYLOR_POINTS)
-    coeffs = (np.fft.fft(np.stack(map_and_height(z, d), 1))[..., n]
-              / (TAYLOR_POINTS * rho ** np.abs(n)))
+    return _jet(*map_and_height(TAYLOR_Z, d))
+
+
+def _jet(f, T):
+    """taylor's record from f and T on TAYLOR_Z, each of its shape."""
+    coeffs = np.fft.fft(np.stack((f, T), 1))[..., _N] / _TAYLOR_WEIGHTS
     f, T = coeffs[1, :, TAYLOR_ORDER - 2:TAYLOR_ORDER + 3]  # n = -2 .. 2
     a, b = f[1].conjugate() / f[3], 1.0 - abs(f[1] / f[3]) ** 2
     P = (T[3] / f[3] - a * (T[3] / f[3]).conjugate()) / b  # -iK/h' = T_1/h_1

@@ -24,6 +24,7 @@ from scherk.checks import (CHECKS, evaluate, growth_fit, growth_rays,
 from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
+from scherk.oracles import taylor
 from conftest import build_case
 
 
@@ -261,7 +262,7 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
     # a library ValueError is named like a ScherkError
     code, out, err = run(capsys, "analyze", "--params", "2,1,0.3")
     assert code == 2 and out == ""
-    assert err == "error: ValueError: m must lie in [0, pi/2)\n"
+    assert err == "error: ValueError: m must lie in [0, pi/2); got m = 2.0\n"
     # malformed JSON
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -512,6 +513,16 @@ def test_check_row_passes_both_profiles(name, tols, err_of, row_surfaces):
         err = err_of(d, ev)
         assert all(err <= tol for tol in tols), (
             f"{name}: err {err:.3e} at {tuple(d.coords)}")
+
+
+def test_evaluate_jet_is_bitwise_taylor(row_surfaces):
+    # evaluate reads the jet off the Taylor circles of its one map_and_height
+    # call; taylor(d) makes a call of its own, and the two agree to the bit
+    for d, ev in row_surfaces:
+        got, want = ev["jet"], taylor(d)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), d.coords
+        assert (np.array(got[1:]).tobytes()
+                == np.array(want[1:]).tobytes()), d.coords
 
 
 def test_verify_prints_check_rows_in_table_order(capsys):

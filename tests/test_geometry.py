@@ -1,6 +1,7 @@
 """Validation, canonicalization, and the hyperbola coordinates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,8 +204,11 @@ def test_self_intersection_rejected():
 def test_wrong_count_and_nonfinite_rejected():
     with pytest.raises(ValueError):
         validate_quadrilateral([(0, 0), (1, 0), (1, 1)])
-    with pytest.raises(ValueError):
+    # the refusal names the first vertex that is not finite
+    with pytest.raises(ValueError, match=r"finite; vertex 4 is \(nan\+0j\)"):
         validate_quadrilateral([(0, 0), (1, 0), (1, 1), (math.nan, 0)])
+    with pytest.raises(ValueError, match=r"finite; vertex 3 is \(1\+infj\)"):
+        validate_quadrilateral([(0, 0), (1, 0), (1, math.inf), (math.nan, 0)])
 
 
 def test_equal_rapidities_rejected():
@@ -218,7 +222,8 @@ def test_equal_rapidities_rejected():
 def test_wrong_branch_needs_normalize():
     z = hyperbola_point(0.3, 0.3)
     w = hyperbola_point(0.3, 1.0)
-    with pytest.raises(ValueError):
+    # the refusal names its kappa, -sin(0.3)
+    with pytest.raises(ValueError, match=r"branch \(kappa=-0\.29552020666"):
         hyperbolic_coordinates(-z, -w)
 
 
@@ -233,7 +238,8 @@ def test_hyperbola_point_domain():
     # m = 0 is the imaginary axis; m < 0 and m >= pi/2 are refused
     assert hyperbola_point(0.0, 1.0) == 1j * math.sinh(1.0)
     for m in (-1e-300, -0.1, math.pi / 2, 2.0):
-        with pytest.raises(ValueError, match=r"\[0, pi/2\)"):
+        with pytest.raises(ValueError, match=r"\[0, pi/2\); got m = "
+                           + re.escape(repr(m)) + "$"):
             hyperbola_point(m, 1.0)
     pt = hyperbola_point(0.3, -0.7)
     assert pt.real > 0  # sin(m) > 0 branch

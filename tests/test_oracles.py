@@ -352,10 +352,11 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
                                                      monkeypatch):
     # f + eps |z|^2 or T + eps |z|^2 has Laplacian 4 eps; the mean over
     # |z| = rho moves by eps rho^2, so the two circles disagree by about
-    # 0.27 eps, which the row must see at eps = 1e-6
+    # 0.27 eps, which the row must see at eps = 1e-6; the jet is read off
+    # evaluate's one map_and_height call
     _, tols, err_of = next(row for row in CHECKS
                            if row[0] == "laplacian_defect_fd")
-    exact = oracles.map_and_height
+    exact = checks.map_and_height
     eps = [0.0, 0.0]
 
     def perturbed(z, d):
@@ -363,7 +364,7 @@ def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
         return f + eps[0] * abs(z) ** 2, T + eps[1] * abs(z) ** 2
 
     inner, outer = oracles.TAYLOR_RADII
-    monkeypatch.setattr(oracles, "map_and_height", perturbed)
+    monkeypatch.setattr(checks, "map_and_height", perturbed)
     for _, _, _, d in (case1, case2):
         for field in (0, 1):
             eps[:] = [0.0, 0.0]
@@ -477,16 +478,21 @@ def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
 def test_verify_rows_read_one_evaluation_per_surface(case1, case2,
                                                      monkeypatch):
     calls = []
-    for name in ("map_and_height", "_derivatives", "taylor", "step_boundary"):
-        def counted(*args, name=name, exact=getattr(checks, name)):
+    for module, name in ((checks, "map_and_height"), (checks, "_derivatives"),
+                         (checks, "step_boundary"),
+                         (oracles, "map_and_height")):
+        def counted(*args, name=f"{module.__name__}.{name}",
+                    exact=getattr(module, name)):
             calls.append(name)
             return exact(*args)
-        monkeypatch.setattr(checks, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     d1, d2 = case1[3], case2[3]
-    once = ["_derivatives", "map_and_height", "step_boundary", "taylor"]
+    once = ["scherk.checks._derivatives", "scherk.checks.map_and_height",
+            "scherk.checks.step_boundary"]
     first = run_checks(d1)
-    # taylor's own map_and_height call goes through oracles, not checks
+    # one f/T call per record: the Taylor jet reads evaluate's, and taylor()
+    # makes no call of its own
     assert sorted(calls) == once
     # nothing is kept between records: back to back, each gets its own
     second, again = run_checks(d2), run_checks(d1)

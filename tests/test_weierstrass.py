@@ -13,6 +13,7 @@ from scherk import (PoleProximity, adaptive_quad, g_prime, gauss_map_q,
                     residues)
 from scherk.checks import CHECKS, _CIRCLE, _POINTS, evaluate, growth_rays
 from scherk.harmonic import _BLOCK, _log_sums, step_boundary
+from scherk.oracles import TAYLOR_POINTS, TAYLOR_Z
 from conftest import build_case, disk_points
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
@@ -228,17 +229,18 @@ def _traced_peak(evaluate, z, d):
 
 
 def test_verify_evaluation_footprint(case1):
-    """map_and_height on checks.evaluate's 780 points peaks under 300 KiB.
+    """map_and_height on checks.evaluate's 908 points peaks under 300 KiB.
 
     Summing pole by pole keeps the temporaries at (coeffs, points), so a
     verify op frees no heap top for glibc to trim that the next op would
-    fault back in; (coeffs, 4, points) products peak at 503 KiB.
+    fault back in; (coeffs, 4, points) products peak at 503 KiB on 780 of
+    these points.
     """
     d = case1[3]
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in step_boundary(d)])
     z = np.concatenate([_POINTS, _CIRCLE, (1.0 - 1e-6) * np.exp(1j * mids),
-                        growth_rays(d)[1].ravel()])
-    assert z.size == 780
+                        growth_rays(d)[1].ravel(), TAYLOR_Z.ravel()])
+    assert z.size == 780 + 2 * TAYLOR_POINTS == 908
     assert _traced_peak(map_and_height, z, d) <= 300 * 1024
 
 
