@@ -20,7 +20,7 @@ from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
 from .errors import ScherkError
 from .harmonic import _derivatives, step_boundary
-from .oracles import (TAYLOR_ORDER, TAYLOR_RADII, TAYLOR_Z, _jet,
+from .oracles import (TAYLOR_RADII, TAYLOR_Z, _N, _jet,
                       kernel_contour_height, numeric_residue,
                       poisson_extension)
 from .params import gauss_map_q
@@ -34,6 +34,9 @@ _GRID = np.outer(np.linspace(0.03, 0.999, 30), np.exp(1j * np.linspace(
 _CIRCLE = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
 _SPIRAL = 0.9 * np.sqrt((np.arange(40) + 0.5) / 40) * np.exp(
     1j * np.pi * (3.0 - np.sqrt(5.0)) * np.arange(40))
+_DERIV_POINTS = np.concatenate((_SPIRAL, _GRID))  # evaluate's h', g' points
+# the inner Taylor circle's rho^|n|, which weights the harmonicity row
+_INNER_WEIGHTS = TAYLOR_RADII[0] ** np.abs(_N)
 GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
 
 
@@ -61,7 +64,7 @@ def evaluate(d):
         ev[name], lo = (f[lo:lo + z.size], T[lo:lo + z.size]), lo + z.size
     ev["jet"] = _jet(f[lo:].reshape(TAYLOR_Z.shape),
                      T[lo:].reshape(TAYLOR_Z.shape))
-    ev["hp"], ev["gp"] = _derivatives(np.concatenate((_SPIRAL, _GRID)), d)
+    ev["hp"], ev["gp"] = _derivatives(_DERIV_POINTS, d)
     return ev
 
 
@@ -162,8 +165,7 @@ def _poisson(d, ev):
 def _harmonicity(d, ev):
     # f and T harmonic: both circles give the same Taylor coefficients; their
     # difference is weighted by the inner circle's rho^|n|
-    n = np.abs(np.arange(-TAYLOR_ORDER, TAYLOR_ORDER + 1))
-    return np.max(np.abs(np.subtract(*ev["jet"].coeffs)) * TAYLOR_RADII[0] ** n)
+    return np.max(np.abs(np.subtract(*ev["jet"].coeffs)) * _INNER_WEIGHTS)
 
 
 def _boundary_steps(d, ev):

@@ -8,7 +8,6 @@ for the tests finite differences and a Newton inversion of the harmonic map.
 None of them reuse the closed forms they are meant to test.
 """
 
-import functools
 import math
 from collections import namedtuple
 
@@ -35,13 +34,20 @@ TAYLOR_Z = _RHO[:, 0] * np.exp(
 _TAYLOR_WEIGHTS = TAYLOR_POINTS * _RHO ** np.abs(_N)
 # Unit offsets of the five-point Laplacian stencil; the center comes last.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
+# The upper halves of the Gauss-Legendre nodes (row 0) and weights (row 1);
+# leggauss(N_NODES) makes both symmetric, so _GL mirrors them.
+_GL_HALF = np.array([[float.fromhex(h) for h in row] for row in (
+    ("0x1.30e507891e27ap-3", "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1",
+     "0x1.bae995e9cb2f3p-1", "0x1.f2a3e062af2d8p-1"),
+    ("0x1.2e9de7014d6eep-2", "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3",
+     "0x1.32138c878efdep-3", "0x1.1115f8b62dc1fp-4"))])
+_GL = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF), axis=1)
 
 
-@functools.lru_cache(maxsize=None)
 def _gauss_legendre():
     """Gauss-Legendre nodes and weights on [-1, 1]; shared, never mutated.
-    Built on first use, so importing scherk does not load numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(N_NODES)
+    Constants, bitwise leggauss(N_NODES), so no oracle loads numpy.polynomial."""
+    return _GL[0], _GL[1]
 
 
 def _panels(fn, a, b, owner):
@@ -49,7 +55,8 @@ def _panels(fn, a, b, owner):
 
     fn gets the (N_NODES, n_panels) node array and each panel's interval
     index.  Weighted node values are added one by one in node order, so a
-    panel's value does not depend on how many panels share the call.
+    panel's value does not depend on which or how many panels share the
+    call: roots and halves, or several levels' panels, may go together.
     """
     nodes, weights = _gauss_legendre()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -57,26 +64,31 @@ def _panels(fn, a, b, owner):
     return half * np.add.accumulate(weights[:, None] * vals, axis=0)[-1]
 
 
+def _halves(a, b):
+    """The two halves of each panel [a[i], b[i]], left then right, in order."""
+    mid = 0.5 * (a + b)
+    lo, hi = np.empty(2 * a.size), np.empty(2 * a.size)
+    lo[0::2], lo[1::2], hi[0::2], hi[1::2] = a, mid, mid, b
+    return lo, hi
+
+
 def _quad_levels(fn, a, b):
     """Adaptive integrals of fn over the intervals [a[i], b[i]], level by level.
 
-    Each level halves every panel still pending, in all intervals, with one
-    fn call.  A halved panel is accepted when |whole - (left + right)| <
-    ABS_TOL; the accepted sums are then added up the tree of halvings, so
-    every value is the one a depth-first recursion on each interval gives.
+    Every root is halved, so one fn call takes the roots and their halves;
+    each later level halves every panel still pending, in all intervals,
+    with one fn call.  A halved panel is accepted when |whole - (left +
+    right)| < ABS_TOL; the accepted sums are then added up the tree of
+    halvings, so every value is the one a depth-first recursion gives.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    owner = np.arange(a.size)
-    whole = _panels(fn, a, b, owner)
+    n, (lo, hi) = a.size, _halves(a, b)
+    owner = np.repeat(np.arange(n), 2)
+    vals = _panels(fn, np.concatenate((a, lo)), np.concatenate((b, hi)),
+                   np.concatenate((owner[0::2], owner)))
+    whole, halves, a, b = vals[:n], vals[n:], lo, hi
     levels = []
     for depth in range(MAX_DEPTH + 1):
-        # the two halves of each pending panel, left then right, in order
-        mid = 0.5 * (a + b)
-        lo, hi = np.empty(2 * a.size), np.empty(2 * a.size)
-        lo[0::2], lo[1::2], hi[0::2], hi[1::2] = a, mid, mid, b
-        a, b = lo, hi
-        owner = np.repeat(owner, 2)
-        halves = _panels(fn, a, b, owner)
         pair = halves[0::2] + halves[1::2]
         diff = whole - pair
         # np.hypot rounds as a scalar complex abs does; np.abs may not
@@ -89,7 +101,8 @@ def _quad_levels(fn, a, b):
             raise ToleranceNotMet(
                 f"quadrature stalled on [{a[i]}, {b[i + 1]}] at depth {depth}")
         keep = np.repeat(refine, 2)
-        a, b, owner, whole = a[keep], b[keep], owner[keep], halves[keep]
+        (a, b), owner = _halves(a[keep], b[keep]), np.repeat(owner[keep], 2)
+        whole, halves = halves[keep], _panels(fn, a, b, owner)
     total = levels.pop()[0]
     for pair, refine in reversed(levels):
         pair[refine] = total[0::2] + total[1::2]
@@ -122,11 +135,11 @@ def poisson_extension(z, arcs):
     zs = [complex(v) for v in np.ravel(z)]
     lo, hi = np.tile([span for span, _ in arcs], (len(zs), 1)).T
     zk = np.repeat(zs, len(arcs))
-    # |z|^2 by Python's complex abs, as for one point; np.abs rounds differently
-    r2k = np.repeat([abs(v) ** 2 for v in zs], len(arcs))
+    # 1 - |z|^2 per point by Python's complex abs; np.abs rounds differently
+    scale = np.repeat([1.0 - abs(v) ** 2 for v in zs], len(arcs))
 
     def kernel(t, k):
-        return (1.0 - r2k[k]) / abs(np.exp(1j * t) - zk[k]) ** 2
+        return scale[k] / abs(np.exp(1j * t) - zk[k]) ** 2
 
     integrals = _quad_levels(kernel, lo, hi)
     out = []
@@ -161,19 +174,17 @@ def numeric_residue(fn, pole):
     The mean of (z - pole) fn(z) over a circle of radius eps equals the
     residue plus an O(eps) bias from the neighbouring poles; Richardson
     extrapolation over the two RADII removes the linear term.  fn is
-    evaluated elementwise on a numpy array of the N_ANGLES points of every
-    pole's circle, once per radius, so it must be written with numpy
-    operations.
+    evaluated elementwise, once, on a numpy array of the N_ANGLES points of
+    every pole's circle at both radii, RADII on its leading axis, so it must
+    be written with numpy operations.
     """
     angles = 2.0 * math.pi * np.arange(N_ANGLES) / N_ANGLES
     poles = np.asarray(pole, dtype=complex)[..., None]
-
-    def mean(radius):
-        zs = poles + radius * np.exp(1j * angles)
-        return ((zs - poles) * fn(zs)).mean(axis=-1)
-
+    zs = poles + np.reshape(RADII, (2,) + poles.ndim * (1,)) * np.exp(
+        1j * angles)
+    mean = ((zs - poles) * fn(zs)).mean(axis=-1)
     e1, e2 = RADII
-    return (e1 * mean(e2) - e2 * mean(e1)) / (e1 - e2)
+    return (e1 * mean[1] - e2 * mean[0]) / (e1 - e2)
 
 
 def fd_laplacian(field, z, h=1e-3):

@@ -138,6 +138,27 @@ for argv in json.loads(sys.argv[1]):
     assert [json.loads(line) for line in got] == want
 
 
+def test_verify_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is constants, so verify's oracles load no
+    # numpy.polynomial module beyond those that import numpy loads
+    code = """
+import contextlib, io, sys
+import numpy
+def polynomial():
+    return {m for m in sys.modules if m.startswith("numpy.polynomial")}
+before = polynomial()
+import scherk.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = scherk.cli.main(["verify", "--params", "0.3,1.0,0.3"])
+print(rc, sorted(polynomial() - before))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 def test_records_load_no_dataclasses():
     # the records are named tuples; numpy loads inspect but not dataclasses
     code = ("import sys\n"

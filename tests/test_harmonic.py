@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from scherk import (PoleProximity, analytic_parts, dilatation,
-                    g_prime, gauss_map_q, h_prime, harmonic_map, jacobian,
-                    normalize, poisson_extension, step_boundary,
-                    validate_quadrilateral)
+                    g_prime, gauss_curvature, gauss_map_q, h_prime,
+                    harmonic_map, height_T, jacobian, kernel_K,
+                    map_and_height, normalize, poisson_extension,
+                    step_boundary, validate_quadrilateral)
 from scherk.cli import build_report
 from conftest import disk_points
 
@@ -127,6 +128,17 @@ def test_derivative_pair_runs_one_pole_guard(case1, rng, monkeypatch):
     assert pairs.n >= 3 and len(calls) == pairs.n   # one guard per step
     with pytest.raises(PoleProximity):
         harmonic._derivatives(d.e_ip * (1.0 - 1e-12), d)
+
+
+def test_evaluators_map_empty_arrays_to_empty_arrays(case1):
+    # the pole guard's minimum starts from inf, so no point is needed
+    _, _, _, d = case1
+    for empty in (np.array([], complex), np.empty((2, 0), complex)):
+        for fn in (h_prime, g_prime, dilatation, jacobian, kernel_K,
+                   harmonic_map, height_T, gauss_map_q, gauss_curvature):
+            got = fn(empty, d)
+            assert isinstance(got, np.ndarray) and got.shape == empty.shape
+        assert [v.shape for v in map_and_height(empty, d)] == [empty.shape] * 2
 
 
 def test_array_evaluation_matches_scalar(case1, rng):

@@ -89,13 +89,20 @@ def test_quadrature_calls_fn_on_node_arrays():
 
 
 def test_adaptive_quad_evaluates_each_panel_once():
-    # a degree-5 polynomial is exact on every panel: whole, then left and
-    # right in one call
+    # a degree-5 polynomial is exact on every panel: the whole, its left
+    # and its right half, all in one call
     rec = _Recorder(lambda x: x ** 5)
     adaptive_quad(rec, 0.0, 1.0)
-    assert len(rec.args) == 2
-    panels = [tuple(col) for x in rec.args for col in x.T]
+    assert len(rec.args) == 1
+    panels = [tuple(col) for col in rec.args[0].T]
     assert len(panels) == 3 and len(set(panels)) == 3
+
+
+def test_gauss_legendre_constants_are_bitwise_leggauss():
+    nodes, weights = oracles._gauss_legendre()
+    want = np.polynomial.legendre.leggauss(N_NODES)
+    assert nodes.tobytes() == want[0].tobytes()
+    assert weights.tobytes() == want[1].tobytes()
 
 
 def _recursive_quad(fn, a, b):
@@ -138,7 +145,7 @@ def test_level_wise_quad_is_bitwise_the_recursion():
     for fn in (needle, wave):
         rec = _Recorder(fn)
         got = adaptive_quad(rec, 0.0, 1.0)
-        assert len(rec.args) >= 4   # the whole panel and three levels
+        assert len(rec.args) >= 4   # the root and its halves, three levels
         assert got == _recursive_quad(fn, 0.0, 1.0)
 
 
@@ -186,11 +193,12 @@ def test_scalar_points_give_scalars(case1):
 
 
 def test_numeric_residue_one_call_per_radius():
+    # both radii in one call, RADII on the leading axis
     rec = _Recorder(lambda z: 2.0 / (z - 1j))
     numeric_residue(rec, 1j)
-    assert len(rec.args) == 2
-    assert all(isinstance(z, np.ndarray) and z.shape == (64,)
-               for z in rec.args)
+    assert len(rec.args) == 1
+    assert isinstance(rec.args[0], np.ndarray)
+    assert rec.args[0].shape == (2, 64)
 
 
 def _one_pole_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
@@ -209,8 +217,7 @@ def test_numeric_residue_pole_array_is_bitwise_per_pole(sweep_cases):
     for _, _, _, d in sweep_cases[:40]:
         rec = _Recorder(lambda z: kernel_K(z, d))
         got = numeric_residue(rec, np.array(d.poles))
-        assert len(rec.args) == 2
-        assert all(z.shape == (4, 64) for z in rec.args)
+        assert len(rec.args) == 1 and rec.args[0].shape == (2, 4, 64)
         for pole, res in zip(d.poles, got):
             assert res == numeric_residue(lambda z: kernel_K(z, d), pole)
             assert res == _one_pole_residue(lambda z: kernel_K(z, d), pole)
