@@ -27,7 +27,7 @@ import sys
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        center_normal, curvature_bound, gauss_curvature,
                        graph_normal)
-from .errors import IoError, ScherkError
+from .errors import IoError, OutOfDomain, ScherkError
 from .geometry import (DEFAULT_TOL_PITOT, construct_quad,
                        hyperbolic_coordinates, normalize,
                        validate_quadrilateral)
@@ -128,6 +128,17 @@ def load_quad(args):
 # analyze
 
 
+def _leaf(name, form):
+    """form(), a nonzero report leaf, refused by name unless a normal double."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OutOfDomain(f"report leaf {name} = {value!r} is out of double range")
+    return value
+
+
 def build_report(q, frame, d):
     """All closed-form data of the quadrilateral q, its normalized frame and
     its surface record d, as a JSON-ready dict; the center data are mapped
@@ -156,9 +167,10 @@ def build_report(q, frame, d):
             "c0": complex(frame.invert(d.h0)), "c0_normalized": d.h0,
             "q0": gauss_map_q(0j, d), "q0_prime": d.q0_prime,
             "h0_prime": d.h0_prime, "curvature_normalized": curvature,
-            "curvature": curvature * scale ** 2,
+            "curvature": _leaf("center.curvature", lambda: curvature * scale ** 2),
             # 4 x is exact, so the bound keeps the bits of its closed form
-            "curvature_bound": 4.0 * curvature_bound(d) / (2.0 / scale) ** 2,
+            "curvature_bound": _leaf("center.curvature_bound", lambda: 4.0
+                                     * curvature_bound(d) / (2.0 / scale) ** 2),
             "normal": list(center_normal(d)),
             "graph_normal": list(graph_normal(d)),
             "mixed_derivative": center_mixed_derivative(d),

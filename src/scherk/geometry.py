@@ -9,6 +9,7 @@ is coded by three real numbers (m, s, t).
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
@@ -148,6 +149,8 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     diam = max(abs(b[i] - b[j]) for i in range(4) for j in range(i + 1, 4))
     if diam == 0.0:
         raise DegenerateVertices("all vertices coincide")
+    if not sys.float_info.min <= diam < math.inf:  # a normal double
+        raise OutOfDomain(f"quadrilateral diameter {diam!r} is out of double range")
     for i in range(4):
         for j in range(i + 1, 4):
             sep = abs(b[i] - b[j])
@@ -156,17 +159,17 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
                     f"vertices {i + 1} and {j + 1} are {sep:.3e} apart, within "
                     f"1e-12 x the quadrilateral's diameter {diam:.3e}")
 
-    area2 = _shoelace(b)
-    if abs(area2) <= 1e-12 * diam ** 2:
+    # the area and crossing tests run at unit diameter, free of the scale
+    u = [v / diam for v in b]
+    area2 = _shoelace(u)
+    if abs(area2) <= 1e-12:
         raise ZeroArea("quadrilateral has zero signed area")
-    reversed_input = False
-    if area2 < 0.0:
-        b = [b[0], b[3], b[2], b[1]]
-        reversed_input = True
+    reversed_input = area2 < 0.0
+    if reversed_input:
+        b, u = [b[0], b[3], b[2], b[1]], [u[0], u[3], u[2], u[1]]
 
-    eps = 1e-12 * diam ** 2
-    if _segments_cross(b[0], b[1], b[2], b[3], eps) or \
-       _segments_cross(b[1], b[2], b[3], b[0], eps):
+    if _segments_cross(u[0], u[1], u[2], u[3], 1e-12) or \
+       _segments_cross(u[1], u[2], u[3], u[0], 1e-12):
         raise SelfIntersecting("nonadjacent sides intersect")
 
     return PitotQuad(*b, _pitot_defect(b, tol_pitot), reversed_input)

@@ -9,6 +9,10 @@ from scherk import (DegenerateRightAngle, construct_quad, height_T,
 
 SEED = 20260825
 
+LARGE_K_PARAMS = ((1.3310895653591717, 7.8739001972487195, 7.274288713826383),
+                  (1.4404645653591717, 7.315722958976075, 5.78446595209903),
+                  (1.3693708153591715, 8.036090585012234, 7.931298326062872))
+
 
 def build_case(m, s, t):
     """Full pipeline for a canonical quadrilateral: (quad, frame, coords, data)."""
@@ -22,21 +26,6 @@ def graph_height_function(d):
     """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
     for a point w of the normalized frame or an array of them."""
     return lambda w: height_T(newton_invert(d, w), d)
-
-
-def wrong_constants(d):
-    """The record d with each known wrong constant: K's residues (so the
-    height) over sin p, halved as by 4 pi in place of 2 pi, times -1/2, and
-    z0 * 1.0001 carried into K's residues q(pole) h_res."""
-    def kres(scale=1.0, z0=d.z0):
-        return tuple(scale * d.sqrtX * (zk - z0) / (1.0 - zk * z0.conjugate())
-                     * r for zk, r in zip(d.poles, d.h_residues))
-
-    return {"1/sin p": d._replace(k_residues=kres(1 / math.sin(d.p))),
-            "4 pi": d._replace(k_residues=kres(0.5)),
-            "height * -1/2": d._replace(k_residues=kres(-0.5)),
-            "z0 * 1.0001": d._replace(z0=d.z0 * 1.0001,
-                                      k_residues=kres(z0=d.z0 * 1.0001))}
 
 
 def stereographic(w):

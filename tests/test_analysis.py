@@ -4,7 +4,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from scherk import (aligning_rotation, center_mixed_derivative,
                     center_normal, curvature_bound, fd_mixed,
@@ -12,12 +11,10 @@ from scherk import (aligning_rotation, center_mixed_derivative,
                     height_T, hyperbolic_coordinates, newton_invert,
                     normalize, rotated_mixed_derivative, scherk_data,
                     validate_quadrilateral)
-from scherk import checks
-from scherk.checks import CHECKS, evaluate, run_checks
 from scherk.cli import build_report
 from scherk.geometry import HyperbolicCoords
-from conftest import (build_case, graph_height_function, stereographic,
-                      wrong_constants)
+from conftest import (LARGE_K_PARAMS, build_case, graph_height_function,
+                      stereographic)
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
 ALPHA_CASE2 = 0.837238183568728665209007018006
@@ -75,88 +72,6 @@ def test_center_curvature_closed_form(sweep_cases):
     for _, _, c, d in sweep_cases:
         want = closed_curvature(c)
         assert abs(gauss_curvature(0.0 + 0.0j, d) - want) < 1e-12 * abs(want)
-
-
-# Near |k| = 8, 1 - |z0|^2 computed from z0 lost up to three digits and
-# these surfaces failed both curvature rows at err 1.8e-12 to 3.1e-12.
-LARGE_K_PARAMS = ((1.3310895653591717, 7.8739001972487195, 7.274288713826383),
-                  (1.4404645653591717, 7.315722958976075, 5.78446595209903),
-                  (1.3693708153591715, 8.036090585012234, 7.931298326062872))
-CURVATURE_ROWS = ("curvature_bound_attained",)
-
-
-def _curvature_rows(d):
-    return [row for row in run_checks(d) if row[0] in CURVATURE_ROWS]
-
-
-@pytest.mark.parametrize("params", LARGE_K_PARAMS)
-def test_curvature_rows_pass_at_large_k(params):
-    d = build_case(*params)[3]
-    for name, err, tol, ok in _curvature_rows(d):
-        assert tol == 1e-12 and err <= tol and ok, name
-
-
-def test_curvature_rows_pass_strict_at_small_j():
-    # j = 0.024: the residue sum for h'(0) is off by 9.4e-14 relative there,
-    # which failed the strict profile's curvature rows at err 1.9e-13
-    d = build_case(1.2381208153591716, 0.3275948943101834,
-                   0.2797940167649149)[3]
-    rows = [row for row in run_checks(d, "strict")
-            if row[0] in CURVATURE_ROWS]
-    for name, err, tol, ok in rows:
-        assert tol == 1e-13 and err <= tol and ok, name
-
-
-def test_curvature_rows_reject_a_perturbed_moebius_center(case1, case2,
-                                                          monkeypatch):
-    # q(0) = -sqrt(X) z0 still carries z0 into the curvature, and the row
-    # sees a bound off by 1e-11 relative
-    cases = (case1, case2, build_case(0.7, 7.5, 6.5))
-    for _, _, _, d in cases:
-        wrong = d._replace(z0=d.z0 * 1.0001)
-        rows = _curvature_rows(wrong)
-        assert len(rows) == 1 and not any(ok for *_, ok in rows)
-    exact = checks.curvature_bound
-    monkeypatch.setattr(checks, "curvature_bound",
-                        lambda d: (1.0 + 1e-11) * exact(d))
-    for _, _, _, d in cases:
-        rows = _curvature_rows(d)
-        assert len(rows) == 1 and not any(ok for *_, ok in rows)
-
-
-# What the finite-difference rows over Newton-inverted heights rejected: per
-# case and profile (0 default, 1 strict), each (row, wrong constant) that
-# failed where the same row passed on the right record.  The harmonicity row
-# rejected none; at (0.7, 7.5, 6.5) the mixed rows failed the strict profile
-# already on the right record.
-_SCALED = {(row, wrong) for row in ("graph_normal_vs_fd", "mixed_derivative_vs_fd")
-           for wrong in ("1/sin p", "4 pi", "height * -1/2")}
-_Z0 = {("graph_normal_vs_fd", "z0 * 1.0001")}
-FD_ROWS_REJECTED = {
-    ("case1", 0): _SCALED | _Z0, ("case1", 1): _SCALED | _Z0,
-    ("case2", 0): _SCALED | _Z0, ("case2", 1): _SCALED | _Z0,
-    ("k7", 0): _SCALED | {("aligned_mixed_derivative_zero", "1/sin p")},
-    ("k7", 1): {pair for pair in _SCALED if pair[0] == "graph_normal_vs_fd"},
-}
-
-
-def test_graph_rows_reject_what_the_fd_rows_rejected(case1, case2):
-    rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
-    cases = {"case1": case1, "case2": case2, "k7": build_case(0.7, 7.5, 6.5)}
-    for (label, pick), rejected in FD_ROWS_REJECTED.items():
-        wrong = wrong_constants(cases[label][3])
-        for row, constant in sorted(rejected):
-            tols, err_of = rows[row]
-            err = err_of(wrong[constant], evaluate(wrong[constant]))
-            if (label, row, constant) == ("k7", "aligned_mixed_derivative_zero",
-                                          "1/sin p"):
-                # a height scale keeps the aligned mixed derivative zero; the
-                # FD row's err, 9.3e-4 of its 1e-3 from step size, crossed
-                # the tolerance only because the scale 1/sin p = 1.22
-                # magnified it.  The jet row stays at rounding.
-                assert err < 1e-8, err
-                continue
-            assert err > tols[pick], (label, pick, row, constant, err)
 
 
 def test_center_curvature_frozen(case1, case2):

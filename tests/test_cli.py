@@ -25,7 +25,7 @@ from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
 from scherk.oracles import taylor
-from conftest import build_case
+from conftest import LARGE_K_PARAMS, build_case
 
 
 def run(capsys, *argv):
@@ -315,6 +315,13 @@ def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3",
                              "--hmax", h_max, "--nr", "2", "--ntheta", "4")
         assert code == 2 and out == "" and "h_max must be a finite" in err
+    # report leaves past the double range are named; verify still runs
+    for s, leaf in ((1e-160, "curvature"), (1e154, "curvature_bound")):
+        square = json.dumps({"vertices": [[-s, 0], [0, -s], [s, 0], [0, s]]})
+        for cmd, want in (("analyze", 2), ("verify", 0)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(square))
+            code, out, err = run(capsys, cmd, "-")
+            assert code == want and (f"leaf center.{leaf} " in err) == (want == 2)
     # malformed JSON values: a one-line refusal naming the field
     for doc, field in (('{"vertices": 5}', "vertices"),
                        ('{"vertices": [[1],[2],[3],[4]]}', "vertices"),
@@ -519,17 +526,25 @@ def test_verify_runtime_budget():
     assert elapsed < 30.0
 
 
+# off the sweep, surfaces that failed a row: near |k| = 8 (1 - |z0|^2 from z0),
+# at j = 0.024 (h'(0) from the residue sum), k = 7.3 (residues 339 to 42.4), 7, -0.8
+REGRESSION_PARAMS = LARGE_K_PARAMS + (
+    (1.2381208153591716, 0.3275948943101834, 0.2797940167649149),
+    (0.13890206535917143, 8.357027889913319, 6.279161021161783),
+    (0.7, 7.5, 6.5), (1.1, 0.4, -2.0))
+
+
 @pytest.fixture(scope="session")
 def row_surfaces(case1, case2, sweep_cases):
-    """(d, evaluate(d)) on case1, case2 and the 150 sweep_cases: each surface
-    is evaluated once for all 18 rows."""
-    return [(d, evaluate(d)) for *_, d in [case1, case2] + sweep_cases]
+    """(d, evaluate(d)) on case1, case2, sweep_cases and REGRESSION_PARAMS."""
+    cases = [case1, case2] + sweep_cases + [build_case(*p) for p in REGRESSION_PARAMS]
+    return [(d, evaluate(d)) for *_, d in cases]
 
 
 @pytest.mark.parametrize("name, tols, err_of", CHECKS,
                          ids=[name for name, *_ in CHECKS])
 def test_check_row_passes_both_profiles(name, tols, err_of, row_surfaces):
-    assert len(row_surfaces) == 152
+    assert len(row_surfaces) == 159
     for d, ev in row_surfaces:
         err = err_of(d, ev)
         assert all(err <= tol for tol in tols), (

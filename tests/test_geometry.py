@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_case, sample_triples
 from scherk import (DegenerateRightAngle, DegenerateVertices, EqualRapidities,
-                    NotPitot, SelfIntersecting, ZeroArea, construct_quad,
+                    NotPitot, OutOfDomain, SelfIntersecting, ZeroArea, construct_quad,
                     gauss_curvature, hyperbola_point,
                     hyperbolic_coordinates, normalize, scherk_data, taylor,
                     validate_quadrilateral)
@@ -130,6 +130,15 @@ def test_square_coordinates_do_not_depend_on_its_placement(rng):
             # the curvature in the input's frame, times the scale squared
             curv = gauss_curvature(0.0 + 0.0j, d) * abs(frame.scale) ** 2
             assert abs(curv * abs(a) ** 2 - k_base) < 1e-12 * abs(k_base)
+
+
+def test_square_validation_does_not_depend_on_its_scale():
+    # the area and crossing tests run at unit diameter; an infinite one is named
+    for s in (1e-200, 1e-150, 1e150, 1e200):
+        q = validate_quadrilateral([(s * x, s * y) for x, y in SQUARE])
+        assert (q.vertices, q.pitot_residual) == (tuple(s * complex(*v) for v in SQUARE), 0)
+    with pytest.raises(OutOfDomain, match="diameter inf"):
+        validate_quadrilateral([(1e308 * x, 1e308 * y) for x, y in SQUARE])
 
 
 def test_near_right_angle_rejected():

@@ -355,67 +355,6 @@ def test_taylor_is_one_evaluation_per_surface(case1, monkeypatch):
     assert calls == [(2, oracles.TAYLOR_POINTS)]
 
 
-def test_harmonicity_row_rejects_a_non_harmonic_term(case1, case2,
-                                                     monkeypatch):
-    # f + eps |z|^2 or T + eps |z|^2 has Laplacian 4 eps; the mean over
-    # |z| = rho moves by eps rho^2, so the two circles disagree by about
-    # 0.27 eps, which the row must see at eps = 1e-6; the jet is read off
-    # evaluate's one map_and_height call
-    _, tols, err_of = next(row for row in CHECKS
-                           if row[0] == "laplacian_defect_fd")
-    exact = checks.map_and_height
-    eps = [0.0, 0.0]
-
-    def perturbed(z, d):
-        f, T = exact(z, d)
-        return f + eps[0] * abs(z) ** 2, T + eps[1] * abs(z) ** 2
-
-    inner, outer = oracles.TAYLOR_RADII
-    monkeypatch.setattr(checks, "map_and_height", perturbed)
-    for _, _, _, d in (case1, case2):
-        for field in (0, 1):
-            eps[:] = [0.0, 0.0]
-            eps[field] = 1e-6
-            err = err_of(d, evaluate(d))
-            assert err > max(tols), (field, err)
-            assert abs(err - 1e-6 * (outer ** 2 - inner ** 2)) < 1e-12
-
-
-def test_boundary_step_row_is_relative_to_the_largest_vertex(case1, case2):
-    # the row reads |f(r e^{i mid}) - b_i| at 1 - r = 1e-6 over max|b_i|, so
-    # the probe's offset passes strict, while the arc values rotated by one
-    # place, or every limit moved by 2e-3 max|b_i|, fail both profiles
-    from conftest import build_case
-    err_of, tols = next((err, tols) for name, tols, err in CHECKS
-                        if name == "boundary_step_values")
-    for _, _, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
-        ev = evaluate(d)
-        assert err_of(d, ev) <= min(tols), c
-        spans, values = zip(*ev["arcs"])
-        rotated = dict(ev, arcs=tuple(zip(spans, values[1:] + values[:1])))
-        f, T = ev["mids"]
-        scale = max(abs(b) for b in d.vertices)
-        shifted = dict(ev, mids=(f + 2e-3 * scale, T))
-        for wrong in (rotated, shifted):
-            assert err_of(d, wrong) > max(tols), c
-
-
-def test_center_offsets_fail_the_poisson_and_contour_rows(case1, case2):
-    # no row reads f(0) = h0 or T(0) = 0, which hold by construction; an
-    # offset in f (h0 moved by 1e-5) fails the Poisson row and one in T (1e-6
-    # on the evaluation) the contour row, in both profiles
-    from conftest import build_case
-    rows = {name: (tols, err_of) for name, tols, err_of in CHECKS}
-    for _, _, c, d in (case1, case2, build_case(0.7, 7.5, 6.5)):
-        moved = d._replace(h0=d.h0 + 1e-5)
-        tols, err_of = rows["poisson_extension_agreement"]
-        assert err_of(moved, evaluate(moved)) > max(tols), c
-        ev = evaluate(d)
-        f, T = ev["points"]
-        tols, err_of = rows["height_vs_contour_quadrature"]
-        assert err_of(d, dict(ev, points=(f, T + 1e-6))) > max(tols), c
-
-
 def _per_row_errs(d):
     """The shared-pass rows' errs and the growth fit, each row evaluating its
     own points with the public harmonic_map, height_T, dilatation and
