@@ -106,17 +106,21 @@ def _segments_cross(p1, p2, p3, p4, eps):
     return False
 
 
+def _side_sums(b):
+    """Side-sum defect (|b1b2| + |b3b4|) - (|b2b3| + |b4b1|) and perimeter of b."""
+    sides = [abs(b[i] - b[(i + 1) % 4]) for i in range(4)]
+    return (sides[0] + sides[2]) - (sides[1] + sides[3]), sum(sides)
+
+
 def _pitot_defect(b, tol_pitot):
-    """Side-sum defect (|b1b2| + |b3b4|) - (|b2b3| + |b4b1|) of the vertices b;
-    NotPitot when it exceeds tol_pitot times the perimeter.  The defect is
-    below the perimeter, so a tol_pitot outside [0, 1) is refused."""
+    """Side-sum defect of the vertices b; NotPitot when it exceeds tol_pitot x
+    the perimeter, which it is below, so a tol_pitot outside [0, 1) is refused."""
     if not 0.0 <= tol_pitot < 1.0:
         raise ValueError(f"tol_pitot must lie in [0, 1), got {tol_pitot!r}")
-    sides = [abs(b[i] - b[(i + 1) % 4]) for i in range(4)]
-    residual, perimeter = (sides[0] + sides[2]) - (sides[1] + sides[3]), sum(sides)
+    residual, perimeter = _side_sums(b)
     if abs(residual) > tol_pitot * perimeter:
-        raise NotPitot(f"side-sum defect {residual:.3e} exceeds "
-                       f"{tol_pitot:.1e} * perimeter = {tol_pitot * perimeter:.3e}")
+        raise NotPitot(f"side-sum defect {residual / perimeter:.3e} x perimeter "
+                       f"exceeds tol_pitot = {tol_pitot:.1e}")
     return residual
 
 
@@ -159,7 +163,7 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
                     f"vertices {i + 1} and {j + 1} are {sep:.3e} apart, within "
                     f"1e-12 x the quadrilateral's diameter {diam:.3e}")
 
-    # the area and crossing tests run at unit diameter, free of the scale
+    # the area, crossing and side-sum tests run at unit diameter, free of scale
     u = [v / diam for v in b]
     area2 = _shoelace(u)
     if abs(area2) <= 1e-12:
@@ -172,7 +176,9 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
        _segments_cross(u[1], u[2], u[3], u[0], 1e-12):
         raise SelfIntersecting("nonadjacent sides intersect")
 
-    return PitotQuad(*b, _pitot_defect(b, tol_pitot), reversed_input)
+    residual, scaled = _pitot_defect(u, tol_pitot), _side_sums(b)[0]  # nan on overflow
+    return PitotQuad(*b, scaled if math.isfinite(scaled) else residual * diam,
+                     reversed_input)
 
 
 def normalize(q):

@@ -1,6 +1,5 @@
 """Command-line interface: report content, determinism, exit codes."""
 
-import ast
 import importlib.util
 import inspect
 import io
@@ -17,8 +16,7 @@ import numpy as np
 import pytest
 
 import scherk
-from scherk import (IoError, construct_quad, hyperbolic_coordinates,
-                    normalize, sample_disk, scherk_data)
+from scherk import hyperbolic_coordinates, normalize, sample_disk, scherk_data
 from scherk.checks import (CHECKS, evaluate, growth_fit, growth_rays,
                            run_checks)
 from scherk.cli import build_report, canonical_json, load_quad, main
@@ -39,19 +37,12 @@ def test_canonical_json_formatting():
     got = canonical_json(doc)
     assert got == '{"a": [1, 2], "b": 1.5, "c": [true, false, -0.25]}'
     assert canonical_json(0.1) == "0.10000000000000001"
-    for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.nan)):
-        with pytest.raises(ValueError):
-            canonical_json(bad)
     # np.float64 and np.complex128 print as the Python types they subclass
     for value, want in ((np.float64(0.1), "0.10000000000000001"),
                         (np.complex128(1 - 2j), "[1, -2]"),
                         ((1.0, 2.5, 3j), "[1, 2.5, [0, 3]]"),
                         ({"a": np.float64(-0.0)}, '{"a": -0}')):
         assert canonical_json(value) == want, repr(value)
-    # a report holds no other type: None, str, int and np.bool_ are refused
-    for bad in (None, "x", 3, [1.0, None], {"a": "x"}, np.bool_(True)):
-        with pytest.raises(TypeError):
-            canonical_json(bad)
 
 
 # the package's public names, as the eager imports of the namespace bound them
@@ -91,8 +82,6 @@ def test_package_namespace_is_unchanged():
             assert home.__name__.startswith("scherk."), name
             assert vars(home)[name] is obj, name
     assert scherk.gauss_map_q is scherk.params.gauss_map_q
-    with pytest.raises(AttributeError, match="no_such_name"):
-        scherk.no_such_name
 
 
 def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, tmp_path):
@@ -268,154 +257,6 @@ def test_analyze_out_file(capsys, tmp_path):
     assert json.loads(out_path.read_text())["coordinates"]["t"] == pytest.approx(0.3)
 
 
-def test_exit_two_on_bad_inputs(capsys, tmp_path, monkeypatch):
-    # not a Pitot quadrilateral
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO('{"vertices": [[0,0],[2,0],[3,1],[0,1]]}'))
-    code, _, err = run(capsys, "analyze", "-")
-    assert code == 2 and "NotPitot" in err
-    # a rhombus is m = 0, one more surface, not a refusal
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO('{"vertices": [[-1,-1],[1,-1],[1,1],[-1,1]]}'))
-    code, out, err = run(capsys, "analyze", "-")
-    assert code == 0 and err == ""
-    assert json.loads(out)["coordinates"]["m"] == 0.0
-    # a library ValueError is named like a ScherkError
-    code, out, err = run(capsys, "analyze", "--params", "2,1,0.3")
-    assert code == 2 and out == ""
-    assert err == "error: ValueError: m must lie in [0, pi/2); got m = 2.0\n"
-    # malformed JSON
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code, _, err = run(capsys, "analyze", str(bad))
-    assert code == 2 and "IoError" in err
-    # no input at all
-    code, _, err = run(capsys, "analyze")
-    assert code == 2
-    # wrong --params arity
-    code, _, err = run(capsys, "analyze", "--params", "1,2")
-    assert code == 2
-    # missing file
-    code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
-    assert code == 2 and "IoError" in err
-    # vertices 1 and 3 are 2 apart, but the diameter is about 5e12: the
-    # message gives the separation, the diameter and the relative threshold
-    for params in ("0.3,30,29", "0.3,-30,-29"):
-        code, _, err = run(capsys, "analyze", "--params", params)
-        assert code == 2 and "DegenerateVertices" in err
-        assert "2.000e+00 apart" in err and "1e-12" in err
-        assert "diameter 5.343e+12" in err
-    # an outer ring past the height's bound |z| <= 1 - 1e-9: r_max is named
-    code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3", "--rmax",
-                         "0.9999999999", "--nr", "2", "--ntheta", "4")
-    assert code == 2 and out == ""
-    assert "r_max=0.9999999999" in err and "f and T require" not in err
-    # a height clamp that would flatten or blank every height
-    for h_max in ("-1", "nan", "inf"):
-        code, out, err = run(capsys, "mesh", "--params", "0.3,1.0,0.3",
-                             "--hmax", h_max, "--nr", "2", "--ntheta", "4")
-        assert code == 2 and out == "" and "h_max must be a finite" in err
-    # report leaves past the double range are named; verify still runs
-    for s, leaf in ((1e-160, "curvature"), (1e154, "curvature_bound")):
-        square = json.dumps({"vertices": [[-s, 0], [0, -s], [s, 0], [0, s]]})
-        for cmd, want in (("analyze", 2), ("verify", 0)):
-            monkeypatch.setattr("sys.stdin", io.StringIO(square))
-            code, out, err = run(capsys, cmd, "-")
-            assert code == want and (f"leaf center.{leaf} " in err) == (want == 2)
-    # malformed JSON values: a one-line refusal naming the field
-    for doc, field in (('{"vertices": 5}', "vertices"),
-                       ('{"vertices": [[1],[2],[3],[4]]}', "vertices"),
-                       ('{"vertices": [[0,0],["a","b"],[1,0],[1,1]]}',
-                        "vertices"),
-                       ('{"m": null, "s": 1, "t": 0.3}', "m,s,t"),
-                       ('{"m": [0.3], "s": 1, "t": 0.3}', "m,s,t")):
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        code, out, err = run(capsys, "analyze", "-")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err
-    # JSON true, false and strings are not numbers, though float() and
-    # complex() read them (m = true was analyzed as m = 1), a bare number is
-    # not an [x, y] vertex (it was read as x + 0i), and an integer past the
-    # float range is no traceback
-    huge = "1" + "0" * 400
-    for doc, field in (('{"m": true, "s": 1.0, "t": 0.3}', '"m"'),
-                       ('{"m": 0.3, "s": "1.0", "t": 0.3}', '"s"'),
-                       ('{"m": 0.3, "s": 1.0, "t": false}', '"t"'),
-                       (f'{{"m": {huge}, "s": 1.0, "t": 0.3}}', '"m"'),
-                       ('{"vertices": [[false,-1],[true,0],[1,0],[0,1]]}',
-                        '"vertices"'),
-                       ('{"vertices": [[-1,0],[0,"-1"],[1,0],[0,1]]}',
-                        '"vertices"'),
-                       ('{"vertices": [[-1,0],"0-1j",[1,0],[0,1]]}',
-                        '"vertices"'),
-                       ('{"vertices": [-1, [0, -1], 1, [0, 1]]}',
-                        '"vertices"'),
-                       (f'{{"vertices": [[-1,0],[0,-1],[{huge},0],[0,1]]}}',
-                        '"vertices"')):
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        code, out, err = run(capsys, "analyze", "-")
-        assert code == 2 and out == ""
-        assert err.startswith("error: IoError: JSON ") and field in err
-        assert err.count("\n") == 1
-    # rapidities whose hyperbola point overflows a float name m and tau
-    for params in ("0.3,1000,0.3", "0.3,1,-720"):
-        for command in ("analyze", "verify"):
-            code, out, err = run(capsys, command, "--params", params)
-            assert code == 2 and out == ""
-            assert "OutOfDomain" in err and "m=0.3" in err and "tau=" in err
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO('{"m": 0.3, "s": 1000, "t": 0.3}'))
-    code, _, err = run(capsys, "analyze", "-")
-    assert code == 2 and "OutOfDomain" in err and "tau=1000.0" in err
-    # an arc-split angle p < 1e-8 (j above about 19.8) is a domain limit
-    # named by its inputs, not equal rapidities (these are 40 and 42 apart)
-    for params, j in (("0.3,20,-20", "20.0"), ("0.3,25,-17", "21.0")):
-        code, out, err = run(capsys, "analyze", "--params", params)
-        assert code == 2 and out == ""
-        assert re.match(r"error: OutOfDomain: p < 1e-8 at m=0\.3\d*, s=", err)
-        assert f"j={j}, p=" in err
-
-
-def test_every_error_type_is_raised():
-    # each ScherkError subclass names a failure that the library can reach
-    root = Path(scherk.__file__).parent
-    raised = set()
-    for path in root.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = getattr(node.exc, "func", node.exc)   # X(...) or X
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
-    types = [name for name, obj in vars(scherk.errors).items()
-             if inspect.isclass(obj) and issubclass(obj, scherk.ScherkError)
-             and obj is not scherk.ScherkError]
-    assert types
-    assert [name for name in types if name not in raised] == []
-
-
-def test_tol_pitot_flag(capsys, monkeypatch):
-    q, _, _, _ = build_case(0.3, 1.0, 0.3)
-    verts = [[v.real, v.imag] for v in q.vertices]
-    verts[1][0] += 1e-5   # break the side-sum balance slightly
-    payload = json.dumps({"vertices": verts})
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
-    code, _, err = run(capsys, "analyze", "-")
-    assert code == 2 and "NotPitot" in err
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
-    code, _, _ = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
-    assert code == 0
-    # a tolerance outside [0, 1) would switch the rule off (nan, and 1 or
-    # more: the defect is below the perimeter) or fail every quadrilateral
-    quad = '{"vertices": [[-1,0],[0.3,0.5],[1,0],[0.2,1.2]]}'
-    for tol in ("nan", "inf", "-1", "1"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(quad))
-        code, out, err = run(capsys, "analyze", "-", "--tol-pitot", tol)
-        assert code == 2 and out == "", tol
-        assert err == (f"error: ValueError: tol_pitot must lie in [0, 1), "
-                       f"got {float(tol)!r}\n"), tol
-
-
 def test_verify_passes_both_profiles(capsys):
     for profile in ("default", "strict"):
         code, out, _ = run(capsys, "verify", "--params", "0.3,1.0,-0.3",
@@ -460,16 +301,6 @@ def test_verify_calls_no_newton_inversion(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--params", params)
         assert code in (0, 1) and err == ""
         assert len(out.splitlines()) == len(CHECKS) + 1
-
-
-def test_vertex_with_extra_coordinates_is_refused(capsys, monkeypatch):
-    # read as (-1, 0) before, the third coordinate silently dropped
-    doc = '{"vertices": [[-1,0,7],[0.309,0.291],[1,0],[0.456,1.123]]}'
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-    code, out, err = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ValueError: vertices must be pairs of numbers")
-    assert err.count("\n") == 1
 
 
 def test_verify_reports_any_library_error_as_a_fail_row(capsys, monkeypatch):
@@ -656,26 +487,6 @@ def test_mesh_obj_blocks_match_one_shot_format(capsys, tmp_path):
     assert path.read_bytes() == want
 
 
-def test_hyperbola_round_trip_failure_is_a_typed_refusal(capsys, monkeypatch):
-    # b2 moved by 0.15 puts the side sums 4.7e-6 of the perimeter apart:
-    # inside --tol-pitot 1e-3, but z is then 0.077 off the averaged
-    # hyperbola, past the round-trip tolerance 1e-2 (1 + |z|)
-    q = construct_quad(0.8, 9.0, 2.0)
-    verts = [[v.real, v.imag] for v in q.vertices]
-    verts[1][0] += 0.15
-    payload = json.dumps({"vertices": verts})
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
-    code, out, err = run(capsys, "analyze", "-", "--tol-pitot", "1e-3")
-    assert code == 2 and out == ""
-    assert err.startswith("error: OutOfDomain: z does not round-trip through"
-                          " the hyperbola at m=0.81390364")
-    assert re.search(r"mismatch \S+ > tolerance \S+\n$", err)
-    # at the default tolerance the one side-sum test refuses it first
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
-    code, out, err = run(capsys, "analyze", "-")
-    assert code == 2 and out == "" and "NotPitot: side-sum defect" in err
-
-
 def test_bench_tracer_finds_the_functions_it_names():
     # the traced benchmark looks layer functions up by name; a deleted one
     # fails here, not only in CI's traced run
@@ -817,7 +628,7 @@ def _leaves(obj):
     return [] if isinstance(obj, (bool, str)) else [obj]
 
 
-def test_build_report_and_load_quad_helpers(tmp_path):
+def test_build_report_and_load_quad_helpers():
     class Args:
         params = "0.3,1.0,0.3"
         input = None
@@ -830,10 +641,3 @@ def test_build_report_and_load_quad_helpers(tmp_path):
     assert set(doc) == {"quad", "normalization", "coordinates", "parameters",
                         "growth", "center"}
     assert doc["growth"]["lam"] > 0
-    # a JSON object with neither "vertices" nor all of m, s, t
-    for text in ('{"m": 0.3, "s": 1.0}', '{"points": []}'):
-        path = tmp_path / "partial.json"
-        path.write_text(text)
-        Args.params, Args.input = None, str(path)
-        with pytest.raises(IoError, match="must contain"):
-            load_quad(Args())

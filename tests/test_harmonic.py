@@ -83,14 +83,6 @@ def test_jacobian_positive_inside(case1, case2):
         assert float(np.min(jacobian(grid, d))) > 0.0
 
 
-def test_pole_proximity_guard(case1):
-    _, _, _, d = case1
-    with pytest.raises(PoleProximity):
-        h_prime(1.0 - 1e-12, d)
-    with pytest.raises(PoleProximity):
-        g_prime(d.e_ip * (1.0 - 1e-12), d)
-
-
 class _Counter:
     """Wraps fn and counts its calls."""
 

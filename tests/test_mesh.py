@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scherk import (IoError, SurfaceMesh, export_obj, height_T, normalize,
+from scherk import (SurfaceMesh, export_obj, height_T, normalize,
                     sample_disk, validate_quadrilateral)
 import scherk.mesh
 from scherk.checks import growth_rays
@@ -251,23 +251,6 @@ def test_obj_text_formats_each_vertex_label_once(case1, monkeypatch):
         assert formatted == [len(mesh.vertices)]
 
 
-def test_face_index_outside_the_vertices_is_refused(case1, tmp_path):
-    _, _, _, d = case1
-    mesh = sample_disk(d, n_r=2, n_theta=6)
-    n = len(mesh.vertices)
-    for bad in (-1, n, n + 7):
-        faces = mesh.faces.copy()
-        faces[3, 1], faces[5, 2] = bad, -2  # the first bad index is named
-        broken = SurfaceMesh(mesh.vertices, faces)
-        with pytest.raises(ValueError,
-                           match=rf"^face index {bad} outside the {n} vertices$"):
-            obj_text(broken)
-        path = tmp_path / f"bad{bad}.obj"
-        with pytest.raises(ValueError, match=f"face index {bad} "):
-            export_obj(broken, path)
-        assert not path.exists()
-
-
 def test_csv_export(case1, tmp_path, capsys):
     # asymptotics --out writes the ray toward its pole as CSV: a header, then
     # "%.17g,%.17g" of r and T(r zeta) per growth radius
@@ -282,35 +265,6 @@ def test_csv_export(case1, tmp_path, capsys):
     for line, r in zip(lines[1:], radii):
         assert line == f"{r:.17g},{height_T(r * d.poles[1], d):.17g}"
     assert capsys.readouterr().out.startswith("pole 2: fitted slope ")
-
-
-def test_export_io_error(case1, tmp_path, capsys):
-    _, _, _, d = case1
-    mesh = sample_disk(d, n_r=1, n_theta=3)
-    with pytest.raises(IoError):
-        export_obj(mesh, tmp_path / "missing_dir" / "x.obj")
-    # an unwritable --out is an IoError, exit 2, with nothing on stdout
-    path = tmp_path / "missing_dir" / "x.csv"
-    assert main(["asymptotics", "--params", "0.3,1.0,0.3",
-                 "--out", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: IoError: cannot write {path}: ")
-
-
-def test_sample_disk_argument_validation(case1):
-    _, _, _, d = case1
-    with pytest.raises(ValueError):
-        sample_disk(d, n_r=0)
-    with pytest.raises(ValueError):
-        sample_disk(d, n_theta=2)
-    with pytest.raises(ValueError):
-        sample_disk(d, r_max=1.0)
-    # a height clamp that is not a finite positive number is refused, named
-    for h_max in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"h_max must be a finite "
-                                             f"positive number, got {h_max!r}"):
-            sample_disk(d, n_r=2, n_theta=4, h_max=h_max)
 
 
 @pytest.mark.parametrize("n_theta", [4, 48, 400])

@@ -35,12 +35,6 @@ def test_adaptive_quad_needle():
     assert abs(val - want) < 1e-9
 
 
-def test_adaptive_quad_depth_limit():
-    # the integrable x^-0.9 spike at 1e-300 outlasts the halving depth
-    with pytest.raises(ToleranceNotMet):
-        adaptive_quad(lambda x: x ** -0.9, 1e-300, 1.0)
-
-
 def test_poisson_extension_of_constant_boundary():
     sb = (((0.0, 2.0), 3.0 - 1.0j),
           ((2.0, 4.0), 3.0 - 1.0j),
@@ -272,12 +266,6 @@ def test_newton_inverts_harmonic_map(case1, rng):
         w = harmonic_map(z, d)
         z_back = newton_invert(d, w)
         assert abs(z_back - z) < 1e-10
-
-
-def test_newton_diverges_outside_target(case1):
-    _, _, _, d = case1
-    with pytest.raises(NewtonDiverged):
-        newton_invert(d, 50.0 + 50.0j)
 
 
 def test_batched_newton_is_bitwise_the_scalar_newton(case1, case2, rng):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from scherk import angle_parameter, h_prime, scherk_data
+from scherk import h_prime, scherk_data
 from scherk.checks import CHECKS, _split_moduli, evaluate
 from scherk.geometry import HyperbolicCoords
 from conftest import build_case
@@ -106,29 +106,6 @@ def test_angle_parameter_forms(sweep_cases):
         sin_p = 2.0 * math.sinh(c.j) / math.cosh(c.j) ** 2
         assert abs(d.e_ip.imag - sin_p) < 1e-14
         assert d.e_ip.imag > 0.0
-
-
-def test_angle_parameter_degenerates():
-    from scherk import EqualRapidities, OutOfDomain
-    # p -> 0 as j -> infinity: the rapidities are 40 apart, so this is a
-    # domain limit (p < 1e-8), not equal rapidities
-    flat = HyperbolicCoords(0.5, 20.0, -20.0, 20.0, 0.0)
-    with pytest.raises(OutOfDomain, match=r"p < 1e-8 at m=0\.5, s=20\.0, "
-                       r"t=-20\.0, j=20\.0, p=8\.24"):
-        angle_parameter(flat)
-    # p -> pi as j -> 0 is s = t, the test of TOL_RAPIDITY
-    close = HyperbolicCoords(0.5, 0.3 + 1e-9, 0.3 - 1e-9, 1e-9, 0.3)
-    with pytest.raises(EqualRapidities, match=r"at s=0\.300000001, t=0\.29999"):
-        angle_parameter(close)
-    # s < t: p and e^{ip} are even in j while z0, sqrt(X) and h'(0) are
-    # odd-signed, so the record would be inconsistent (12 verify rows FAIL)
-    with pytest.raises(OutOfDomain,
-                       match=r"m=0\.3, s=0\.3, t=1\.0, j=-0\.35"):
-        scherk_data(HyperbolicCoords(0.3, 0.3, 1.0, -0.35, 0.65))
-    # past |j| = 710 sinh overflows; p ~ 4 e^{-|j|} is refused the same way
-    with pytest.raises(OutOfDomain, match=r"p < 1e-8 at m=0\.3, s=1500\.0, "
-                       r"t=-10\.0, j=755\.0, p=0\.0"):
-        scherk_data(HyperbolicCoords(0.3, 1500.0, -10.0, 755.0, 745.0))
 
 
 def test_vertex_form_E_matches_rapidity_form(sweep_cases):

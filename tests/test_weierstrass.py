@@ -8,9 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, adaptive_quad, g_prime, gauss_map_q,
-                    h_prime, harmonic_map, height_T, kernel_K, map_and_height,
-                    residues)
+from scherk import (adaptive_quad, g_prime, gauss_map_q, h_prime, harmonic_map,
+                    height_T, kernel_K, map_and_height, residues)
 from scherk.checks import CHECKS, _CIRCLE, _POINTS, evaluate, growth_rays
 from scherk.harmonic import _BLOCK, _log_sums, step_boundary
 from scherk.oracles import TAYLOR_POINTS, TAYLOR_Z
@@ -136,19 +135,6 @@ def test_gauss_map_is_disk_automorphism(case1, rng):
     assert np.allclose(np.abs(gauss_map_q(boundary, d)), 1.0, atol=1e-13)
 
 
-def test_kernel_pole_guard_and_height_domain(case1):
-    _, _, _, d = case1
-    with pytest.raises(PoleProximity):
-        kernel_K(d.e_ip * (1 - 1e-12), d)
-    # every f and T evaluator shares one disk guard, |z| <= 1 - 1e-9: outside
-    # the disk and at a pole it refuses before a log is taken, so no numpy
-    # RuntimeWarning (an error under this suite's filterwarnings) appears
-    for z in (1.0 - 1e-10, 1.5, d.e_ip, np.array([0.2, d.poles[2]])):
-        for fn in (harmonic_map, height_T, map_and_height):
-            with pytest.raises(ValueError, match=r"\|z\| <= 1 - 1e-9"):
-                fn(z, d)
-
-
 def _log(w):
     """Log w by the evaluators' real-ufunc form: log1p(|w|^2 - 1)/2 for
     |w|^2 >= 1/2, else log|w|, and atan2; 0-d for a scalar w."""
@@ -198,8 +184,6 @@ def test_one_pass_evaluators_are_bitwise_the_two_pass_formulas(
             both = map_and_height(z, d)
             assert _same_bits(both[0], f) and _same_bits(both[1], t)
         assert math.copysign(1.0, height_T(0.0, d)) == 1.0
-    with pytest.raises(ValueError):
-        map_and_height(1.0 - 1e-10, case1[3])
 
 
 def test_pole_logs_as_accurate_as_numpy_complex_log():
