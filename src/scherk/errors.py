@@ -49,8 +49,9 @@ class ToleranceNotMet(ScherkError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class OutOfDomain(ScherkError):
-    """The input lies where the construction cannot be validated."""
+class OutOfDomain(ScherkError, ValueError):
+    """The input lies where the construction cannot be validated; a
+    ValueError too, so callers that catch ValueError keep working."""
 
 
 class IoError(ScherkError):

@@ -116,7 +116,7 @@ def _pitot_defect(b, tol_pitot):
     """Side-sum defect of the vertices b; NotPitot when it exceeds tol_pitot x
     the perimeter, which it is below, so a tol_pitot outside [0, 1) is refused."""
     if not 0.0 <= tol_pitot < 1.0:
-        raise ValueError(f"tol_pitot must lie in [0, 1), got {tol_pitot!r}")
+        raise OutOfDomain(f"tol_pitot must lie in [0, 1), got {tol_pitot!r}")
     residual, perimeter = _side_sums(b)
     if abs(residual) > tol_pitot * perimeter:
         raise NotPitot(f"side-sum defect {residual / perimeter:.3e} x perimeter "
@@ -143,12 +143,12 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
         b = [complex(*v) if isinstance(v, (tuple, list)) and len(v) == 2
              else complex(v) for v in vertices]
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"vertices must be pairs of numbers: {exc}") from exc
+        raise OutOfDomain(f"vertices must be pairs of numbers: {exc}") from exc
     for i, v in enumerate(b):
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"vertices must be finite; vertex {i + 1} is {v!r}")
+            raise OutOfDomain(f"vertices must be finite; vertex {i + 1} is {v!r}")
     if len(b) != 4:
-        raise ValueError("exactly four vertices required")
+        raise OutOfDomain("exactly four vertices required")
 
     diam = max(abs(b[i] - b[j]) for i in range(4) for j in range(i + 1, 4))
     if diam == 0.0:
@@ -207,7 +207,7 @@ def normalize(q):
 def hyperbola_point(m, tau):
     """Point sin(m) cosh(tau) + i cos(m) sinh(tau), 0 <= m < pi/2."""
     if not 0.0 <= m < math.pi / 2:
-        raise ValueError(f"m must lie in [0, pi/2); got m = {m!r}")
+        raise OutOfDomain(f"m must lie in [0, pi/2); got m = {m!r}")
     try:
         ch, sh = math.cosh(tau), math.sinh(tau)
     except OverflowError:
@@ -230,9 +230,9 @@ def hyperbolic_coordinates(z, w, tol_pitot=DEFAULT_TOL_PITOT):
     if 1.0 - abs(kappa) < TOL_M:
         raise DegenerateRightAngle(f"hyperbola degenerates (cos m ~ 0) at kappa={kappa!r}")
     if kappa <= -TOL_M:
-        raise ValueError(f"z lies on the sin(m) < 0 branch (kappa={kappa!r}); "
-                         "use normalize() to obtain the canonical (relabeled) "
-                         "frame first")
+        raise OutOfDomain(f"z lies on the sin(m) < 0 branch (kappa={kappa!r}); "
+                          "use normalize() to obtain the canonical (relabeled) "
+                          "frame first")
     m = math.asin(kappa) if kappa >= TOL_M else 0.0
     cm = math.cos(m)
     t = math.asinh(z.imag / cm)

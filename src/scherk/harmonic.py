@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import PoleProximity
+from .errors import OutOfDomain, PoleProximity
 
 TOL_POLE = 1e-9
 R_HEIGHT = 1.0 - TOL_POLE  # the largest |z| at which f and T are evaluated
@@ -87,16 +87,17 @@ def _log_sums(z, d, *coeffs):
     """sum_k c[k] Log(1 - z/pole_k) for each tuple c, in blocks of _BLOCK
     points; each sum runs from 0 in pole order, bitwise as sum() of logs.
 
-    A block takes the logs of all poles in one pass on (poles, block)
-    arrays, written over the 1 - z/pole they came from: on verify's 908
-    points map_and_height's traced peak is about 230 KiB, small enough that
-    freeing it does not make glibc trim the heap top, which each following
-    op would fault back in.
+    Re Log w is log1p(|w|^2 - 1)/2 where |w|^2 >= 1/2, and log|w| at the
+    other points (and nan), the only points it is taken at.  A block takes
+    the logs of all poles in one pass on (poles, block) arrays, written over
+    the 1 - z/pole they came from: on verify's 908 points map_and_height's
+    traced peak is about 230 KiB, small enough that freeing it does not make
+    glibc trim the heap top, which each following op would fault back in.
     """
     flat = np.ravel(z)
     r = np.max(np.abs(flat), initial=0.0)
     if r > R_HEIGHT:
-        raise ValueError(f"f and T require |z| <= 1 - 1e-9; got |z| = {r!r}")
+        raise OutOfDomain(f"f and T require |z| <= 1 - 1e-9; got |z| = {r!r}")
     sums = np.zeros((len(coeffs), flat.size), complex)
     weights, poles = np.array(coeffs).T[..., None], np.array(d.poles)[:, None]
     for lo in range(0, flat.size, _BLOCK):
@@ -106,9 +107,11 @@ def _log_sums(z, d, *coeffs):
         w = 1.0 - zb / poles
         re, im = w.real, w.imag
         x = (re - 1.0) * (re + 1.0) + im * im
-        w.real, w.imag = (np.where(x >= -0.5, 0.5 * np.log1p(
-            np.maximum(x, -0.5)), np.log(np.abs(w))), np.arctan2(im, re))
-        del x  # before the products below, for the peak above
+        near = ~(x >= -0.5)
+        lg = 0.5 * np.log1p(np.maximum(x, -0.5))
+        lg[near] = np.log(np.abs(w[near]))
+        w.real, w.imag = lg, np.arctan2(im, re)
+        del x, lg  # before the products below, for the peak above
         for c, lg in zip(weights, w):
             acc += c * lg
     return [s.reshape(np.shape(z))[()] for s in sums]

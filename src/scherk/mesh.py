@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, OutOfDomain
 from .harmonic import R_HEIGHT
 from .weierstrass import map_and_height
 
@@ -35,16 +35,16 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     faces, a fan about 0 and then two per quad, fill one preallocated array.
     """
     if n_r < 1 or n_theta < 3:
-        raise ValueError("need n_r >= 1 and n_theta >= 3")
+        raise OutOfDomain("need n_r >= 1 and n_theta >= 3")
     if not 0.0 < r_max < 1.0:
-        raise ValueError(f"r_max must lie in (0, 1), got {r_max!r}")
+        raise OutOfDomain(f"r_max must lie in (0, 1), got {r_max!r}")
     if not 0.0 < h_max < np.inf:
-        raise ValueError(f"h_max must be a finite positive number, got {h_max!r}")
+        raise OutOfDomain(f"h_max must be a finite positive number, got {h_max!r}")
     radii = r_max * np.sin(np.pi * np.arange(1, n_r + 1) / (2.0 * n_r))
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     zs = np.concatenate(([0j], np.outer(radii, np.exp(1j * thetas)).ravel()))
     if np.abs(zs[-n_theta:]).max() > R_HEIGHT:
-        raise ValueError(f"r_max={r_max!r} puts samples past |z| = 1 - 1e-9")
+        raise OutOfDomain(f"r_max={r_max!r} puts samples past |z| = 1 - 1e-9")
 
     fz, hs = map_and_height(zs, d)
     if frame is not None:
@@ -71,14 +71,17 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
     return SurfaceMesh(vertices=vertices, faces=faces, metadata=metadata)
 
 
-# "0000" .. "9999" as one little-endian 4-byte word each; 10^k for k = 0 ..
-# 22 (exact doubles) and its halves of 26 bits (Veltkamp's split).
+# "0000" .. "9999" as one little-endian 4-byte word each; _WORDS adds them
+# again with their leading zeros as NUL (0 all NUL); 10^k for k = 0 .. 22
+# (exact doubles) and its halves of 26 bits (Veltkamp's split).
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                 indexing="ij"), -1).view("<u4").ravel()
+_WORDS = _DIGITS4.view(np.uint8).reshape(-1, 4).copy()
+_WORDS[np.logical_and.accumulate(_WORDS == 48, axis=1)] = 0
+_WORDS = np.concatenate((_DIGITS4, _WORDS.view("<u4").ravel()))
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_POW10_INT = 10 ** np.arange(19)
 _ROWS = np.arange(20, dtype=np.int8)[:, None]
 _SHIFTS = np.array([0, 8, 16, 24], np.uint32)[:, None]  # byte b: word >> 8b
 
@@ -141,40 +144,69 @@ def _float_fields(x):
 
 
 def _int_fields(v):
-    """%d of each 0 <= v < 2^63 in the 1-d v: a row of bytes each, NUL padded."""
+    """%d of each 0 <= v < 2^63 in the 1-d v: a row of bytes each, right-aligned
+    after at least one NUL, built row-major a word of four digits at a time;
+    a word with no digit before it takes _WORDS' NUL-led half."""
     n_words = len(str(int(v.max(initial=0)))) // 4 + 1
-    n_dig = np.searchsorted(_POW10_INT, np.maximum(v, 1), side="right")
-    fields = _digits(v, n_words)
-    fields *= _ROWS[:4 * n_words] >= 4 * n_words - n_dig  # no leading zeros
-    return fields.T
+    words, n = np.empty((len(v), n_words), np.intp), v
+    for k in range(n_words - 1, -1, -1):
+        q = n // 10000
+        words[:, k], n = n - q * 10000 + 10000 * (q == 0), q
+    fields = _WORDS[words].view(np.uint8)
+    fields[v == 0, -1] = 48  # %d of 0 is 0, where its word is all NUL
+    return fields
 
 
-def _lines(tag, fields):
-    """Line j: tag, " field" for each field of fields[j], newline; no NUL."""
+def _labels(n):
+    """" %d" of 1 .. n, one void item each, as wide as n's; NUL fills the
+    place of each digit a smaller label does not have."""
+    width = len(str(n)) + 1
+    labels = np.ascontiguousarray(_int_fields(np.arange(1, n + 1))[:, -width:])
+    labels[:, 0] = 32  # over a NUL: every label is below 10^(width - 1)
+    return labels.view(f"V{width}").ravel()
+
+
+def _text(out):
+    """The bytes of out as text, less the NULs of a block that holds any."""
+    text = out.tobytes()
+    if b"\0" in text:
+        text = text.translate(None, b"\0")
+    return text.decode("ascii")
+
+
+def _vertex_lines(vertices):
+    """Line j: "v", " %.17g" of each value of vertices[j], newline."""
+    fields = _float_fields(vertices)
     n, ncols, width = fields.shape
     out = np.empty((n, 2 + ncols * (width + 1)), np.uint8)
-    out[:, 0], out[:, -1] = ord(tag), 10
+    out[:, 0], out[:, -1] = ord("v"), 10
     body = out[:, 1:-1].reshape(n, ncols, width + 1)
     body[:, :, 0] = 32
     body[:, :, 1:] = fields
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return _text(out)
+
+
+def _face_lines(labels, faces):
+    """Line j: "f", the labels of faces[j] gathered in place, newline; a
+    block whose labels are all as wide as the largest holds no NUL."""
+    out = np.empty((len(faces), 2 + faces.shape[1] * labels.itemsize), np.uint8)
+    out[:, 0], out[:, -1] = ord("f"), 10
+    np.take(labels, faces, out=out[:, 1:-1].view(labels.dtype))
+    return _text(out)
 
 
 def obj_text(mesh):
     """Wavefront OBJ text of the mesh (1-based face indices) in blocks of
     _OBJ_BLOCK lines, the bytes of "v %.17g %.17g %.17g" and "f %d %d %d"
     lines with digits from numpy; each vertex label is formatted once.  A
-    face index that is not a vertex raises ValueError at the call."""
+    face index that is not a vertex raises OutOfDomain at the call."""
     vertices, faces = np.asarray(mesh.vertices, float), np.asarray(mesh.faces)
     if (bad := faces[(faces < 0) | (faces >= len(vertices))]).size:
-        raise ValueError(f"face index {bad[0]} outside the {len(vertices)} vertices")
-    # one void item of bytes per label, so a face line gathers three items
-    labels = np.ascontiguousarray(_int_fields(np.arange(1, len(vertices) + 1)))
-    labels = labels.view(f"V{labels.shape[1]}")
-    return (_lines(tag, to_fields(rows[i:i + _OBJ_BLOCK]))
-            for tag, rows, to_fields in (
-                ("v", vertices, _float_fields),
-                ("f", faces, lambda f: labels[f].view(np.uint8)))
+        raise OutOfDomain(f"face index {bad[0]} outside the {len(vertices)} vertices")
+    labels = _labels(len(vertices))
+    return (to_text(rows[i:i + _OBJ_BLOCK])
+            for rows, to_text in ((vertices, _vertex_lines),
+                                  (faces, lambda f: _face_lines(labels, f)))
             for i in range(0, len(rows), _OBJ_BLOCK))
 
 

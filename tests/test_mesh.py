@@ -11,7 +11,7 @@ from scherk import (SurfaceMesh, export_obj, height_T, normalize,
 import scherk.mesh
 from scherk.checks import growth_rays
 from scherk.cli import main
-from scherk.mesh import _int_fields, obj_text
+from scherk.mesh import _int_fields, _labels, obj_text
 
 
 def _winding_contains(poly, pt, tol=1e-6):
@@ -234,16 +234,39 @@ def test_default_metadata_is_empty_and_read_only():
     assert dict(one.metadata) == dict(two.metadata) == {}
 
 
+@pytest.mark.parametrize("n", [10 ** k + extra for k in range(6) for extra in (0, 1)])
+def test_obj_text_labels_at_their_exact_width(n, monkeypatch):
+    # the largest label " %d" % n is 2 to 7 bytes; a face block whose labels
+    # are all that wide holds no NUL, and the others are stripped of theirs
+    rng = np.random.default_rng(n)
+    full = np.flatnonzero(np.arange(1, n + 1) >= 10 ** (len(str(n)) - 1))
+    faces = np.concatenate((rng.choice(full, (scherk.mesh._OBJ_BLOCK, 3)),
+                            rng.integers(0, n, (1000, 3)), [[0, n - 1, 0]]))
+    mesh = SurfaceMesh(rng.normal(size=(n, 3)), faces)
+    held_nul, text = [], scherk.mesh._text
+
+    def spied(out):
+        held_nul.append(bool((out == 0).any()))
+        return text(out)
+
+    monkeypatch.setattr(scherk.mesh, "_text", spied)
+    same = "".join(obj_text(mesh)) == _percent_formatted(mesh)
+    assert same   # a bool: pytest's diff of strings of megabytes takes minutes
+    # the two face blocks; below 10 vertices every label is as wide as n's
+    assert held_nul[-2:] == [False, n >= 10]
+
+
 def test_obj_text_formats_each_vertex_label_once(case1, monkeypatch):
     _, _, _, d = case1
     mesh = sample_disk(d, n_r=10, n_theta=40)
     formatted = []
 
-    def counted(v):
-        formatted.append(len(v))
-        return _int_fields(v)
+    def counted(n):
+        labels = _labels(n)
+        formatted.append(len(labels))
+        return labels
 
-    monkeypatch.setattr(scherk.mesh, "_int_fields", counted)
+    monkeypatch.setattr(scherk.mesh, "_labels", counted)
     for _ in range(2):
         formatted.clear()
         "".join(obj_text(mesh))

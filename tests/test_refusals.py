@@ -62,11 +62,11 @@ def _bad_faces(bad):
 
 LIBRARY = [
     ("three vertices", lambda: validate(_square()[:3]),
-     ValueError, r"^exactly four vertices required$"),
+     OutOfDomain, r"^exactly four vertices required$"),
     ("vertex 4 nan", lambda: validate([(0, 0), (1, 0), (1, 1), (math.nan, 0)]),
-     ValueError, r"^vertices must be finite; vertex 4 is \(nan\+0j\)$"),
+     OutOfDomain, r"^vertices must be finite; vertex 4 is \(nan\+0j\)$"),
     ("vertex 3 inf", lambda: validate([(0, 0), (1, 0), (1, math.inf), (math.nan, 0)]),
-     ValueError, r"finite; vertex 3 is \(1\+infj\)$"),
+     OutOfDomain, r"finite; vertex 3 is \(1\+infj\)$"),
     ("all vertices coincide", lambda: validate([(0.5, -2.0)] * 4),
      DegenerateVertices, r"^all vertices coincide$"),
     ("two vertices coincide", lambda: validate([(0, 0), (0, 0), (1, 1), (0, 1)]),
@@ -91,16 +91,16 @@ LIBRARY = [
      NotPitot, r"^side-sum defect -1\.200e-01 x perimeter "),
     # the defect is below the perimeter: 1 or more (or nan) would admit all
     *((f"tol_pitot {tol!r}", partial(validate, _square(), tol_pitot=tol),
-       ValueError, rf"^tol_pitot must lie in \[0, 1\), got {tol!r}$")
+       OutOfDomain, rf"^tol_pitot must lie in \[0, 1\), got {tol!r}$")
       for tol in (math.nan, math.inf, -1.0, 1.0)),
-    *((f"hyperbola_point m = {m!r}", partial(hyperbola_point, m, 1.0), ValueError,
+    *((f"hyperbola_point m = {m!r}", partial(hyperbola_point, m, 1.0), OutOfDomain,
        rf"^m must lie in \[0, pi/2\); got m = {re.escape(repr(m))}$")
       for m in (-1e-300, -0.1, math.pi / 2, 2.0)),
     ("near right angle", lambda: hyperbolic_coordinates(
         *(hyperbola_point(math.pi / 2 - 1e-9, tau) for tau in (0.3, 1.0))),
      DegenerateRightAngle, r"^hyperbola degenerates \(cos m ~ 0\)"),
     ("sin m < 0 branch", lambda: hyperbolic_coordinates(-Z, -W),   # kappa = -sin 0.3
-     ValueError, r"branch \(kappa=-0\.29552020666.*use normalize\(\)"),
+     OutOfDomain, r"branch \(kappa=-0\.29552020666.*use normalize\(\)"),
     ("two hyperbolas", lambda: hyperbolic_coordinates(Z, hyperbola_point(0.8, 1.0)),
      NotPitot, r"^side-sum defect "),
     ("equal rapidities", lambda: hyperbolic_coordinates(Z, Z + 1e-12j),
@@ -123,20 +123,20 @@ LIBRARY = [
       for fn, pole in ((h_prime, 1.0), (g_prime, D.e_ip), (kernel_K, D.e_ip))),
     # one disk guard for f and T, before a log is taken: no numpy RuntimeWarning
     *((f"{fn.__name__} at {where}", partial(fn, z, D),
-       ValueError, r"^f and T require \|z\| <= 1 - 1e-9; got \|z\| = ")
+       OutOfDomain, r"^f and T require \|z\| <= 1 - 1e-9; got \|z\| = ")
       for fn in (harmonic_map, height_T, map_and_height)
       for where, z in (("1 - 1e-10", 1.0 - 1e-10), ("1.5", 1.5), ("e^ip", D.e_ip),
                        ("a pole", np.array([0.2, D.poles[2]])))),
-    *((f"sample_disk {kw}", partial(sample_disk, D, **kw), ValueError,
+    *((f"sample_disk {kw}", partial(sample_disk, D, **kw), OutOfDomain,
        r"^need n_r >= 1 and n_theta >= 3$") for kw in ({"n_r": 0}, {"n_theta": 2})),
     ("r_max = 1", lambda: sample_disk(D, r_max=1.0),
-     ValueError, r"^r_max must lie in \(0, 1\), got 1\.0$"),
+     OutOfDomain, r"^r_max must lie in \(0, 1\), got 1\.0$"),
     *((f"h_max {h!r}", partial(sample_disk, D, n_r=2, n_theta=4, h_max=h),
-       ValueError, rf"^h_max must be a finite positive number, got {h!r}$")
+       OutOfDomain, rf"^h_max must be a finite positive number, got {h!r}$")
       for h in (-1.0, 0.0, math.nan, math.inf)),
     # export_obj checks the faces before it opens the file
     *((f"{label} face {bad}", partial(fn, _bad_faces(bad), *path),
-       ValueError, rf"^face index {bad} outside the 13 vertices$")
+       OutOfDomain, rf"^face index {bad} outside the 13 vertices$")
       for label, fn, path in (("obj_text", obj_text, ()),
                               ("export_obj", export_obj, (MISSING / "x.obj",)))
       for bad in (-1, 13, 20)),
@@ -170,10 +170,10 @@ INPUT_STAGE = [
                   r"m=0\.81390364.*: mismatch \S+ > tolerance \S+$"),
     *((f"--tol-pitot {tol}", ("-", "--tol-pitot", tol),
        _doc([[-1, 0], [0.3, 0.5], [1, 0], [0.2, 1.2]]),
-       ValueError, rf"^tol_pitot must lie in \[0, 1\), got {float(tol)!r}$")
+       OutOfDomain, rf"^tol_pitot must lie in \[0, 1\), got {float(tol)!r}$")
       for tol in ("nan", "inf", "-1", "1")),
-    ("m = 2", ("--params", "2,1,0.3"), None,   # a ValueError, named like the rest
-     ValueError, r"^m must lie in \[0, pi/2\); got m = 2\.0$"),
+    ("m = 2", ("--params", "2,1,0.3"), None,
+     OutOfDomain, r"^m must lie in \[0, pi/2\); got m = 2\.0$"),
     ("--params arity", ("--params", "1,2"), None,
      IoError, r"^--params expects three numbers m,s,t$"),
     ("no input", (), None, IoError, r"^no input: "),
@@ -187,7 +187,8 @@ INPUT_STAGE = [
        r"diameter 5\.343e\+12$") for params in ("0.3,30,29", "0.3,-30,-29")),
     # JSON values of the wrong shape, named: true, false and strings (float() reads
     # them), a bare number as a vertex, and a third coordinate, which is not dropped
-    *((f"JSON {doc[:40]}", ("-", *extra), doc, ValueError, r"^vertices must be pairs of ")
+    *((f"JSON {doc[:40]}", ("-", *extra), doc,
+       OutOfDomain, r"^vertices must be pairs of ")
       for doc, extra in (('{"vertices": 5}', ()), ('{"vertices": [[1],[2],[3],[4]]}', ()),
                          (_doc([[-1, 0, 7], [0.309, 0.291], [1, 0], [0.456, 1.123]]),
                           ("--tol-pitot", "1e-3")))),
@@ -226,8 +227,8 @@ CLI = [
        rf"^report leaf center\.{leaf} = \S+ is out of double range$")
       for s, leaf in ((1e-160, "curvature"), (1e154, "curvature_bound"))),
     ("mesh: --rmax 0.9999999999", (*MESH_ARGS, "--rmax", "0.9999999999"), None,
-     ValueError, r"^r_max=0\.9999999999 puts samples past \|z\| = 1 - 1e-9$"),
-    *((f"mesh: --hmax {h}", (*MESH_ARGS, "--hmax", h), None, ValueError,
+     OutOfDomain, r"^r_max=0\.9999999999 puts samples past \|z\| = 1 - 1e-9$"),
+    *((f"mesh: --hmax {h}", (*MESH_ARGS, "--hmax", h), None, OutOfDomain,
        rf"^h_max must be a finite positive number, got {float(h)!r}$")
       for h in ("-1", "nan", "inf")),
     ("mesh: unwritable --out", (*MESH_ARGS, "--out", str(MISSING / "m.obj")), None,
@@ -309,3 +310,9 @@ def test_the_neighbours_of_refusals_are_accepted():
     for s in (1e-160, 1e154):   # their report leaves are refused, not verify
         code, _, err, _ = _cli(("verify", "-"), _doc(_square(s)))
         assert (code, err) == (0, ""), s
+
+
+def test_out_of_domain_is_a_value_error():
+    # callers that caught the ValueError these refusals once were keep working
+    with pytest.raises(ValueError, match=r"^m must lie in \[0, pi/2\)"):
+        hyperbola_point(2.0, 1.0)
