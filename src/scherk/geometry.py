@@ -38,8 +38,7 @@ class PitotQuad(namedtuple("PitotQuad", "b1 b2 b3 b4 pitot_residual "
         return (self.b1, self.b2, self.b3, self.b4)
 
     def perimeter(self):
-        b = self.vertices
-        return sum(abs(b[i] - b[(i + 1) % 4]) for i in range(4))
+        return _side_sums(self.vertices)[1]
 
 
 class NormalizedFrame(namedtuple("NormalizedFrame", "scale shift z w relabeled",

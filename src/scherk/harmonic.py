@@ -5,9 +5,9 @@ residues are the (scaled) jumps of the boundary step function.  h, g and the
 height T weight the same four logs Log(1 - z/pole), branch-safe on the open
 disk since 1 - z/pole stays in the right half plane; _log_sums sums them in
 one pass, from real ufuncs, and refuses |z| > R_HEIGHT (TOL_POLE from the
-poles).  Evaluators take numpy arrays or scalars (same bits for a point
-either way) in the normalized frame (-1, z, 1, w); NormalizedFrame.invert
-maps values back to the original quadrilateral.
+poles) and nan points.  Evaluators take numpy arrays or scalars (same bits
+for a point either way) in the normalized frame (-1, z, 1, w);
+NormalizedFrame.invert maps values back to the original quadrilateral.
 """
 
 import math
@@ -55,7 +55,9 @@ def analytic_parts(d):
 
 def _guard_poles(z, poles):
     dmin = np.abs(np.subtract.outer(z, poles)).min(initial=np.inf)
-    if dmin < TOL_POLE:
+    if not dmin >= TOL_POLE:  # a nan point too
+        if math.isnan(dmin):
+            raise OutOfDomain("evaluation at a nan point")
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
 
 
@@ -96,8 +98,9 @@ def _log_sums(z, d, *coeffs):
     """
     flat = np.ravel(z)
     r = np.max(np.abs(flat), initial=0.0)
-    if r > R_HEIGHT:
-        raise OutOfDomain(f"f and T require |z| <= 1 - 1e-9; got |z| = {r!r}")
+    if not r <= R_HEIGHT:  # a nan point too
+        got = "a nan point" if math.isnan(r) else f"|z| = {float(r)!r}"
+        raise OutOfDomain(f"f and T require |z| <= 1 - 1e-9; got {got}")
     sums = np.zeros((len(coeffs), flat.size), complex)
     weights, poles = np.array(coeffs).T[..., None], np.array(d.poles)[:, None]
     for lo in range(0, flat.size, _BLOCK):

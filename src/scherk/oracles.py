@@ -34,20 +34,15 @@ TAYLOR_Z = _RHO[:, 0] * np.exp(
 _TAYLOR_WEIGHTS = TAYLOR_POINTS * _RHO ** np.abs(_N)
 # Unit offsets of the five-point Laplacian stencil; the center comes last.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.0])
-# The upper halves of the Gauss-Legendre nodes (row 0) and weights (row 1);
-# leggauss(N_NODES) makes both symmetric, so _GL mirrors them.
+# The Gauss-Legendre nodes (row 0) and weights (row 1) on [-1, 1], shared and
+# never mutated: constants, bitwise leggauss(N_NODES), so no oracle loads
+# numpy.polynomial.  Both are symmetric, so _GL mirrors their upper halves.
 _GL_HALF = np.array([[float.fromhex(h) for h in row] for row in (
     ("0x1.30e507891e27ap-3", "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1",
      "0x1.bae995e9cb2f3p-1", "0x1.f2a3e062af2d8p-1"),
     ("0x1.2e9de7014d6eep-2", "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3",
      "0x1.32138c878efdep-3", "0x1.1115f8b62dc1fp-4"))])
 _GL = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF), axis=1)
-
-
-def _gauss_legendre():
-    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never mutated.
-    Constants, bitwise leggauss(N_NODES), so no oracle loads numpy.polynomial."""
-    return _GL[0], _GL[1]
 
 
 def _panels(fn, a, b, owner):
@@ -58,7 +53,7 @@ def _panels(fn, a, b, owner):
     panel's value does not depend on which or how many panels share the
     call: roots and halves, or several levels' panels, may go together.
     """
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _GL
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = fn(mid + half * nodes[:, None], owner)
     return half * np.add.accumulate(weights[:, None] * vals, axis=0)[-1]

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import scherk
 from scherk import (DegenerateRightAngle, construct_quad, height_T,
                     hyperbolic_coordinates, newton_invert, normalize,
                     scherk_data)
@@ -26,6 +29,51 @@ def graph_height_function(d):
     """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
     for a point w of the normalized frame or an array of them."""
     return lambda w: height_T(newton_invert(d, w), d)
+
+
+class Spy:
+    """A callable wrapper that records the positional arguments of each call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(args)
+        return self.fn(*args, **kwargs)
+
+    @property
+    def points(self):
+        """Points per call: the size of its first argument, or that argument
+        when it is itself a count (mesh._labels(n) formats n labels)."""
+        return [a[0] if isinstance(a[0], int) else np.size(a[0])
+                for a in self.calls]
+
+
+def spy(monkeypatch, target):
+    """A Spy on scherk.<target> ("module.name") put at every binding of a
+    scherk module that holds it, private names and imported copies included;
+    monkeypatch undoes it.  Every scherk module is imported first, so that a
+    command's lazy import reads the Spy and keeps no copy after the undo."""
+    modules = {info.name: importlib.import_module(f"scherk.{info.name}")
+               for info in pkgutil.iter_modules(scherk.__path__)}
+    module, name = target.rsplit(".", 1)
+    original = getattr(modules[module], name)
+    wrapper = Spy(original)
+    for mod in modules.values():
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return wrapper
+
+
+def assert_same_text(got, want):
+    """got == want for two strings or byte strings, failing with the first
+    differing lines: pytest's own diff of two megabyte strings takes minutes."""
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        pytest.fail(f"{len(bad)} of {len(got)} and {len(want)} lines differ, "
+                    f"first {bad[:3]}")
 
 
 def stereographic(w):

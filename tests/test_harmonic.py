@@ -83,41 +83,15 @@ def test_jacobian_positive_inside(case1, case2):
         assert float(np.min(jacobian(grid, d))) > 0.0
 
 
-class _Counter:
-    """Wraps fn and counts its calls."""
-
-    def __init__(self, fn):
-        self.fn, self.n = fn, 0
-
-    def __call__(self, *args):
-        self.n += 1
-        return self.fn(*args)
-
-
-def test_derivative_pair_runs_one_pole_guard(case1, rng, monkeypatch):
+def test_derivative_pair_is_bitwise_the_two_pole_sums(case1, rng):
     import scherk.harmonic as harmonic
-    import scherk.oracles as oracles
     _, _, _, d = case1
     zs = disk_points(rng, 9, 0.92)
     for z in (zs, complex(zs[0])):
-        # the pair is bitwise the two single-derivative pole sums
         hp = sum(c / (z - zk) for c, zk in zip(d.h_residues, d.poles))
         gp = sum(c / (z - zk) for c, zk in zip(d.g_residues, d.poles))
         for got in (harmonic._derivatives(z, d), (h_prime(z, d), g_prime(z, d))):
             assert np.all(got[0] == hp) and np.all(got[1] == gp)
-    guard = harmonic._guard_poles
-    calls = []
-    monkeypatch.setattr(harmonic, "_guard_poles",
-                        lambda *a: calls.append(1) or guard(*a))
-    for fn in (jacobian, dilatation):
-        calls.clear()
-        fn(zs, d)
-        assert len(calls) == 1
-    pairs = _Counter(harmonic._derivatives)
-    monkeypatch.setattr(oracles, "_derivatives", pairs)
-    calls.clear()
-    oracles.newton_invert(d, harmonic_map(0.4 - 0.3j, d))
-    assert pairs.n >= 3 and len(calls) == pairs.n   # one guard per step
     with pytest.raises(PoleProximity):
         harmonic._derivatives(d.e_ip * (1.0 - 1e-12), d)
 

@@ -11,7 +11,8 @@ from scherk import (SurfaceMesh, export_obj, height_T, normalize,
 import scherk.mesh
 from scherk.checks import growth_rays
 from scherk.cli import main
-from scherk.mesh import _int_fields, _labels, obj_text
+from scherk.mesh import _int_fields, obj_text
+from conftest import assert_same_text, spy
 
 
 def _winding_contains(poly, pt, tol=1e-6):
@@ -134,11 +135,7 @@ def _assert_obj_text_is_percent_format(values, faces=()):
     faces = np.asarray(faces, dtype=np.int64)
     mesh = SurfaceMesh(np.resize(values, (-(-len(values) // 3), 3)),
                        np.resize(faces, (-(-len(faces) // 3), 3)))
-    got, want = "".join(obj_text(mesh)), _percent_formatted(mesh)
-    if got != want:
-        bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines())
-               if g != w]
-        pytest.fail(f"{len(bad)} lines differ, first {bad[:3]}")
+    assert_same_text("".join(obj_text(mesh)), _percent_formatted(mesh))
 
 
 def test_obj_text_matches_percent_format_over_the_double_range():
@@ -213,9 +210,9 @@ def test_obj_text_of_a_large_mesh_and_of_no_faces(case1):
     # 12 001 vertices: 4- and 5-digit labels share the face blocks
     mesh = sample_disk(d, n_r=30, n_theta=400)
     assert len(mesh.vertices) == 12001
-    assert "".join(obj_text(mesh)) == _percent_formatted(mesh)
+    assert_same_text("".join(obj_text(mesh)), _percent_formatted(mesh))
     no_faces = SurfaceMesh(mesh.vertices[:5], np.zeros((0, 3), np.int64))
-    assert "".join(obj_text(no_faces)) == _percent_formatted(no_faces)
+    assert_same_text("".join(obj_text(no_faces)), _percent_formatted(no_faces))
     empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
     assert list(obj_text(empty)) == []
 
@@ -243,35 +240,10 @@ def test_obj_text_labels_at_their_exact_width(n, monkeypatch):
     faces = np.concatenate((rng.choice(full, (scherk.mesh._OBJ_BLOCK, 3)),
                             rng.integers(0, n, (1000, 3)), [[0, n - 1, 0]]))
     mesh = SurfaceMesh(rng.normal(size=(n, 3)), faces)
-    held_nul, text = [], scherk.mesh._text
-
-    def spied(out):
-        held_nul.append(bool((out == 0).any()))
-        return text(out)
-
-    monkeypatch.setattr(scherk.mesh, "_text", spied)
-    same = "".join(obj_text(mesh)) == _percent_formatted(mesh)
-    assert same   # a bool: pytest's diff of strings of megabytes takes minutes
+    text = spy(monkeypatch, "mesh._text")
+    assert_same_text("".join(obj_text(mesh)), _percent_formatted(mesh))
     # the two face blocks; below 10 vertices every label is as wide as n's
-    assert held_nul[-2:] == [False, n >= 10]
-
-
-def test_obj_text_formats_each_vertex_label_once(case1, monkeypatch):
-    _, _, _, d = case1
-    mesh = sample_disk(d, n_r=10, n_theta=40)
-    formatted = []
-
-    def counted(n):
-        labels = _labels(n)
-        formatted.append(len(labels))
-        return labels
-
-    monkeypatch.setattr(scherk.mesh, "_labels", counted)
-    for _ in range(2):
-        formatted.clear()
-        "".join(obj_text(mesh))
-        # one label per vertex, not one per face corner (3 len(faces))
-        assert formatted == [len(mesh.vertices)]
+    assert [bool((out == 0).any()) for (out,) in text.calls[-2:]] == [False, n >= 10]
 
 
 def test_csv_export(case1, tmp_path, capsys):

@@ -11,11 +11,12 @@ from scherk import (NewtonDiverged, ToleranceNotMet, adaptive_quad,
                     kernel_K, newton_invert, normalize, numeric_residue,
                     poisson_extension, scherk_data, step_boundary,
                     validate_quadrilateral)
-from scherk import checks, oracles
+from scherk import oracles
 from scherk.analysis import gauss_curvature
 from scherk.checks import CHECKS, evaluate, growth_fit, run_checks
 from scherk.oracles import (ABS_TOL, MAX_DEPTH, N_NODES, TAYLOR_ORDER,
                             kernel_contour_height, taylor)
+from conftest import Spy
 
 
 def test_adaptive_quad_polynomial():
@@ -60,24 +61,12 @@ def test_numeric_residue_with_analytic_part():
     assert abs(numeric_residue(fn, 0.5) + 3.5j) < 1e-9
 
 
-class _Recorder:
-    """Integrand wrapper that records the argument of every call."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.args = []
-
-    def __call__(self, x):
-        self.args.append(x)
-        return self.fn(x)
-
-
 def test_quadrature_calls_fn_on_node_arrays():
     # each call gets the nodes of whole panels, one column per panel
-    rec = _Recorder(np.cos)
+    rec = Spy(np.cos)
     assert abs(adaptive_quad(rec, 0.0, 1.0) - math.sin(1.0)) < 1e-14
-    assert rec.args
-    for x in rec.args:
+    assert rec.calls
+    for (x,) in rec.calls:
         assert isinstance(x, np.ndarray) and x.ndim == 2
         assert x.shape[0] == N_NODES and x.shape[1] >= 1
 
@@ -85,15 +74,15 @@ def test_quadrature_calls_fn_on_node_arrays():
 def test_adaptive_quad_evaluates_each_panel_once():
     # a degree-5 polynomial is exact on every panel: the whole, its left
     # and its right half, all in one call
-    rec = _Recorder(lambda x: x ** 5)
+    rec = Spy(lambda x: x ** 5)
     adaptive_quad(rec, 0.0, 1.0)
-    assert len(rec.args) == 1
-    panels = [tuple(col) for col in rec.args[0].T]
+    assert len(rec.calls) == 1
+    panels = [tuple(col) for col in rec.calls[0][0].T]
     assert len(panels) == 3 and len(set(panels)) == 3
 
 
 def test_gauss_legendre_constants_are_bitwise_leggauss():
-    nodes, weights = oracles._gauss_legendre()
+    nodes, weights = oracles._GL
     want = np.polynomial.legendre.leggauss(N_NODES)
     assert nodes.tobytes() == want[0].tobytes()
     assert weights.tobytes() == want[1].tobytes()
@@ -137,9 +126,9 @@ def test_level_wise_quad_is_bitwise_the_recursion():
     needle = lambda x: 1.0 / (1.0 + 2500.0 * (x - 0.3) ** 2)
     wave = lambda x: np.exp(40j * x) * needle(x)
     for fn in (needle, wave):
-        rec = _Recorder(fn)
+        rec = Spy(fn)
         got = adaptive_quad(rec, 0.0, 1.0)
-        assert len(rec.args) >= 4   # the root and its halves, three levels
+        assert len(rec.calls) >= 4   # the root and its halves, three levels
         assert got == _recursive_quad(fn, 0.0, 1.0)
 
 
@@ -188,11 +177,11 @@ def test_scalar_points_give_scalars(case1):
 
 def test_numeric_residue_one_call_per_radius():
     # both radii in one call, RADII on the leading axis
-    rec = _Recorder(lambda z: 2.0 / (z - 1j))
+    rec = Spy(lambda z: 2.0 / (z - 1j))
     numeric_residue(rec, 1j)
-    assert len(rec.args) == 1
-    assert isinstance(rec.args[0], np.ndarray)
-    assert rec.args[0].shape == (2, 64)
+    assert len(rec.calls) == 1
+    assert isinstance(rec.calls[0][0], np.ndarray)
+    assert rec.calls[0][0].shape == (2, 64)
 
 
 def _one_pole_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
@@ -209,9 +198,9 @@ def _one_pole_residue(fn, pole, n_angles=64, eps=(1e-4, 1e-5)):
 
 def test_numeric_residue_pole_array_is_bitwise_per_pole(sweep_cases):
     for _, _, _, d in sweep_cases[:40]:
-        rec = _Recorder(lambda z: kernel_K(z, d))
+        rec = Spy(lambda z: kernel_K(z, d))
         got = numeric_residue(rec, np.array(d.poles))
-        assert len(rec.args) == 1 and rec.args[0].shape == (2, 4, 64)
+        assert len(rec.calls) == 1 and rec.calls[0][0].shape == (2, 4, 64)
         for pole, res in zip(d.poles, got):
             assert res == numeric_residue(lambda z: kernel_K(z, d), pole)
             assert res == _one_pole_residue(lambda z: kernel_K(z, d), pole)
@@ -244,10 +233,10 @@ def test_fd_laplacian_known_fields():
 
 
 def test_fd_laplacian_one_call_on_stencil_array():
-    rec = _Recorder(lambda z: abs(z) ** 2)
+    rec = Spy(lambda z: abs(z) ** 2)
     fd_laplacian(rec, 0.3 + 0.1j)
-    assert len(rec.args) == 1
-    assert isinstance(rec.args[0], np.ndarray) and rec.args[0].shape == (5,)
+    assert len(rec.calls) == 1
+    assert isinstance(rec.calls[0][0], np.ndarray) and rec.calls[0][0].shape == (5,)
 
 
 def test_fd_mixed_known_fields():
@@ -330,19 +319,6 @@ def test_taylor_jet_matches_the_center_closed_forms(sweep_cases,
             assert abs(curv - k0) <= 1e-12 * abs(k0) / math.cos(c.m) ** 2, c
 
 
-def test_taylor_is_one_evaluation_per_surface(case1, monkeypatch):
-    calls = []
-    exact = oracles.map_and_height
-
-    def counted(z, d):
-        calls.append(np.shape(z))
-        return exact(z, d)
-
-    monkeypatch.setattr(oracles, "map_and_height", counted)
-    taylor(case1[3])
-    assert calls == [(2, oracles.TAYLOR_POINTS)]
-
-
 def _per_row_errs(d):
     """The shared-pass rows' errs and the growth fit, each row evaluating its
     own points with the public harmonic_map, height_T, dilatation and
@@ -409,26 +385,8 @@ def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
         assert np.array_equal([s for s, *_ in fit], slopes), d.coords
 
 
-def test_verify_rows_read_one_evaluation_per_surface(case1, case2,
-                                                     monkeypatch):
-    calls = []
-    for module, name in ((checks, "map_and_height"), (checks, "_derivatives"),
-                         (checks, "step_boundary"),
-                         (oracles, "map_and_height")):
-        def counted(*args, name=f"{module.__name__}.{name}",
-                    exact=getattr(module, name)):
-            calls.append(name)
-            return exact(*args)
-        monkeypatch.setattr(module, name, counted)
-
+def test_verify_rows_keep_nothing_between_records(case1, case2):
+    # back to back, each record gets its own evaluation
     d1, d2 = case1[3], case2[3]
-    once = ["scherk.checks._derivatives", "scherk.checks.map_and_height",
-            "scherk.checks.step_boundary"]
-    first = run_checks(d1)
-    # one f/T call per record: the Taylor jet reads evaluate's, and taylor()
-    # makes no call of its own
-    assert sorted(calls) == once
-    # nothing is kept between records: back to back, each gets its own
-    second, again = run_checks(d2), run_checks(d1)
-    assert sorted(calls) == sorted(once * 3)
+    first, second, again = run_checks(d1), run_checks(d2), run_checks(d1)
     assert again == first != second

@@ -127,6 +127,13 @@ LIBRARY = [
       for fn in (harmonic_map, height_T, map_and_height)
       for where, z in (("1 - 1e-10", 1.0 - 1e-10), ("1.5", 1.5), ("e^ip", D.e_ip),
                        ("a pole", np.array([0.2, D.poles[2]])))),
+    # nan fails every comparison, so both guards test for what passes
+    *((f"{fn.__name__} at nan", partial(fn, np.array([0.1, math.nan]), D), OutOfDomain,
+       pattern) for fn, pattern in (
+           (harmonic_map, r"^f and T require \|z\| <= 1 - 1e-9; got a nan point$"),
+           (height_T, r"^f and T require \|z\| <= 1 - 1e-9; got a nan point$"),
+           (h_prime, r"^evaluation at a nan point$"),
+           (kernel_K, r"^evaluation at a nan point$"))),
     *((f"sample_disk {kw}", partial(sample_disk, D, **kw), OutOfDomain,
        r"^need n_r >= 1 and n_theta >= 3$") for kw in ({"n_r": 0}, {"n_theta": 2})),
     ("r_max = 1", lambda: sample_disk(D, r_max=1.0),
