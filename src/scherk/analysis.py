@@ -20,15 +20,16 @@ from .params import gauss_map_q
 
 def gauss_curvature(z, d):
     """Gauss curvature -4 |q'|^2 / (|h'|^2 (1 + |q|^2)^4) at z (normalized frame)."""
-    # 1 - |z0|^2 = |q'(0)|, as |sqrt(X)| = 1
-    qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * d.z0.conjugate()) ** 2
-    q = gauss_map_q(z, d)
     # h'(0) from the record at any scalar zero, np.complex128(0) included:
-    # the residue sum loses digits there at small j
+    # the residue sum loses digits there at small j.  Elsewhere h_prime's
+    # pole guard refuses z before any arithmetic below can overflow.
     hp = d.h0_prime
     if getattr(z, "ndim", 0) != 0 or z != 0:
         from .harmonic import h_prime
         hp = h_prime(z, d)
+    # 1 - |z0|^2 = |q'(0)|, as |sqrt(X)| = 1
+    qp = d.sqrtX * abs(d.q0_prime) / (1.0 - z * d.z0.conjugate()) ** 2
+    q = gauss_map_q(z, d)
     return -4.0 * abs(qp) ** 2 / (abs(hp) ** 2 * (1.0 + abs(q) ** 2) ** 4)
 
 

@@ -5,9 +5,11 @@ residues are the (scaled) jumps of the boundary step function.  h, g and the
 height T weight the same four logs Log(1 - z/pole), branch-safe on the open
 disk since 1 - z/pole stays in the right half plane; _log_sums sums them in
 one pass, from real ufuncs, and refuses |z| > R_HEIGHT (TOL_POLE from the
-poles) and nan points.  Evaluators take numpy arrays or scalars (same bits
-for a point either way) in the normalized frame (-1, z, 1, w);
-NormalizedFrame.invert maps values back to the original quadrilateral.
+poles) and nan points.  h' and g' are summed from the differences z - pole
+that the pole guard measured.  Evaluators take numpy arrays or scalars in
+the normalized frame (-1, z, 1, w) under the batching law of README and
+tests/test_batching.py; NormalizedFrame.invert maps values back to the
+original quadrilateral.
 """
 
 import math
@@ -19,6 +21,7 @@ from .errors import OutOfDomain, PoleProximity
 
 TOL_POLE = 1e-9
 R_HEIGHT = 1.0 - TOL_POLE  # the largest |z| at which f and T are evaluated
+R_FAR = 1e9  # 1/TOL_POLE, the largest |z| at which h', g' and K are evaluated
 # Points per pass of _log_sums; its temporaries stay (4, _BLOCK) arrays, so
 # the 80 001 points of a large mesh need no point-sized log arrays.
 _BLOCK = 4096
@@ -54,17 +57,22 @@ def analytic_parts(d):
 
 
 def _guard_poles(z, poles):
-    dmin = np.abs(np.subtract.outer(z, poles)).min(initial=np.inf)
-    if not dmin >= TOL_POLE:  # a nan point too
-        if math.isnan(dmin):
-            raise OutOfDomain("evaluation at a nan point")
+    """z - pole for every pole, on a last axis: refuses a nan or infinite
+    point, |z| > R_FAR and a point within TOL_POLE of a pole."""
+    r = np.max(np.abs(z), initial=0.0)
+    if not r <= R_FAR:  # a nan point too
+        got = "a nan point" if math.isnan(r) else f"|z| = {float(r)!r}"
+        raise OutOfDomain(f"h', g' and K require |z| <= 1e9; got {got}")
+    dz = np.subtract.outer(z, poles)
+    dmin = np.abs(dz).min(initial=np.inf)
+    if not dmin >= TOL_POLE:
         raise PoleProximity(f"evaluation {dmin:.2e} from a boundary pole")
+    return dz
 
 
 def _derivatives(z, d):
-    """The pair (h'(z), g'(z)) behind one pole guard."""
-    _guard_poles(z, d.poles)
-    dz = [z - zk for zk in d.poles]
+    """The pair (h'(z), g'(z)) behind one pole guard, from its differences."""
+    dz = np.moveaxis(_guard_poles(z, d.poles), -1, 0)
     return (sum(c / v for c, v in zip(d.h_residues, dz)),
             sum(c / v for c, v in zip(d.g_residues, dz)))
 

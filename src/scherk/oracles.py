@@ -143,7 +143,7 @@ def poisson_extension(z, arcs):
         for (_, value), integral in zip(arcs, row):
             total += value * integral
         out.append(total / (2.0 * math.pi))
-    return out[0] if np.ndim(z) == 0 else np.reshape(out, np.shape(z))
+    return np.reshape(np.array(out, complex), np.shape(z))[()]
 
 
 def contour_height(z, kernel):
@@ -160,7 +160,7 @@ def contour_height(z, kernel):
 
     heights = 2.0 * _quad_levels(integrand, np.zeros(zs.size),
                                  np.ones(zs.size)).imag
-    return heights[0] if np.ndim(z) == 0 else heights.reshape(np.shape(z))
+    return heights.reshape(np.shape(z))[()]
 
 
 def numeric_residue(fn, pole):
@@ -241,7 +241,7 @@ def newton_invert(d, target):
     notes[np.equal(notes, None) & ~(abs(r) < NEWTON_TOL)] = (
         f"no convergence to {NEWTON_TOL} in {NEWTON_STEPS} steps")
     z[np.not_equal(notes, None)] = np.nan
-    z = complex(z[0]) if np.ndim(target) == 0 else z.reshape(np.shape(target))
+    z = z.reshape(np.shape(target))[()]
     if any(notes):
         raise NewtonDiverged(next(filter(None, notes)), z, notes.tolist())
     return z

@@ -94,9 +94,12 @@ def scherk_data(c):
     real, so T blows up to -infinity toward +-1; h'(0) = (4i/pi) tanh j
     e^{-ip/2} cosh^2 conj(w), q'(0) = -i e^{-ip/2} cos m / cosh^2 conj(w),
     and B = e^{2ip} h'(0), A = B X, C = B sqrt(X); the report's Z is X and
-    its q(0) is gauss_map_q(0, d) = -sqrt(X) z0.  j < 0 (s < t) is refused:
-    p is even in j, z0 is not.
+    its q(0) is gauss_map_q(0, d) = -sqrt(X) z0.  Refused: a non-finite
+    coordinate, and j < 0 (s < t), as p is even in j and z0 is not.
     """
+    if not all(map(math.isfinite, c)):  # nan passes the j and p tests below
+        raise OutOfDomain(f"coordinates must be finite; got m={c.m!r}, s={c.s!r}, "
+                          f"t={c.t!r}, j={c.j!r}, k={c.k!r}")
     if c.j < 0.0:
         raise OutOfDomain(f"j < 0 at m={c.m!r}, s={c.s!r}, t={c.t!r}, j={c.j!r}")
     p, e_ip = angle_parameter(c)

@@ -76,6 +76,22 @@ def assert_same_text(got, want):
                     f"first {bad[:3]}")
 
 
+def assert_same_bits(got, want):
+    """got and want of one type, dtype and shape with the same bytes, signed
+    zeros included, failing with the first differing index."""
+    assert type(got) is type(want), (type(got), type(want))
+    a, b = np.asarray(got), np.asarray(want)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), (a.dtype, a.shape,
+                                                      b.dtype, b.shape)
+    bad = np.flatnonzero(np.any(a.reshape(a.size, 1).view(np.uint8)
+                                != b.reshape(b.size, 1).view(np.uint8), axis=1))
+    if bad.size:
+        i = bad[0]
+        at = [int(k) for k in np.unravel_index(i, a.shape)]
+        pytest.fail(f"{bad.size} of {a.size} values differ, first at {at}: "
+                    f"{a.flat[i]!r} != {b.flat[i]!r}")
+
+
 def stereographic(w):
     """Unit vector of the inverse stereographic projection of the point w."""
     den = 1.0 + abs(w) ** 2

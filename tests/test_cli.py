@@ -23,7 +23,8 @@ from scherk.cli import build_report, canonical_json, load_quad, main
 from scherk.geometry import DEFAULT_TOL_PITOT
 from scherk.mesh import obj_text
 from scherk.oracles import taylor
-from conftest import LARGE_K_PARAMS, assert_same_text, build_case
+from conftest import (LARGE_K_PARAMS, assert_same_bits, assert_same_text,
+                      build_case)
 
 
 def run(capsys, *argv):
@@ -84,12 +85,59 @@ def test_package_namespace_is_unchanged():
     assert scherk.gauss_map_q is scherk.params.gauss_map_q
 
 
-def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, tmp_path):
-    square = tmp_path / "square.json"
+# One interpreter runs every import probe, in an order that keeps each claim:
+# analyze with numpy, dataclasses, inspect and numbers blocked; then, all of
+# them unblocked, the numpy.polynomial modules a verify loads; then whether
+# the records' modules loaded dataclasses.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import scherk.cli
+print(sorted({"numpy", "scherk.harmonic", "scherk.weierstrass", "scherk.oracles",
+              "scherk.mesh", "scherk.checks", "dataclasses", "inspect",
+              "numbers"} & set(sys.modules)))
+blocked = ("numpy", "dataclasses", "inspect", "numbers")
+for name in blocked:
+    sys.modules[name] = None  # any import of it now raises ImportError
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = scherk.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    print(json.dumps([rc, out.getvalue(), err.getvalue()]))
+for name in blocked:
+    del sys.modules[name]
+import numpy
+def polynomial():
+    return {m for m in sys.modules if m.startswith("numpy.polynomial")}
+before = polynomial()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = scherk.cli.main(["verify", "--params", "0.3,1.0,0.3"])
+print(rc, sorted(polynomial() - before))
+import scherk.checks, scherk.mesh, scherk.oracles
+print("dataclasses" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """The analyze calls the probe makes and the lines it prints."""
+    square = tmp_path_factory.mktemp("probe") / "square.json"
     square.write_text('{"vertices": [[-1, 0], [0, -1], [1, 0], [0, 1]]}')
     calls = [["analyze", "--params", "0.3,1.0,-0.3"], ["analyze", str(square)],
              ["--help"], ["analyze", "--params", "0.3,1.0"],
              ["analyze", "--params", "0.3,1.0,-0.3", "--tol-pitot", "2"]]
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return calls, proc.stdout.splitlines()
+
+
+def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, import_probe):
+    calls, lines = import_probe
     # --help wraps at the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     want = []
@@ -100,64 +148,20 @@ def test_import_and_analyze_never_load_numpy(capsys, monkeypatch, tmp_path):
             code = exc.code
         want.append([code, *capsys.readouterr()])
     assert [w[0] for w in want] == [0, 0, 0, 2, 2]
-    code = """
-import contextlib, io, json, sys
-import scherk.cli
-print(sorted({"numpy", "scherk.harmonic", "scherk.weierstrass", "scherk.oracles",
-              "scherk.mesh", "scherk.checks", "dataclasses", "inspect",
-              "numbers"} & set(sys.modules)))
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-sys.modules["dataclasses"] = sys.modules["inspect"] = sys.modules["numbers"] = None
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = scherk.cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-    print(json.dumps([rc, out.getvalue(), err.getvalue()]))
-"""
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded, *got = proc.stdout.splitlines()
+    loaded, *got, _, _ = lines   # the last two: the two tests below
     assert loaded == "[]"
     assert [json.loads(line) for line in got] == want
 
 
-def test_verify_loads_no_numpy_polynomial():
+def test_verify_loads_no_numpy_polynomial(import_probe):
     # the Gauss-Legendre rule is constants, so verify's oracles load no
     # numpy.polynomial module beyond those that import numpy loads
-    code = """
-import contextlib, io, sys
-import numpy
-def polynomial():
-    return {m for m in sys.modules if m.startswith("numpy.polynomial")}
-before = polynomial()
-import scherk.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = scherk.cli.main(["verify", "--params", "0.3,1.0,0.3"])
-print(rc, sorted(polynomial() - before))
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    assert import_probe[1][-2] == "0 []"
 
 
-def test_records_load_no_dataclasses():
+def test_records_load_no_dataclasses(import_probe):
     # the records are named tuples; numpy loads inspect but not dataclasses
-    code = ("import sys\n"
-            "import scherk.checks, scherk.mesh, scherk.oracles, scherk.cli\n"
-            "print('dataclasses' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(scherk.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert import_probe[1][-1] == "False"
 
 
 def test_analyze_params_report(capsys):
@@ -372,10 +376,8 @@ def test_evaluate_jet_is_bitwise_taylor(row_surfaces):
     # evaluate reads the jet off the Taylor circles of its one map_and_height
     # call; taylor(d) makes a call of its own, and the two agree to the bit
     for d, ev in row_surfaces:
-        got, want = ev["jet"], taylor(d)
-        assert got.coeffs.tobytes() == want.coeffs.tobytes(), d.coords
-        assert (np.array(got[1:]).tobytes()
-                == np.array(want[1:]).tobytes()), d.coords
+        for got, want in zip(ev["jet"], taylor(d)):   # coeffs, P, U, V
+            assert_same_bits(got, want)
 
 
 def test_verify_prints_check_rows_in_table_order(capsys):

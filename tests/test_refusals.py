@@ -22,10 +22,11 @@ import scherk
 from scherk import (DegenerateRightAngle, DegenerateVertices, EqualRapidities, IoError,
                     NewtonDiverged, NotPitot, OutOfDomain, PoleProximity, ScherkError,
                     SelfIntersecting, SurfaceMesh, ToleranceNotMet, ZeroArea,
-                    adaptive_quad, angle_parameter, construct_quad, export_obj,
-                    g_prime, h_prime, harmonic_map, height_T, hyperbola_point,
-                    hyperbolic_coordinates, kernel_K, map_and_height, newton_invert,
-                    sample_disk, scherk_data, validate_quadrilateral as validate)
+                    adaptive_quad, angle_parameter, construct_quad, dilatation,
+                    export_obj, g_prime, gauss_curvature, h_prime, harmonic_map,
+                    height_T, hyperbola_point, hyperbolic_coordinates, jacobian,
+                    kernel_K, map_and_height, newton_invert, sample_disk, scherk_data,
+                    validate_quadrilateral as validate)
 from scherk.cli import canonical_json, main
 from scherk.geometry import HyperbolicCoords as Coords
 from scherk.mesh import obj_text
@@ -115,12 +116,30 @@ LIBRARY = [
     # s < t: p is even in j, z0, sqrt(X) and h'(0) are not
     ("j < 0", lambda: scherk_data(Coords(0.3, 0.3, 1.0, -0.35, 0.65)),
      OutOfDomain, r"^j < 0 at m=0\.3, s=0\.3, t=1\.0, j=-0\.35"),
+    # a nan coordinate passes the j and p tests; an infinite s, t or k gives a nan h0
+    *((f"scherk_data {field} = {bad!r}",
+       partial(scherk_data, Coords(0.3, 1.0, 0.3, 0.35, 0.65)._replace(**{field: bad})),
+       OutOfDomain, rf"^coordinates must be finite; got .*\b{field}={bad!r}(,|$)")
+      for field, bad in (("m", math.nan), ("s", math.nan), ("s", math.inf),
+                         ("t", math.nan), ("j", math.inf), ("k", math.nan),
+                         ("k", -math.inf))),
     # past |j| = 710 sinh overflows, and p ~ 4 e^{-|j|}
     ("sinh j overflows", lambda: scherk_data(Coords(0.3, 1500.0, -10.0, 755.0, 745.0)),
      OutOfDomain, r"^p < 1e-8 at m=0\.3, s=1500\.0, t=-10\.0, j=755\.0, p=0\.0$"),
     *((f"{fn.__name__} at a pole", partial(fn, pole * (1.0 - 1e-12), D), PoleProximity,
        r"^evaluation 1\.00e-12 from a boundary pole$")
       for fn, pole in ((h_prime, 1.0), (g_prime, D.e_ip), (kernel_K, D.e_ip))),
+    # one pole guard refuses a nan, an infinite or a far point before numpy warns:
+    # h' sums to 0 there, its residues summing to 0, and K overflows
+    *((f"{fn.__name__} at {where}", partial(fn, z, D),
+       OutOfDomain, rf"^h', g' and K require \|z\| <= 1e9; got {got}$")
+      for fn in (h_prime, g_prime, dilatation, jacobian, kernel_K, gauss_curvature)
+      for where, z, got in (
+          ("nan", np.array([0.1, math.nan]), "a nan point"),
+          ("inf i", complex(0.0, math.inf), r"\|z\| = inf"),
+          ("[0.1, inf]", np.array([0.1, math.inf]), r"\|z\| = inf"),
+          ("1e9 + 1 ulp", np.nextafter(1e9, 2e9), r"\|z\| = 1000000000\.0000001"),
+          ("2**256", np.array([2.0 ** 256]), r"\|z\| = 1\.157920892\d*e\+77"))),
     # one disk guard for f and T, before a log is taken: no numpy RuntimeWarning
     *((f"{fn.__name__} at {where}", partial(fn, z, D),
        OutOfDomain, r"^f and T require \|z\| <= 1 - 1e-9; got \|z\| = ")
@@ -131,9 +150,7 @@ LIBRARY = [
     *((f"{fn.__name__} at nan", partial(fn, np.array([0.1, math.nan]), D), OutOfDomain,
        pattern) for fn, pattern in (
            (harmonic_map, r"^f and T require \|z\| <= 1 - 1e-9; got a nan point$"),
-           (height_T, r"^f and T require \|z\| <= 1 - 1e-9; got a nan point$"),
-           (h_prime, r"^evaluation at a nan point$"),
-           (kernel_K, r"^evaluation at a nan point$"))),
+           (height_T, r"^f and T require \|z\| <= 1 - 1e-9; got a nan point$"))),
     *((f"sample_disk {kw}", partial(sample_disk, D, **kw), OutOfDomain,
        r"^need n_r >= 1 and n_theta >= 3$") for kw in ({"n_r": 0}, {"n_theta": 2})),
     ("r_max = 1", lambda: sample_disk(D, r_max=1.0),
@@ -317,6 +334,9 @@ def test_the_neighbours_of_refusals_are_accepted():
     for s in (1e-160, 1e154):   # their report leaves are refused, not verify
         code, _, err, _ = _cli(("verify", "-"), _doc(_square(s)))
         assert (code, err) == (0, ""), s
+    # |z| = 1e9, the pole guard's bound, is evaluated without a numpy warning
+    for fn in (h_prime, g_prime, dilatation, jacobian, kernel_K, gauss_curvature):
+        assert np.all(np.isfinite(fn(np.array([1e9, -1e9j]), D))), fn.__name__
 
 
 def test_out_of_domain_is_a_value_error():

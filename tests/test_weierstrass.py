@@ -13,7 +13,7 @@ from scherk import (adaptive_quad, g_prime, gauss_map_q, h_prime, harmonic_map,
 from scherk.checks import CHECKS, _CIRCLE, _POINTS, evaluate, growth_rays
 from scherk.harmonic import _BLOCK, _log_sums, step_boundary
 from scherk.oracles import TAYLOR_POINTS, TAYLOR_Z
-from conftest import build_case, disk_points
+from conftest import assert_same_bits, build_case, disk_points
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
 T_CASE2 = -0.0290030310528531549374134814678   # T(0.3 + 0.2i), case 2
@@ -156,12 +156,6 @@ def _two_pass_reference(z, d):
     return h + np.conj(g), t
 
 
-def _same_bits(a, b):
-    """Equal values, type and bits: signed zeros must match too."""
-    return (type(a) is type(b) and np.all(a == b)
-            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
-
-
 def test_one_pass_evaluators_are_bitwise_the_two_pass_formulas(
         case1, case2, sweep_cases):
     rows = np.array([0.0, 0.3, 0.9, 0.995])[:, None]
@@ -179,10 +173,11 @@ def test_one_pass_evaluators_are_bitwise_the_two_pass_formulas(
             inputs.append(long)
         for z in inputs:
             f, t = _two_pass_reference(z, d)
-            assert _same_bits(harmonic_map(z, d), f)
-            assert _same_bits(height_T(z, d), t)
+            assert_same_bits(harmonic_map(z, d), f)
+            assert_same_bits(height_T(z, d), t)
             both = map_and_height(z, d)
-            assert _same_bits(both[0], f) and _same_bits(both[1], t)
+            assert_same_bits(both[0], f)
+            assert_same_bits(both[1], t)
         assert math.copysign(1.0, height_T(0.0, d)) == 1.0
 
 
