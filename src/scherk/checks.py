@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import (aligning_rotation, center_mixed_derivative,
                        curvature_bound, gauss_curvature, graph_normal)
-from .errors import ScherkError
+from .errors import OutOfDomain, ScherkError
 from .harmonic import _derivatives, step_boundary
 from .oracles import (TAYLOR_RADII, TAYLOR_Z, _N, _jet,
                       kernel_contour_height, numeric_residue,
@@ -211,15 +211,18 @@ CHECKS = (
 def run_checks(d, profile="default"):
     """Run every row of CHECKS; returns (name, err, tol, ok) rows.
 
-    d is the surface record; the two profiles share the checks and differ
-    only in tolerances.  A check that raises a ScherkError is a FAIL row
+    d is the surface record; the two profiles, "default" and "strict", share
+    the checks and differ only in tolerances, and any other profile is
+    refused as OutOfDomain.  A check that raises a ScherkError is a FAIL row
     with err = inf, and a note naming the check and the error goes to
     stderr.  evaluate(d) runs before any row, so an error there is verify's
     exit 2; none arises on a scherk_data record, since its fixed points
     nearest a pole (the grid ring at 0.999, the growth rays' 1 - 1e-6) pass
     the 1e-9 guard and R_HEIGHT.
     """
-    pick = 0 if profile == "default" else 1
+    if profile not in ("default", "strict"):
+        raise OutOfDomain(f"profile must be 'default' or 'strict'; got {profile!r}")
+    pick = profile == "strict"
     ev = evaluate(d)
     rows = []
     for name, tols, err_of in CHECKS:

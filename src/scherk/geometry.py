@@ -128,6 +128,15 @@ def _kappa(z):
     return 2.0 * z.real / (abs(z + 1) + abs(z - 1))
 
 
+def _vertex(v):
+    """A number, or else an (x, y) pair of any 2-element sequence, as a complex."""
+    try:
+        return complex(v)
+    except TypeError:
+        x, y = v
+        return complex(x, y)
+
+
 def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     """Check the Pitot condition and basic sanity; canonicalize orientation.
 
@@ -138,9 +147,9 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     Returns a PitotQuad whose vertex order is counterclockwise (the input
     order is reversed when its signed area is negative).
     """
-    try:  # a list vertex other than a pair is complex(list): a TypeError
+    try:  # a pair of 1 or 3 coordinates fails to unpack: a ValueError
         b = [complex(*v) if isinstance(v, (tuple, list)) and len(v) == 2
-             else complex(v) for v in vertices]
+             else _vertex(v) for v in vertices]
     except (TypeError, ValueError) as exc:
         raise OutOfDomain(f"vertices must be pairs of numbers: {exc}") from exc
     for i, v in enumerate(b):

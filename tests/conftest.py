@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import math
 import pkgutil
@@ -25,10 +26,17 @@ def build_case(m, s, t):
     return q, frame, coords, scherk_data(coords)
 
 
-def graph_height_function(d):
-    """The graph's height as a callable w -> T(f^-1(w)) by Newton inversion,
-    for a point w of the normalized frame or an array of them."""
-    return lambda w: height_T(newton_invert(d, w), d)
+def graph_derivatives(d, w0, h, alpha=0.0):
+    """(F_u, F_v, F_uu, F_vv, F_uv) at w0 of the graph's height F = T o f^-1
+    over the normalized frame, or, given alpha, of the graph rotated by alpha,
+    F(w e^{-i alpha}) at w = w0 e^{i alpha}: central differences of half-width
+    h on the nine-point stencil, from one batched newton_invert call."""
+    steps = np.array([-1.0, 0.0, 1.0]) * h * cmath.exp(-1j * alpha)
+    f = height_T(newton_invert(d, w0 + steps[:, None] + 1j * steps[None, :]), d)
+    return ((f[2, 1] - f[0, 1]) / (2.0 * h), (f[1, 2] - f[1, 0]) / (2.0 * h),
+            (f[2, 1] - 2.0 * f[1, 1] + f[0, 1]) / h ** 2,
+            (f[1, 2] - 2.0 * f[1, 1] + f[1, 0]) / h ** 2,
+            (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (4.0 * h ** 2))
 
 
 class Spy:

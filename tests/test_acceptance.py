@@ -2,14 +2,15 @@
 
 Each criterion test checks its closed form against a route that does not
 use the constant under test: a numeric oracle, or the Weierstrass factors
-h' and q evaluated directly.  Criteria 4, 5 and 9 are each followed by
-companion tests that check the same closed forms against the package's
-stored constants and its own evaluators; for criteria 3 and 7 those are
-verify's center_modulus_squared_law and radial_growth_slopes rows.  The
-last test checks that the height over the quadrilateral solves the
-minimal-surface equation, and that a rescaled height does not; that is
-what fixes the scale and sign of the height-related constants in criteria
-4, 5, 7 and 9.
+h' and q evaluated directly.  The stored constants themselves are verify's
+rows (checks.CHECKS), which tests/test_cli.py runs on 159 surfaces;
+criterion 3 calls two of those rows on its own 1000 surfaces.  The routes
+no row has stay here: K as h' q (criteria 4, 5 and 7), finite differences
+of T o f^{-1} through Newton (criterion 9, conftest.graph_derivatives),
+the minimal-surface equation and Scherk's square.  The minimal-surface
+test checks that the height over the quadrilateral solves the equation and
+that a rescaled height does not; that is what fixes the scale and sign of
+the height-related constants in criteria 4, 5, 7 and 9.
 """
 
 import math
@@ -17,16 +18,15 @@ import time
 
 import numpy as np
 
-from conftest import (SEED, build_case, disk_points, graph_height_function,
-                      sample_triples, stereographic)
-from scherk import (center_mixed_derivative, center_normal,
-                    construct_quad, contour_height, dilatation, fd_laplacian,
-                    fd_mixed, g_prime, gauss_map_q, graph_normal, h_prime,
-                    harmonic_map, height_T, hyperbolic_coordinates, jacobian,
-                    kernel_K,
-                    normalize, numeric_residue, poisson_extension, residues,
-                    scherk_data, step_boundary, validate_quadrilateral)
-from scherk.checks import GROWTH_RADII
+from conftest import (SEED, build_case, disk_points, graph_derivatives,
+                      sample_triples)
+from scherk import (center_mixed_derivative, construct_quad, contour_height,
+                    dilatation, fd_laplacian, g_prime, gauss_map_q,
+                    graph_normal, h_prime, harmonic_map, height_T,
+                    hyperbolic_coordinates, jacobian, kernel_K, newton_invert,
+                    normalize, numeric_residue, poisson_extension, scherk_data,
+                    step_boundary, validate_quadrilateral)
+from scherk.checks import CHECKS, GROWTH_RADII
 from scherk.cli import build_report
 
 TWO_PI = 2.0 * math.pi
@@ -57,19 +57,12 @@ def test_criterion_01_harmonic_center_values():
         ((0.3, 1.0, 0.3), 0.299 + 0.552j),
         ((0.3, 1.0, -0.3), 0.234 + 0.255j),
     ]
-
-    def center(m, s, t):
-        q = construct_quad(m, s, t)
-        frame, _, _ = normalize(q)
-        coords = hyperbolic_coordinates(frame.z, frame.w)
-        return scherk_data(coords).h0
-
-    center(0.3, 1.0, 0.3)  # warm-up so timing measures steady-state cost
+    build_case(0.3, 1.0, 0.3)  # warm-up so timing measures steady-state cost
     for (m, s, t), want in targets:
         best = math.inf
         for _ in range(5):
             tic = time.perf_counter()
-            c0 = center(m, s, t)
+            c0 = build_case(m, s, t)[3].h0   # construct, normalize, solve, build
             best = min(best, time.perf_counter() - tic)
         assert abs(c0 - want) < 1e-3, f"c0({m},{s},{t}) = {c0}, want {want}"
         assert best < 0.010, f"center pipeline took {best * 1e3:.2f} ms"
@@ -105,19 +98,19 @@ def test_criterion_02_dilatation_identity_on_random_quads():
 # 3. Unimodularity of X and the closed form for the center modulus.
 #
 # z0 = -u tanh((k + i m)/2) with |u| = 1, so the ratio
-# (cosh k - cos m)/(cosh k + cos m) is |z0|^2 (not |z0|).  The test also
-# asserts that z0 is the zero of g' (the double zero of the dilatation), so
-# the modulus law is checked at the Moebius center itself and not only on
-# the stored constant.
+# (cosh k - cos m)/(cosh k + cos m) is |z0|^2 (not |z0|).  Both laws are
+# verify's rows, which read no evaluation, called here on 1000 surfaces.  The
+# test also asserts that z0 is the zero of g' (the double zero of the
+# dilatation), so the modulus law holds at the Moebius center itself and not
+# only on the stored constant.
 
 
 def test_criterion_03_unimodularity_and_center_modulus():
+    row = {name: err_of for name, _, err_of in CHECKS}
     worst_x = worst_z = worst_g = 0.0
     for d in _sweep(SEED + 3, 1000):
-        c = d.coords
-        worst_x = max(worst_x, abs(abs(d.X) - 1.0))
-        ratio = (math.cosh(c.k) - math.cos(c.m)) / (math.cosh(c.k) + math.cos(c.m))
-        worst_z = max(worst_z, abs(abs(d.z0) ** 2 - ratio))
+        worst_x = max(worst_x, row["unimodular_factor_modulus"](d, None))
+        worst_z = max(worst_z, row["center_modulus_squared_law"](d, None))
         worst_g = max(worst_g, abs(g_prime(d.z0, d)))
     assert worst_x < 1e-12, f"max ||X|-1| = {worst_x:.3e}"
     assert worst_z < 1e-12, f"max ||z0|^2 - ratio| = {worst_z:.3e}"
@@ -130,9 +123,9 @@ def test_criterion_03_unimodularity_and_center_modulus():
 # C/(e^{2ip} - 1) = -i cosh j (cos m + cosh k)/(2 pi).  The kernel
 # h'q = C (z - z0)(1 - z conj(z0))/((1 - z^2)(e^{2ip} - z^2)) gives
 # C = -e^{2ip} h'(0) q(0)/z0, so C is taken from the two Weierstrass
-# factors rather than from the stored constant (the companion checks
-# that).  A 4 pi denominator would halve the height, which then fails the
-# minimal-surface equation (last test).
+# factors rather than from the stored constant (verify's
+# kernel_scale_identity row checks that).  A 4 pi denominator would halve
+# the height, which then fails the minimal-surface equation (last test).
 
 
 def test_criterion_04_kernel_scale_identity():
@@ -146,16 +139,6 @@ def test_criterion_04_kernel_scale_identity():
     assert worst < 1e-12, f"max residual {worst:.3e}"
 
 
-def test_criterion_04_companion_kernel_scale_identity_two_pi():
-    worst = 0.0
-    for d in _sweep(SEED + 4, 1000):
-        c = d.coords
-        scale = math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k))
-        resid = abs(d.C / (d.e_2ip - 1.0) + 1j * scale / (2.0 * math.pi))
-        worst = max(worst, resid)
-    assert worst < 1e-12, f"max residual {worst:.3e}"
-
-
 # --------------------------------------------------------------------------
 # 5. Closed-form kernel residues against the circle-average oracle.
 #
@@ -163,40 +146,21 @@ def test_criterion_04_companion_kernel_scale_identity_two_pi():
 # -i lam |1 - z0 e^{-ip}|^2, +i lam |1 + z0|^2 and -i lam |1 + z0 e^{-ip}|^2,
 # with lam = cosh j (cos m + cosh k)/(4 pi), not divided by sin p.  The oracle
 # averages h'q over circles about each pole, so neither C nor the residue
-# table enters; the companion averages kernel_K instead.
-
-
-def _residue_errors(d, lam, integrand=None):
-    integrand = integrand or (lambda z: kernel_K(z, d))
-    signs = (1.0, -1.0, 1.0, -1.0)
-    mods = (abs(1.0 - d.z0) ** 2, abs(1.0 - d.z0 / d.e_ip) ** 2,
-            abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
-    closed = [sg * 1j * lam * mm for sg, mm in zip(signs, mods)]
-    worst = 0.0
-    for pole, want in zip(d.poles, closed):
-        got = numeric_residue(integrand, pole)
-        worst = max(worst, abs(want - got))
-    return worst, abs(sum(closed))
+# table enters; verify's kernel_residues_vs_circle_oracle and
+# kernel_residue_sign_split rows hold the stored residues to both.
 
 
 def test_criterion_05_residue_closed_forms_vs_circle_oracle():
     worst = worst_sum = 0.0
     for d in _sweep(SEED + 5, 20):
-        err, s = _residue_errors(d, residues(d).lam, _hq(d))
-        worst = max(worst, err)
-        worst_sum = max(worst_sum, s)
+        mods = (abs(1.0 - d.z0) ** 2, abs(1.0 - d.z0 / d.e_ip) ** 2,
+                abs(1.0 + d.z0) ** 2, abs(1.0 + d.z0 / d.e_ip) ** 2)
+        closed = np.array([sg * d.lam * mm for sg, mm in zip((1j, -1j, 1j, -1j), mods)])
+        got = numeric_residue(_hq(d), np.array(d.poles))
+        worst = max(worst, float(np.max(np.abs(closed - got))))
+        worst_sum = max(worst_sum, abs(sum(closed)))
     assert worst_sum < 1e-13, f"max |residue sum| = {worst_sum:.3e}"
     assert worst < 1e-8, f"max pole-wise deviation {worst:.3e}"
-
-
-def test_criterion_05_companion_residues_without_sin_p_factor():
-    worst = worst_sum = 0.0
-    for d in _sweep(SEED + 5, 20):
-        err, s = _residue_errors(d, residues(d).lam)
-        worst = max(worst, err)
-        worst_sum = max(worst_sum, s)
-    assert worst < 1e-8, f"max pole-wise deviation {worst:.3e}"
-    assert worst_sum < 1e-13, f"max |residue sum| = {worst_sum:.3e}"
 
 
 # --------------------------------------------------------------------------
@@ -206,10 +170,9 @@ def test_criterion_05_companion_residues_without_sin_p_factor():
 def test_criterion_06_height_vs_contour_quadrature(case1, case2):
     gen = np.random.default_rng(SEED + 6)
     for _, _, _, d in (case1, case2):
-        for z in disk_points(gen, 50, 0.95):
-            closed = height_T(z, d)
-            quad = contour_height(z, lambda u: kernel_K(u, d))
-            assert abs(closed - quad) < 1e-8, f"z={z}: {closed} vs {quad}"
+        z = disk_points(gen, 50, 0.95)
+        err = np.abs(height_T(z, d) - contour_height(z, lambda u: kernel_K(u, d)))
+        assert err.max() < 1e-8, f"z={z[err.argmax()]}: err {err.max():.3e}"
         assert height_T(0.0, d) == 0.0
 
 
@@ -225,35 +188,17 @@ def test_criterion_06_height_vs_contour_quadrature(case1, case2):
 # case2), which the last clause confirms.
 
 
-def _fitted_slopes(d):
-    logs, hq = np.log(1.0 - GROWTH_RADII), _hq(d)
-    slopes = []
-    for pole in d.poles:
-        ts = [contour_height(r * pole, hq) for r in GROWTH_RADII]
-        slopes.append(float(np.polyfit(logs, ts, 1)[0]))
-    return slopes
-
-
-def _slope_errors(case, divide_by_sin_p):
-    _, _, _, d = case
-    tic = time.perf_counter()
-    hk = residues(d)
-    cs = [c / math.sin(d.p) for c in hk.cj] if divide_by_sin_p else list(hk.cj)
-    signs = (1.0, -1.0, 1.0, -1.0)
-    fitted = _fitted_slopes(d)
-    elapsed = time.perf_counter() - tic
-    rels = [abs(got - 2.0 * sg * c) / abs(2.0 * c)
-            for got, sg, c in zip(fitted, signs, cs)]
-    return max(rels), elapsed
-
-
 def test_criterion_07_scherk_asymptotic_slopes(case1, case2):
     worst = 0.0
-    for case in (case1, case2):
-        rel, elapsed = _slope_errors(case, False)
+    for _, _, _, d in (case1, case2):
+        tic = time.perf_counter()
+        heights = contour_height(np.outer(GROWTH_RADII, d.poles), _hq(d))
+        fitted = np.polyfit(np.log(1.0 - GROWTH_RADII), heights, 1)[0]
+        elapsed = time.perf_counter() - tic
         assert elapsed < 1.0, f"slope fit took {elapsed:.2f} s"
-        worst = max(worst, rel)
-        rel_sin_p, _ = _slope_errors(case, True)
+        closed = 2.0 * np.array((1.0, -1.0, 1.0, -1.0)) * d.cj
+        worst = max(worst, float(np.max(np.abs(fitted / closed - 1.0))))
+        rel_sin_p = float(np.max(np.abs(fitted * math.sin(d.p) / closed - 1.0)))
         assert rel_sin_p > 0.01, (
             f"constants divided by sin p fit within {rel_sin_p:.3e}")
     assert worst < 0.01, f"max relative slope error {worst:.3e}"
@@ -288,101 +233,31 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
 
 
 # --------------------------------------------------------------------------
-# 9. Center normal and mixed height derivative, closed forms vs the
-#    stereographic route and the finite-difference oracle on T o f^{-1}.
+# 9. Upward normal and mixed height derivative of the graph at the center,
+#    closed forms vs finite differences of T o f^{-1}.
 #
-# (a) center_normal, the stereographic image of q(0), is
-#     (sin m, -cos m tanh k, cos m sech k).
-# (b), (d) The mixed derivative d2/du dv of the height over the
-#     quadrilateral at the center is -(pi/2) coth j sec m, by the analytic
-#     route and by finite differences of T o f^{-1}.  (+(pi/4) coth j sec m
-#     is Im d2T/dw2 = -(1/2) d2T/du dv, a different quantity; the height
-#     scaled by -1/2 fails the minimal-surface equation, last test.)
-# (c) The upward normal of the height graph is
-#     (cos m tanh k, -sin m, cos m sech k), against finite differences.
-
-
-def _fd_graph_frame(d, h=1e-5):
-    F = graph_height_function(d)
-    w0 = d.h0
-    fu = (F(w0 + h) - F(w0 - h)) / (2.0 * h)
-    fv = (F(w0 + 1j * h) - F(w0 - 1j * h)) / (2.0 * h)
-    norm = math.sqrt(1.0 + fu * fu + fv * fv)
-    return F, w0, np.array([-fu / norm, -fv / norm, 1.0 / norm])
+# The upward normal of the height graph is (cos m tanh k, -sin m, cos m sech
+# k), and its mixed derivative d2/du dv is -(pi/2) coth j sec m; one
+# nine-point stencil through Newton gives both (conftest.graph_derivatives).
+# (+(pi/4) coth j sec m is Im d2T/dw2 = -(1/2) d2T/du dv, a different
+# quantity; the height scaled by -1/2 fails the minimal-surface equation,
+# last test.)  The stereographic image of q(0), center_normal, is
+# test_analysis's.
 
 
 def test_criterion_09_center_normal_and_mixed_derivative(case1, case2):
-    failures = []
-    for label, case in (("case1", case1), ("case2", case2)):
-        _, _, c, d = case
-        reference_normal = np.array([
-            math.sin(c.m),
-            -math.cos(c.m) * math.tanh(c.k),
-            math.cos(c.m) / math.cosh(c.k),
-        ])
-        reference_graph_normal = np.array([
-            math.cos(c.m) * math.tanh(c.k),
-            -math.sin(c.m),
-            math.cos(c.m) / math.cosh(c.k),
-        ])
-        reference_mixed = -(math.pi / 2.0) * (math.cosh(c.j) / math.sinh(c.j)
-                                              / math.cos(c.m))
-        stereo = np.array(center_normal(d))
-        err_a = float(np.max(np.abs(reference_normal - stereo)))
-        if err_a >= 1e-10:
-            failures.append(f"{label}: normal vs stereographic route {err_a:.3e}")
-        route = center_mixed_derivative(d)
-        err_b = abs(reference_mixed - route)
-        if err_b >= 1e-10:
-            failures.append(
-                f"{label}: mixed derivative {reference_mixed:.6f} vs "
-                f"analytic route {route:.6f} (err {err_b:.3e})")
-        F, w0, fd_normal = _fd_graph_frame(d)
-        err_c = float(np.max(np.abs(reference_graph_normal - fd_normal)))
-        if err_c >= 1e-4:
-            failures.append(
-                f"{label}: graph normal {np.round(reference_graph_normal, 6)} vs FD "
-                f"{np.round(fd_normal, 6)} (err {err_c:.3e})")
-        err_d = abs(reference_mixed - fd_mixed(F, w0))
-        if err_d >= 1e-4:
-            failures.append(
-                f"{label}: mixed derivative vs FD oracle err {err_d:.3e}")
-    assert not failures, "\n".join(failures)
-
-
-def test_criterion_09_companion_stereographic_normal(case1, case2):
-    # the closed form against the stereographic image of q(0)
     for _, _, _, d in (case1, case2):
-        stereo = np.array(stereographic(gauss_map_q(0j, d)))
-        assert np.max(np.abs(stereo - np.array(center_normal(d)))) < 1e-10
-
-
-def test_criterion_09_companion_graph_normal_matches_fd(case1, case2):
-    for _, _, _, d in (case1, case2):
-        _, _, fd_normal = _fd_graph_frame(d)
-        assert np.max(np.abs(np.array(graph_normal(d)) - fd_normal)) < 1e-4
-
-
-def test_criterion_09_companion_mixed_derivative_route_and_fd(case1, case2):
-    for _, _, c, d in (case1, case2):
-        closed = -(math.pi / 2.0) * (math.cosh(c.j) / math.sinh(c.j)
-                                     / math.cos(c.m))
-        route = center_mixed_derivative(d)
-        assert abs(route - closed) < 1e-10
-        F = graph_height_function(d)
-        w0 = d.h0
-        assert abs(route - fd_mixed(F, w0)) < 1e-4
+        fu, fv, _, _, fuv = graph_derivatives(d, d.h0, 1e-5)
+        fd_normal = np.array((-fu, -fv, 1.0)) / math.sqrt(1.0 + fu * fu + fv * fv)
+        err = np.max(np.abs(fd_normal - graph_normal(d)))
+        assert err < 1e-6, f"graph normal vs FD {fd_normal}: err {err:.3e}"
+        err = abs(fuv - center_mixed_derivative(d))
+        assert err < 1e-4, f"mixed derivative vs FD {fuv}: err {err:.3e}"
 
 
 # --------------------------------------------------------------------------
 # 10. Diffeomorphism evidence: positive Jacobian, unit winding about
 #     interior image points, Poisson-extension agreement.
-
-
-def _winding_about(curve, target):
-    rel = curve - target
-    dphi = np.angle(rel[1:] / rel[:-1])
-    return int(round(float(np.sum(dphi)) / TWO_PI))
 
 
 def test_criterion_10_diffeomorphism_evidence(case1, case2):
@@ -396,14 +271,13 @@ def test_criterion_10_diffeomorphism_evidence(case1, case2):
 
         angles = np.linspace(0.0, TWO_PI, 4001)
         curve = harmonic_map((1.0 - 1e-4) * np.exp(1j * angles), d)
-        for z in disk_points(gen, 20, 0.9):
-            target = harmonic_map(z, d)
-            assert _winding_about(curve, target) == 1, f"winding at {z}"
+        rel = curve[:, None] - harmonic_map(disk_points(gen, 20, 0.9), d)
+        winding = np.sum(np.angle(rel[1:] / rel[:-1]), axis=0) / TWO_PI
+        assert np.all(np.round(winding) == 1), f"windings {winding}"
 
-        sb = step_boundary(d)
-        for z in disk_points(gen, 5, 0.7):
-            err = abs(poisson_extension(z, sb) - harmonic_map(z, d))
-            assert err < 1e-6, f"Poisson disagreement {err:.3e} at {z}"
+        z = disk_points(gen, 5, 0.8)
+        err = np.abs(poisson_extension(z, step_boundary(d)) - harmonic_map(z, d))
+        assert err.max() < 1e-8, f"Poisson disagreement {err.max():.3e}"
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +287,10 @@ def test_criterion_10_diffeomorphism_evidence(case1, case2):
 def test_criterion_11_harmonicity_fd_laplacian(case1, case2):
     gen = np.random.default_rng(SEED + 11)
     for _, _, _, d in (case1, case2):
-        for z in disk_points(gen, 100, 0.7):
-            lap_re = fd_laplacian(lambda u: harmonic_map(u, d).real, z, h=1e-3)
-            lap_im = fd_laplacian(lambda u: harmonic_map(u, d).imag, z, h=1e-3)
-            assert abs(lap_re) < 1e-4, f"Re defect {lap_re:.3e} at {z}"
-            assert abs(lap_im) < 1e-4, f"Im defect {lap_im:.3e} at {z}"
+        z = disk_points(gen, 100, 0.7)
+        lap = fd_laplacian(lambda u: harmonic_map(u, d), z, h=1e-3)
+        assert np.max(np.abs(lap.real)) < 1e-4, f"Re defect {lap.real}"
+        assert np.max(np.abs(lap.imag)) < 1e-4, f"Im defect {lap.imag}"
 
 
 # --------------------------------------------------------------------------
@@ -429,15 +302,8 @@ def test_criterion_11_harmonicity_fd_laplacian(case1, case2):
 # f(0.3)) are away from such a curve in both cases.
 
 
-def _mse_residual(F, w, h=1e-3):
-    """Relative residual of (1 + F_v^2) F_uu - 2 F_u F_v F_uv + (1 + F_u^2) F_vv
-    at w, from a nine-point stencil of half-width h."""
-    f = {(i, k): F(w + i * h + 1j * k * h) for i in (-1, 0, 1) for k in (-1, 0, 1)}
-    fu = (f[1, 0] - f[-1, 0]) / (2.0 * h)
-    fv = (f[0, 1] - f[0, -1]) / (2.0 * h)
-    fuu = (f[1, 0] - 2.0 * f[0, 0] + f[-1, 0]) / h ** 2
-    fvv = (f[0, 1] - 2.0 * f[0, 0] + f[0, -1]) / h ** 2
-    fuv = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4.0 * h ** 2)
+def _mse_residual(fu, fv, fuu, fvv, fuv):
+    """Relative residual of (1 + F_v^2) F_uu - 2 F_u F_v F_uv + (1 + F_u^2) F_vv."""
     terms = ((1.0 + fv * fv) * fuu, -2.0 * fu * fv * fuv, (1.0 + fu * fu) * fvv)
     return abs(sum(terms)) / sum(abs(t) for t in terms)
 
@@ -445,11 +311,11 @@ def _mse_residual(F, w, h=1e-3):
 def test_minimal_surface_equation_fixes_height_scale(case1, case2):
     for label, case in (("case1", case1), ("case2", case2)):
         _, _, _, d = case
-        F = graph_height_function(d)
         for w in (d.h0, complex(harmonic_map(0.3, d))):
-            minimal = _mse_residual(F, w)
+            jet = graph_derivatives(d, w, 1e-3)
+            minimal = _mse_residual(*jet)
             assert minimal < 1e-4, f"{label} at {w}: residual {minimal:.3e}"
-            scaled = _mse_residual(lambda u: -0.5 * F(u), w)
+            scaled = _mse_residual(*(-0.5 * x for x in jet))
             assert scaled > 1e-2, (
                 f"{label} at {w}: height scaled by -1/2 has residual {scaled:.3e}")
 
@@ -472,5 +338,5 @@ def test_graph_over_the_square_is_scherks_surface():
         c = hyperbolic_coordinates(frame.z, frame.w)
         assert c.m == 0.0 and abs(c.k) < 1e-14
         d = scherk_data(c)
-        heights = graph_height_function(d)(forward(a * w + b)) / abs(frame.scale)
+        heights = height_T(newton_invert(d, forward(a * w + b)), d) / abs(frame.scale)
         assert np.max(np.abs(heights - abs(a) * scherk)) <= 1e-10 * abs(a)

@@ -6,14 +6,13 @@ import math
 import numpy as np
 
 from scherk import (aligning_rotation, center_mixed_derivative,
-                    center_normal, curvature_bound, fd_mixed,
-                    gauss_curvature, gauss_map_q, graph_normal, h_prime,
-                    height_T, hyperbolic_coordinates, newton_invert,
-                    normalize, rotated_mixed_derivative, scherk_data,
+                    center_normal, gauss_curvature, gauss_map_q, graph_normal,
+                    h_prime, hyperbolic_coordinates, normalize,
+                    rotated_mixed_derivative, scherk_data,
                     validate_quadrilateral)
 from scherk.cli import build_report
 from scherk.geometry import HyperbolicCoords
-from conftest import (LARGE_K_PARAMS, build_case, graph_height_function,
+from conftest import (LARGE_K_PARAMS, build_case, graph_derivatives,
                       stereographic)
 
 ALPHA_CASE1 = 0.872912527382856086086229999113
@@ -68,12 +67,6 @@ def test_center_data_closed_forms_match_direct_evaluation(sweep_cases):
         assert abs(h0p - h_prime(0.0 + 0.0j, d)) < 1e-13
 
 
-def test_center_curvature_closed_form(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        want = closed_curvature(c)
-        assert abs(gauss_curvature(0.0 + 0.0j, d) - want) < 1e-12 * abs(want)
-
-
 def test_center_curvature_frozen(case1, case2):
     for (_, _, _, d), want in ((case1, K0_CASE1), (case2, K0_CASE2)):
         assert abs(gauss_curvature(0.0 + 0.0j, d) - want) < 1e-12
@@ -83,34 +76,16 @@ def test_curvature_negative_everywhere(case1, rng):
     _, _, _, d = case1
     r = 0.95 * np.sqrt(rng.uniform(0, 1, 100))
     zs = r * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
-    for z in zs:
-        assert gauss_curvature(complex(z), d) < 0.0
+    assert np.all(gauss_curvature(zs, d) < 0.0)
 
 
 def test_curvature_vs_graph_finite_differences(case1, case2):
     # second fundamental form of the height graph by finite differences
     for _, _, _, d in (case1, case2):
-        F = graph_height_function(d)
-        c0 = d.h0
-        h = 1e-3
-        fu = (F(c0 + h) - F(c0 - h)) / (2 * h)
-        fv = (F(c0 + 1j * h) - F(c0 - 1j * h)) / (2 * h)
-        fuu = (F(c0 + h) - 2 * F(c0) + F(c0 - h)) / h ** 2
-        fvv = (F(c0 + 1j * h) - 2 * F(c0) + F(c0 - 1j * h)) / h ** 2
-        fuv = fd_mixed(F, c0, h=h)
+        fu, fv, fuu, fvv, fuv = graph_derivatives(d, d.h0, 1e-3)
         k_fd = (fuu * fvv - fuv ** 2) / (1 + fu ** 2 + fv ** 2) ** 2
         k0 = gauss_curvature(0.0 + 0.0j, d)
         assert abs(k_fd - k0) < 1e-4 * abs(k0)
-
-
-def test_curvature_bound_attained_and_covariant(sweep_cases):
-    for q, frame, c, d in sweep_cases[:50]:
-        bound = curvature_bound(d)
-        attained = abs(gauss_curvature(0.0 + 0.0j, d))
-        assert abs(attained - bound) < 1e-12 * bound
-        bound = build_report(q, frame, d)["center"]["curvature_bound"]
-        attained = abs(gauss_curvature(0.0 + 0.0j, d)) * abs(frame.scale) ** 2
-        assert abs(attained - bound) < 1e-12 * bound
 
 
 def test_curvature_bound_scales_like_inverse_area():
@@ -123,9 +98,9 @@ def test_curvature_bound_scales_like_inverse_area():
     assert abs(got - bound / 9.0) < 1e-12 * bound
 
 
-def test_center_normal_closed_form(sweep_cases):
+def test_center_normal_closed_form(case1, case2, sweep_cases):
     # against the stereographic image of q(0)
-    for _, _, _, d in sweep_cases:
+    for _, _, _, d in [case1, case2] + sweep_cases:
         want = stereographic(gauss_map_q(0j, d))
         got = center_normal(d)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-13
@@ -156,19 +131,6 @@ def test_normals_are_unit_and_upward(sweep_cases):
             assert vec[2] > 0.0
 
 
-def test_graph_normal_matches_graph_gradient(case1, case2):
-    for _, _, _, d in (case1, case2):
-        F = graph_height_function(d)
-        c0 = d.h0
-        h = 1e-5
-        fu = (F(c0 + h) - F(c0 - h)) / (2 * h)
-        fv = (F(c0 + 1j * h) - F(c0 - 1j * h)) / (2 * h)
-        scale = math.sqrt(1 + fu ** 2 + fv ** 2)
-        want = (-fu / scale, -fv / scale, 1 / scale)
-        got = graph_normal(d)
-        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-6
-
-
 def _mixed_derivative_from_center_data(d, alpha):
     """2 Re(e^{i alpha} h'(0) (1 - (q(0) e^{-i alpha})^4) conj(q'(0) e^{-i
     alpha})) / (|h'(0)|^2 |q'(0)|^3 (1 + |q(0)|^2)): the rotated mixed
@@ -188,24 +150,12 @@ def test_mixed_derivative_closed_form(sweep_cases):
         assert abs(got - want) < 1e-11 * abs(want)
 
 
-def test_mixed_derivative_matches_fd(case1, case2):
-    for _, _, _, d in (case1, case2):
-        F = graph_height_function(d)
-        fuv = fd_mixed(F, d.h0, h=1e-4)
-        assert abs(fuv - center_mixed_derivative(d)) < 1e-4
-
-
 def test_rotated_mixed_derivative_vs_fd(case1):
+    # the aligning rotation zeroes the finite difference too
     _, _, _, d = case1
-    c0 = d.h0
-    for alpha in (0.4, 1.1):
-        rot = cmath.exp(1j * alpha)
-
-        def F_rot(wp):
-            return height_T(newton_invert(d, wp / rot), d)
-
-        fd = fd_mixed(F_rot, rot * c0, h=1e-4)
-        assert abs(fd - rotated_mixed_derivative(d, alpha)) < 1e-4
+    for alpha in (0.4, 1.1, aligning_rotation(d)):
+        fd = graph_derivatives(d, d.h0, 1e-4, alpha)[4]
+        assert abs(fd - rotated_mixed_derivative(d, alpha)) < 1e-4, alpha
 
 
 def test_rotation_group_structure(sweep_cases):
@@ -265,28 +215,16 @@ def test_aligning_rotation_frozen(case1, case2):
     assert abs(aligning_rotation(d2) - ALPHA_CASE2) < 1e-12
 
 
-def test_aligning_rotation_zeroes_fd(case1):
-    _, _, _, d = case1
-    alpha = aligning_rotation(d)
-    rot = cmath.exp(1j * alpha)
-
-    def F_rot(wp):
-        return height_T(newton_invert(d, wp / rot), d)
-
-    assert abs(fd_mixed(F_rot, rot * d.h0, h=1e-4)) < 1e-3
-
-
 def test_center_report_assembly(case1):
-    # case1 is its own normalized frame; the moved copy maps back through a
-    # frame of scale 1/|1.5 - 0.5i|
+    # case1 is its own normalized frame; the moved copy a v + b maps back
+    # through a frame of scale 1/|a|, and its center is a h0 + b
     q1 = case1[0]
-    moved = validate_quadrilateral([(1.5 - 0.5j) * v + (2.0 + 1.0j)
-                                    for v in q1.vertices])
-    for q in (q1, moved):
+    for a, b in ((1.0, 0.0), (1.5 - 0.5j, 2.0 + 1.0j)):
+        q = validate_quadrilateral([a * v + b for v in q1.vertices])
         frame, _, _ = normalize(q)
         d = scherk_data(hyperbolic_coordinates(frame.z, frame.w))
         rep = build_report(q, frame, d)["center"]
-        assert abs(rep["c0"] - frame.invert(d.h0)) < 1e-15
+        assert abs(rep["c0"] - (a * d.h0 + b)) < 1e-15
         assert rep["c0_normalized"] == d.h0
         assert abs(rep["curvature_normalized"]
                    - gauss_curvature(0j, d)) < 1e-15

@@ -1,5 +1,6 @@
 """Command-line interface: report content, determinism, exit codes."""
 
+import ast
 import importlib.util
 import inspect
 import io
@@ -462,6 +463,16 @@ def test_bench_tracer_finds_the_functions_it_names():
     # bench/run.py adds the other two metrics from the run, not the spans
     assert set(out) == {name for name, _ in tracing.LAYER_METRICS} - {
         "cli.verify.checks_failed", "trace.overhead_share"}
+
+
+def test_no_test_module_binds_a_top_level_name_twice():
+    # a second `def test_x` silently replaces the first, which then never runs
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        names = [node.name for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        assert not twice, f"{path.name} binds {twice} more than once"
 
 
 def test_readme_library_example_runs():

@@ -167,7 +167,10 @@ def test_hyperbola_point_domain():
 
 def test_input_accepts_pairs_and_complex():
     qa = validate_quadrilateral([-1 + 0j, ZV, 1 + 0j, WV])
-    qb = validate_quadrilateral([(-1, 0), (ZV.real, ZV.imag), (1, 0),
-                                 (WV.real, WV.imag)])
+    pairs = [(-1, 0), (ZV.real, ZV.imag), (1, 0), (WV.real, WV.imag)]
+    qb = validate_quadrilateral(pairs)
+    # the rows of a (4, 2) array, and a list of them, are pairs too
+    for rows in (np.array(pairs), list(np.array(pairs))):
+        assert validate_quadrilateral(rows).vertices == qa.vertices
     assert qa.vertices == qb.vertices
     assert qa.perimeter() == pytest.approx(qb.perimeter())

@@ -1,4 +1,4 @@
-"""The harmonic map f = h + conj(g): residues, Poisson agreement, geometry."""
+"""The harmonic map f = h + conj(g): boundary steps, derivatives, geometry."""
 
 import cmath
 import math
@@ -6,23 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, analytic_parts, dilatation, g_prime,
-                    gauss_map_q, h_prime, harmonic_map, jacobian, normalize,
-                    poisson_extension, step_boundary, validate_quadrilateral)
-from scherk.cli import build_report
+from scherk import (PoleProximity, dilatation, g_prime, gauss_map_q, h_prime,
+                    harmonic_map, step_boundary)
 from conftest import assert_same_bits, disk_points
 
 C0_CASE1 = 0.298933832635220044875722312242 + 0.5524457420684848288083219245j
 C0_CASE2 = 0.234294879480996107591142024427 + 0.254774756337459863218731547597j
-
-
-def test_residue_tables(sweep_cases):
-    for _, _, _, d in sweep_cases:
-        parts = analytic_parts(d)
-        assert abs(sum(parts.h_residues)) < 1e-15
-        assert abs(sum(parts.g_residues)) < 1e-15
-        for hr, gr in zip(parts.h_residues, parts.g_residues):
-            assert gr == -hr.conjugate()
 
 
 def test_step_boundary_covers_circle(case1):
@@ -40,45 +29,19 @@ def test_step_boundary_covers_circle(case1):
 def test_dilatation_is_moebius_square(sweep_cases, rng):
     pts = disk_points(rng, 30, 0.92)
     for _, _, _, d in sweep_cases[:40]:
-        err = max(abs(dilatation(z, d) - gauss_map_q(z, d) ** 2) for z in pts)
+        err = np.max(np.abs(dilatation(pts, d) - gauss_map_q(pts, d) ** 2))
         assert err < 1e-12
 
 
 def test_dilatation_modulus_below_one(case1, rng):
     _, _, _, d = case1
-    for z in disk_points(rng, 200, 0.999):
-        assert abs(dilatation(z, d)) < 1.0
-
-
-def test_harmonic_map_matches_poisson_integral(case1, case2, rng):
-    for _, _, _, d in (case1, case2):
-        sb = step_boundary(d)
-        for z in disk_points(rng, 5, 0.8):
-            assert abs(harmonic_map(z, d) - poisson_extension(z, sb)) < 1e-8
+    assert np.all(np.abs(dilatation(disk_points(rng, 200, 0.999), d)) < 1.0)
 
 
 def test_center_values(case1, case2):
     for (_, _, _, d), want in ((case1, C0_CASE1), (case2, C0_CASE2)):
         assert abs(d.h0 - want) < 1e-14
         assert abs(harmonic_map(0.0 + 0.0j, d) - want) < 1e-14
-
-
-def test_center_in_original_coordinates(case1, rng):
-    q, _, _, d = case1
-    a = 1.5 - 0.5j
-    b = -2.0 + 1.0j
-    moved = validate_quadrilateral([a * v + b for v in q.vertices])
-    frame, _, _ = normalize(moved)
-    c0 = build_report(moved, frame, d)["center"]["c0"]
-    assert abs(c0 - (a * d.h0 + b)) < 1e-13
-
-
-def test_jacobian_positive_inside(case1, case2):
-    rr = np.linspace(0.02, 0.999, 40)
-    th = np.linspace(0.0, 2 * np.pi, 80, endpoint=False)
-    grid = np.outer(rr, np.exp(1j * th)).ravel()
-    for _, _, _, d in (case1, case2):
-        assert float(np.min(jacobian(grid, d))) > 0.0
 
 
 def test_derivative_pair_is_bitwise_the_two_pole_sums(case1, rng):

