@@ -6,8 +6,9 @@ h' and q evaluated directly.  The stored constants themselves are verify's
 rows (checks.CHECKS), which tests/test_cli.py runs on 159 surfaces;
 criterion 3 calls two of those rows on its own 1000 surfaces.  The routes
 no row has stay here: K as h' q (criteria 4, 5 and 7), finite differences
-of T o f^{-1} through Newton (criterion 9, conftest.graph_derivatives),
-the minimal-surface equation and Scherk's square.  The minimal-surface
+of T o f^{-1} through Newton (criterion 9, conftest.graph_derivatives,
+whose companions hold the evaluators to the same differences), the
+minimal-surface equation and Scherk's square.  The minimal-surface
 test checks that the height over the quadrilateral solves the equation and
 that a rescaled height does not; that is what fixes the scale and sign of
 the height-related constants in criteria 4, 5, 7 and 9.
@@ -19,8 +20,9 @@ import time
 import numpy as np
 
 from conftest import (SEED, build_case, disk_points, graph_derivatives,
-                      sample_triples)
-from scherk import (center_mixed_derivative, construct_quad, contour_height,
+                      sample_triples, stereographic)
+from scherk import (center_mixed_derivative, center_normal, construct_quad,
+                    contour_height,
                     dilatation, fd_laplacian, g_prime, gauss_map_q,
                     graph_normal, h_prime, harmonic_map, height_T,
                     hyperbolic_coordinates, jacobian, kernel_K, newton_invert,
@@ -241,18 +243,51 @@ def test_criterion_08_center_curvature_and_bound(case1, case2):
 # nine-point stencil through Newton gives both (conftest.graph_derivatives).
 # (+(pi/4) coth j sec m is Im d2T/dw2 = -(1/2) d2T/du dv, a different
 # quantity; the height scaled by -1/2 fails the minimal-surface equation,
-# last test.)  The stereographic image of q(0), center_normal, is
-# test_analysis's.
+# last test.)  The companions hold the package's evaluators to the same
+# routes, and center_normal to the stereographic image of q(0).
+
+
+def _closed_center_derivatives(c):
+    """The closed forms of criterion 9: (graph normal, mixed derivative)."""
+    normal = np.array((math.cos(c.m) * math.tanh(c.k), -math.sin(c.m),
+                       math.cos(c.m) / math.cosh(c.k)))
+    return normal, -(math.pi / 2.0) / (math.tanh(c.j) * math.cos(c.m))
+
+
+def _fd_normal_and_mixed(d, h):
+    fu, fv, _, _, fuv = graph_derivatives(d, d.h0, h)
+    return np.array((-fu, -fv, 1.0)) / math.sqrt(1.0 + fu * fu + fv * fv), fuv
 
 
 def test_criterion_09_center_normal_and_mixed_derivative(case1, case2):
+    for _, _, c, d in (case1, case2):
+        normal, mixed = _closed_center_derivatives(c)
+        fd_normal, fuv = _fd_normal_and_mixed(d, 1e-5)
+        err = np.max(np.abs(fd_normal - normal))
+        assert err < 1e-6, f"graph normal {normal} vs FD {fd_normal}: err {err:.3e}"
+        err = abs(fuv - mixed)
+        assert err < 1e-4, f"mixed derivative {mixed} vs FD {fuv}: err {err:.3e}"
+
+
+def test_criterion_09_companion_stereographic_normal(case1, case2):
     for _, _, _, d in (case1, case2):
-        fu, fv, _, _, fuv = graph_derivatives(d, d.h0, 1e-5)
-        fd_normal = np.array((-fu, -fv, 1.0)) / math.sqrt(1.0 + fu * fu + fv * fv)
-        err = np.max(np.abs(fd_normal - graph_normal(d)))
-        assert err < 1e-6, f"graph normal vs FD {fd_normal}: err {err:.3e}"
-        err = abs(fuv - center_mixed_derivative(d))
-        assert err < 1e-4, f"mixed derivative vs FD {fuv}: err {err:.3e}"
+        stereo = np.array(stereographic(gauss_map_q(0j, d)))
+        assert np.max(np.abs(stereo - np.array(center_normal(d)))) < 1e-13
+
+
+def test_criterion_09_companion_graph_normal_matches_fd(case1, case2):
+    for _, _, _, d in (case1, case2):
+        fd_normal, _ = _fd_normal_and_mixed(d, 1e-5)
+        assert np.max(np.abs(np.array(graph_normal(d)) - fd_normal)) < 1e-6
+
+
+def test_criterion_09_companion_mixed_derivative_route_and_fd(case1, case2):
+    for _, _, c, d in (case1, case2):
+        _, closed = _closed_center_derivatives(c)
+        route = center_mixed_derivative(d)
+        assert abs(route - closed) < 1e-13 * abs(closed)
+        _, fuv = _fd_normal_and_mixed(d, 1e-5)
+        assert abs(route - fuv) < 1e-4
 
 
 # --------------------------------------------------------------------------

@@ -98,9 +98,9 @@ def test_curvature_bound_scales_like_inverse_area():
     assert abs(got - bound / 9.0) < 1e-12 * bound
 
 
-def test_center_normal_closed_form(case1, case2, sweep_cases):
+def test_center_normal_closed_form(sweep_cases):
     # against the stereographic image of q(0)
-    for _, _, _, d in [case1, case2] + sweep_cases:
+    for _, _, _, d in sweep_cases:
         want = stereographic(gauss_map_q(0j, d))
         got = center_normal(d)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-13
@@ -131,6 +131,14 @@ def test_normals_are_unit_and_upward(sweep_cases):
             assert vec[2] > 0.0
 
 
+def test_graph_normal_matches_graph_gradient(sweep_cases):
+    # criterion 9's finite difference of T o f^-1, on other surfaces
+    for _, _, _, d in sweep_cases[:30]:
+        fu, fv, _, _, _ = graph_derivatives(d, d.h0, 1e-5)
+        want = np.array((-fu, -fv, 1.0)) / math.sqrt(1.0 + fu * fu + fv * fv)
+        assert np.max(np.abs(np.array(graph_normal(d)) - want)) < 1e-6
+
+
 def _mixed_derivative_from_center_data(d, alpha):
     """2 Re(e^{i alpha} h'(0) (1 - (q(0) e^{-i alpha})^4) conj(q'(0) e^{-i
     alpha})) / (|h'(0)|^2 |q'(0)|^3 (1 + |q(0)|^2)): the rotated mixed
@@ -150,10 +158,18 @@ def test_mixed_derivative_closed_form(sweep_cases):
         assert abs(got - want) < 1e-11 * abs(want)
 
 
+def test_mixed_derivative_matches_fd(sweep_cases):
+    # criterion 9's finite difference of T o f^-1, on other surfaces, where
+    # sec m takes the derivative up to 35
+    for _, _, _, d in sweep_cases[:30]:
+        want = center_mixed_derivative(d)
+        fuv = graph_derivatives(d, d.h0, 1e-4)[4]
+        assert abs(fuv - want) < 1e-4 * abs(want)
+
+
 def test_rotated_mixed_derivative_vs_fd(case1):
-    # the aligning rotation zeroes the finite difference too
     _, _, _, d = case1
-    for alpha in (0.4, 1.1, aligning_rotation(d)):
+    for alpha in (0.4, 1.1):
         fd = graph_derivatives(d, d.h0, 1e-4, alpha)[4]
         assert abs(fd - rotated_mixed_derivative(d, alpha)) < 1e-4, alpha
 
@@ -215,16 +231,21 @@ def test_aligning_rotation_frozen(case1, case2):
     assert abs(aligning_rotation(d2) - ALPHA_CASE2) < 1e-12
 
 
+def test_aligning_rotation_zeroes_fd(case1):
+    _, _, _, d = case1
+    assert abs(graph_derivatives(d, d.h0, 1e-4, aligning_rotation(d))[4]) < 1e-4
+
+
 def test_center_report_assembly(case1):
     # case1 is its own normalized frame; the moved copy a v + b maps back
-    # through a frame of scale 1/|a|, and its center is a h0 + b
+    # through a frame of scale 1/|a|
     q1 = case1[0]
     for a, b in ((1.0, 0.0), (1.5 - 0.5j, 2.0 + 1.0j)):
         q = validate_quadrilateral([a * v + b for v in q1.vertices])
         frame, _, _ = normalize(q)
         d = scherk_data(hyperbolic_coordinates(frame.z, frame.w))
         rep = build_report(q, frame, d)["center"]
-        assert abs(rep["c0"] - (a * d.h0 + b)) < 1e-15
+        assert abs(rep["c0"] - frame.invert(d.h0)) < 1e-15
         assert rep["c0_normalized"] == d.h0
         assert abs(rep["curvature_normalized"]
                    - gauss_curvature(0j, d)) < 1e-15

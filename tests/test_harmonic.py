@@ -1,4 +1,4 @@
-"""The harmonic map f = h + conj(g): boundary steps, derivatives, geometry."""
+"""The harmonic map f = h + conj(g): residues, Poisson agreement, geometry."""
 
 import cmath
 import math
@@ -6,12 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from scherk import (PoleProximity, dilatation, g_prime, gauss_map_q, h_prime,
-                    harmonic_map, step_boundary)
+from scherk import (PoleProximity, analytic_parts, dilatation, g_prime,
+                    gauss_map_q, h_prime, harmonic_map, normalize,
+                    poisson_extension, step_boundary, validate_quadrilateral)
+from scherk.cli import build_report
 from conftest import assert_same_bits, disk_points
 
 C0_CASE1 = 0.298933832635220044875722312242 + 0.5524457420684848288083219245j
 C0_CASE2 = 0.234294879480996107591142024427 + 0.254774756337459863218731547597j
+
+
+def test_residue_tables(sweep_cases):
+    # the residues of h' and g' sum to 0, and analytic_parts repackages the
+    # record's tables; g = -conj h is test_params'
+    for _, _, _, d in sweep_cases:
+        parts = analytic_parts(d)
+        assert parts == (d.poles, d.h_residues, d.g_residues)
+        assert abs(sum(parts.h_residues)) < 1e-15
+        assert abs(sum(parts.g_residues)) < 1e-15
 
 
 def test_step_boundary_covers_circle(case1):
@@ -38,10 +50,27 @@ def test_dilatation_modulus_below_one(case1, rng):
     assert np.all(np.abs(dilatation(disk_points(rng, 200, 0.999), d)) < 1.0)
 
 
+def test_harmonic_map_matches_poisson_integral(sweep_cases, rng):
+    # criterion 10's Poisson agreement, on other surfaces
+    pts = disk_points(rng, 5, 0.8)
+    for _, _, _, d in sweep_cases[:10]:
+        err = np.abs(harmonic_map(pts, d) - poisson_extension(pts, step_boundary(d)))
+        assert err.max() < 1e-8
+
+
 def test_center_values(case1, case2):
     for (_, _, _, d), want in ((case1, C0_CASE1), (case2, C0_CASE2)):
         assert abs(d.h0 - want) < 1e-14
         assert abs(harmonic_map(0.0 + 0.0j, d) - want) < 1e-14
+
+
+def test_center_in_original_coordinates(case1):
+    q, _, _, d = case1
+    a, b = 1.5 - 0.5j, -2.0 + 1.0j
+    moved = validate_quadrilateral([a * v + b for v in q.vertices])
+    frame, _, _ = normalize(moved)
+    c0 = build_report(moved, frame, d)["center"]["c0"]
+    assert abs(c0 - (a * d.h0 + b)) < 1e-15
 
 
 def test_derivative_pair_is_bitwise_the_two_pole_sums(case1, rng):

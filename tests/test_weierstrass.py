@@ -68,17 +68,21 @@ def test_residue_sign_split(sweep_cases, near_edge_cases):
 
 
 def test_stored_kernel_residues_are_the_rational_form(sweep_cases):
-    # reference: N(pole)/D'(pole) of K's rational form, evaluated here; their
-    # sum vanishes in absolute terms too, where verify's kernel_residue_sum row
-    # is relative to sum cj (up to 19.6 here)
+    # reference: N(pole)/D'(pole) of K's rational form, evaluated here
     for _, _, _, d in sweep_cases:
-        assert abs(sum(d.k_residues)) < 1e-14
         for r, zk in zip(d.k_residues, d.poles):
             num = d.C * (zk - d.z0) * (1.0 - zk * np.conj(d.z0))
             dprime = (-2.0 * zk * (d.e_2ip - zk * zk)
                       - 2.0 * zk * (1.0 - zk * zk))
             assert abs(r - num / dprime) < 1e-12 * abs(r)
         assert residues(d).residues is d.k_residues
+
+
+def test_residue_sum_vanishes(sweep_cases):
+    # in absolute terms, where verify's kernel_residue_sum row is relative to
+    # sum cj (up to 19.6 here)
+    for _, _, _, d in sweep_cases:
+        assert abs(sum(residues(d).residues)) < 1e-14
 
 
 def test_height_path_independence(case1, rng):
