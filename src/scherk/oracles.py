@@ -2,9 +2,9 @@
 
 Every closed-form quantity in the package is double-checked against one of
 these: adaptive quadrature of the Poisson integral, contour integration of
-the height kernel, small-circle residue averages with Richardson
-extrapolation, Taylor coefficients off two circles (the graph's 2-jet), and
-for the tests finite differences and a Newton inversion of the harmonic map.
+the height kernel, small-circle residue means, Taylor coefficients off two
+circles (the graph's 2-jet), and for the tests finite differences and a
+Newton inversion of the harmonic map.
 None of them reuse the closed forms they are meant to test.
 """
 
@@ -19,7 +19,7 @@ from .weierstrass import kernel_K, map_and_height
 
 
 ABS_TOL, MAX_DEPTH, N_NODES = 1e-10, 24, 10  # adaptive quadrature panels
-N_ANGLES, RADII = 64, (1e-4, 1e-5)  # residue circles, Richardson radii
+N_ANGLES, RADIUS = 64, 1e-4  # points and radius of each residue circle
 NEWTON_TOL, NEWTON_STEPS = 1e-12, 50  # Newton residual tolerance, steps
 # Taylor circles |z| = rho (inner, outer), points per circle, highest |n|
 TAYLOR_RADII, TAYLOR_POINTS, TAYLOR_ORDER = (0.3, 0.6), 64, 12
@@ -164,22 +164,21 @@ def contour_height(z, kernel):
 
 
 def numeric_residue(fn, pole):
-    """Residue of fn at `pole` (a scalar or an array of poles) from circles.
+    """Residue of fn at `pole` (a scalar or an array of poles) from a circle.
 
-    The mean of (z - pole) fn(z) over a circle of radius eps equals the
-    residue plus an O(eps) bias from the neighbouring poles; Richardson
-    extrapolation over the two RADII removes the linear term.  fn is
-    evaluated elementwise, once, on a numpy array of the N_ANGLES points of
-    every pole's circle at both radii, RADII on its leading axis, so it must
-    be written with numpy operations.
+    The mean of (z - pole) fn(z) over N_ANGLES points of the circle of
+    radius RADIUS has no O(RADIUS) bias, as every (z - pole)^n, n >= 1,
+    averages to 0; only aliasing, about (RADIUS / distance)^N_ANGLES from
+    the nearest other pole, and rounding remain: for K, that of 1 - z^2 or
+    e^{2ip} - z^2 near the pole, relative to their size RADIUS, so a smaller
+    circle is worse.  fn is evaluated elementwise, once, on a numpy array
+    of every pole's circle points on its last axis, so it must be written
+    with numpy operations.
     """
     angles = 2.0 * math.pi * np.arange(N_ANGLES) / N_ANGLES
     poles = np.asarray(pole, dtype=complex)[..., None]
-    zs = poles + np.reshape(RADII, (2,) + poles.ndim * (1,)) * np.exp(
-        1j * angles)
-    mean = ((zs - poles) * fn(zs)).mean(axis=-1)
-    e1, e2 = RADII
-    return (e1 * mean[1] - e2 * mean[0]) / (e1 - e2)
+    zs = poles + RADIUS * np.exp(1j * angles)
+    return ((zs - poles) * fn(zs)).mean(axis=-1)
 
 
 def fd_laplacian(field, z, h=1e-3):

@@ -20,12 +20,12 @@ NEWTON_TARGET = harmonic.harmonic_map(0.4 - 0.3j, D1)
 BUILD = {"params.scherk_data": 1, "geometry.normalize": 1,
          "geometry.hyperbolic_coordinates": 1}
 # one f/T call on 908 points (its last 2 x 64 give the Taylor jet), one h'/g'
-# call, and the oracles' batches: K on both residue radii, then on the
+# call, and the oracles' batches: K on one circle per pole, then on the
 # contour's root panels and their halves; nothing inverts the map
 EVALUATION = {"weierstrass.map_and_height": [908], "harmonic._log_sums": [908],
               "harmonic._derivatives": [1840],
-              "harmonic._guard_poles": [1840, 512, 90],
-              "weierstrass.kernel_K": [512, 90], "harmonic.step_boundary": 1,
+              "harmonic._guard_poles": [1840, 256, 90],
+              "weierstrass.kernel_K": [256, 90], "harmonic.step_boundary": 1,
               "checks.growth_rays": 1, "oracles.numeric_residue": 1,
               "oracles.poisson_extension": [3], "oracles.contour_height": [3],
               "oracles.taylor": 0, "oracles.newton_invert": 0}

@@ -349,11 +349,13 @@ def test_verify_runtime_budget():
 
 
 # off the sweep, surfaces that failed a row: near |k| = 8 (1 - |z0|^2 from z0),
-# at j = 0.024 (h'(0) from the residue sum), k = 7.3 (residues 339 to 42.4), 7, -0.8
+# at j = 0.024 (h'(0) from the residue sum), k = 7.3 (residues 339 to 42.4), 7, -0.8,
+# and k = -12.1 (circle residues 1.2e-7 off with a second, Richardson circle)
 REGRESSION_PARAMS = LARGE_K_PARAMS + (
     (1.2381208153591716, 0.3275948943101834, 0.2797940167649149),
     (0.13890206535917143, 8.357027889913319, 6.279161021161783),
-    (0.7, 7.5, 6.5), (1.1, 0.4, -2.0))
+    (0.7, 7.5, 6.5), (1.1, 0.4, -2.0),
+    (1.1406223083799412, -9.110409515495434, -15.118989933259435))
 
 
 @pytest.fixture(scope="session")
@@ -366,7 +368,7 @@ def row_surfaces(case1, case2, sweep_cases):
 @pytest.mark.parametrize("name, tols, err_of", CHECKS,
                          ids=[name for name, *_ in CHECKS])
 def test_check_row_passes_both_profiles(name, tols, err_of, row_surfaces):
-    assert len(row_surfaces) == 159
+    assert len(row_surfaces) == 160
     for d, ev in row_surfaces:
         err = err_of(d, ev)
         assert all(err <= tol for tol in tols), (
