@@ -72,37 +72,8 @@ class HyperbolicCoords(namedtuple("HyperbolicCoords", "m s t j k")):
     __slots__ = ()
 
 
-def _shoelace(pts):
-    """Twice the signed area of the closed polygon through pts."""
-    acc = 0.0
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        acc += a.real * b.imag - b.real * a.imag
-    return acc
-
-
 def _orient(a, b, c):
     return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
-
-
-def _segments_cross(p1, p2, p3, p4, eps):
-    """True when open segments p1p2 and p3p4 properly intersect or overlap."""
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
-       ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)):
-        return True
-    # collinear-overlap degeneracies
-    if abs(d1) <= eps and abs(d2) <= eps and abs(d3) <= eps and abs(d4) <= eps:
-        # all four points on one line: overlap iff projections overlap
-        dx = p2 - p1
-        axis = dx if abs(dx) > 0 else (p4 - p3)
-        tvals = sorted(((u - p1) / axis).real for u in (p1, p2))
-        uvals = sorted(((u - p1) / axis).real for u in (p3, p4))
-        return not (tvals[1] < uvals[0] or uvals[1] < tvals[0])
-    return False
 
 
 def _side_sums(b):
@@ -158,31 +129,38 @@ def validate_quadrilateral(vertices, tol_pitot=DEFAULT_TOL_PITOT):
     if len(b) != 4:
         raise OutOfDomain("exactly four vertices required")
 
-    diam = max(abs(b[i] - b[j]) for i in range(4) for j in range(i + 1, 4))
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    try:
+        seps = [abs(b[i] - b[j]) for i, j in pairs]
+    except OverflowError:  # complex abs raises where finite parts overflow
+        seps = [math.inf]
+    diam = max(seps)
     if diam == 0.0:
         raise DegenerateVertices("all vertices coincide")
     if not sys.float_info.min <= diam < math.inf:  # a normal double
         raise OutOfDomain(f"quadrilateral diameter {diam!r} is out of double range")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            sep = abs(b[i] - b[j])
-            if sep <= 1e-12 * diam:
-                raise DegenerateVertices(
-                    f"vertices {i + 1} and {j + 1} are {sep:.3e} apart, within "
-                    f"1e-12 x the quadrilateral's diameter {diam:.3e}")
+    for (i, j), sep in zip(pairs, seps):
+        if sep <= 1e-12 * diam:
+            raise DegenerateVertices(
+                f"vertices {i + 1} and {j + 1} are {sep:.3e} apart, within "
+                f"1e-12 x the quadrilateral's diameter {diam:.3e}")
 
-    # the area, crossing and side-sum tests run at unit diameter, free of scale
+    # the area, crossing and side-sum tests run at unit diameter, free of scale.
+    # turns[i - 1] is the turn T_i at b_i; twice the signed area is T2 + T4.  b1b2
+    # crosses b3b4 iff (T1, T2) and (T3, T4) are clearly opposite, b2b3 crosses b4b1
+    # iff (T2, T3) and (T4, T1) are: iff two turns are clearly left and two right.
+    # With no clear turn, on a line, two opposite sides overlap (b1 at an end: b3b4
+    # misses b1b2 only beyond b2, and then b4b1 holds b2).
     u = [v / diam for v in b]
-    area2 = _shoelace(u)
+    turns = [_orient(u[i - 1], u[i], u[(i + 1) % 4]) for i in range(4)]
+    area2 = turns[1] + turns[3]
     if abs(area2) <= 1e-12:
         raise ZeroArea("quadrilateral has zero signed area")
-    reversed_input = area2 < 0.0
-    if reversed_input:
-        b, u = [b[0], b[3], b[2], b[1]], [u[0], u[3], u[2], u[1]]
-
-    if _segments_cross(u[0], u[1], u[2], u[3], 1e-12) or \
-       _segments_cross(u[1], u[2], u[3], u[0], 1e-12):
+    left, right = sum(t > 1e-12 for t in turns), sum(t < -1e-12 for t in turns)
+    if (left, right) in ((2, 2), (0, 0)):
         raise SelfIntersecting("nonadjacent sides intersect")
+    if reversed_input := area2 < 0.0:
+        b, u = [b[0], b[3], b[2], b[1]], [u[0], u[3], u[2], u[1]]
 
     residual, scaled = _pitot_defect(u, tol_pitot), _side_sums(b)[0]  # nan on overflow
     return PitotQuad(*b, scaled if math.isfinite(scaled) else residual * diam,

@@ -48,7 +48,8 @@ def sample_disk(d, frame=None, n_r=24, n_theta=48, r_max=0.995, h_max=5.0):
 
     fz, hs = map_and_height(zs, d)
     if frame is not None:
-        fz, hs = frame.invert(fz), hs / abs(frame.scale)
+        with np.errstate(over="ignore"):  # a height past the double range is clamped
+            fz, hs = frame.invert(fz), hs / abs(frame.scale)
     clamped = int(np.count_nonzero(np.abs(hs) > h_max))
     hs = np.clip(hs, -h_max, h_max)
     vertices = np.column_stack((np.real(fz), np.imag(fz), hs))

@@ -477,6 +477,28 @@ def test_no_test_module_binds_a_top_level_name_twice():
         assert not twice, f"{path.name} binds {twice} more than once"
 
 
+def test_every_private_top_level_name_in_src_is_read():
+    # a helper that a change leaves behind is a top-level _name nothing reads
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(scherk.__file__).parent.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    for path, tree in trees.items():
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [name.id for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name)]
+        dead = sorted(n for n in bound if n.startswith("_")
+                      and not n.startswith("__") and n not in read)
+        assert not dead, f"{path} defines {dead}, which nothing in src/scherk reads"
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -138,6 +138,36 @@ def test_square_validation_does_not_depend_on_its_scale():
     assert validate_quadrilateral(SQUARE, tol_pitot=0.0).pitot_residual == 0.0
 
 
+def _turns(q):
+    """Turn T_i = Im conj(b_i - b_(i-1)) (b_(i+1) - b_(i-1)) at unit diameter."""
+    b = q.vertices
+    diam = max(abs(x - y) for x in b for y in b)
+    return [((b[i] - b[i - 1]).conjugate() * (b[(i + 1) % 4] - b[i - 1])).imag
+            / diam ** 2 for i in range(4)]
+
+
+def test_turn_rule_accepts_the_shapes_on_its_edge():
+    # validate_quadrilateral refuses a crossing only where two turns are
+    # clearly (past 1e-12) left and two clearly right, or none is clear
+    # z on the diagonal b1b3: T2 is exactly 0
+    q = construct_quad(0.7, 1.0, 0.0)
+    assert q.b2.imag == 0.0 and _turns(q)[1] == 0.0
+    assert min(_turns(q)[i] for i in (0, 2, 3)) > 1e-12
+    # a 180-degree vertex: D on side CA, where CD = (CA + BC - AB)/2 makes
+    # ABCD Pitot; T4 is rounding, -1.4e-17
+    a, b, c = 0j, 4 + 0j, 1 + 3j
+    d = c + (a - c) * (abs(c - a) + abs(b - c) - abs(b - a)) / (2 * abs(c - a))
+    q = validate_quadrilateral([a, b, c, d])
+    assert q.vertices == (a, b, c, d) and abs(_turns(q)[3]) < 1e-16
+    assert min(_turns(q)[:3]) > 1e-12
+    # turns 7.4e-13, -8.6e-13, 7.4e-13 and 2.3e-12: one clear turn, so not
+    # crossed; a rule that accepted only clearly simple shapes would refuse it
+    q = construct_quad(0.7, 27.9, 26.9)
+    assert not q.reversed_input and abs(q.pitot_residual) <= 1e-11 * q.perimeter()
+    t1, t2, t3, t4 = _turns(q)
+    assert max(abs(t1), abs(t2), abs(t3)) < 1e-12 < t4 and t2 < 0.0
+
+
 def test_wide_draws_are_recovered_not_refused():
     # m in [0, 1.5), j log-uniform in [0.02, 14], k in [-14, 14]: vertices
     # up to e^28 from the origin, where (|z+1| - |z-1|)/2 cancels (the two

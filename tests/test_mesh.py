@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scherk import (SurfaceMesh, export_obj, height_T, normalize,
-                    sample_disk, validate_quadrilateral)
+from scherk import (SurfaceMesh, export_obj, height_T, hyperbolic_coordinates,
+                    normalize, sample_disk, scherk_data, validate_quadrilateral)
 import scherk.mesh
 from scherk.checks import growth_rays
 from scherk.cli import main
@@ -101,6 +101,21 @@ def test_mesh_in_original_coordinates(case1):
     for (x, y, t), (xo, yo, to) in zip(plain.vertices, framed.vertices):
         assert abs(complex(xo, yo) - (a * complex(x, y) + b)) < 1e-12
         assert abs(to - t * abs(a)) < 1e-12
+
+
+def test_huge_quadrilateral_heights_are_clamped_without_a_warning():
+    # diameter 1.6e308: frame.scale is 1.25e-308, so a height of the unit frame
+    # past about 2.2 overflows in the input's; it is clamped and counted, and
+    # numpy's overflow warning (an error under the tier-1 filters) is not raised
+    q = validate_quadrilateral([(-8e307, 0), (5, -8e307), (8e307, 0), (0, 8e307)])
+    frame, _, _ = normalize(q)
+    d = scherk_data(hyperbolic_coordinates(frame.z, frame.w))
+    mesh, plain = sample_disk(d, frame), sample_disk(d, h_max=1e300).vertices[:, 2]
+    heights, scale = mesh.vertices[:, 2], abs(frame.scale)
+    small = np.abs(plain) <= 5.0 * scale
+    assert np.array_equal(heights[small], plain[small] / scale)
+    assert np.array_equal(heights[~small], 5.0 * np.sign(plain[~small]))
+    assert mesh.metadata["clamped"] == np.count_nonzero(~small) == 1142
 
 
 def test_obj_export_round_trip(case1, tmp_path):

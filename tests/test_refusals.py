@@ -38,6 +38,7 @@ MISSING = Path(__file__).resolve().parent / "no_such_dir"   # never created
 D = build_case(0.3, 1.0, 0.3)[3]
 MESH = sample_disk(D, n_r=2, n_theta=6)   # 13 vertices
 Z, W = hyperbola_point(0.3, 0.3), hyperbola_point(0.3, 1.0)
+OVERFLOWING = [(1.7e308, 0), (0, 1.7e308), (-1.7e308, 0), (5, -1.7e308)]
 
 
 def _square(s=1):
@@ -74,6 +75,9 @@ LIBRARY = [
     ("two vertices coincide", lambda: validate([(0, 0), (0, 0), (1, 1), (0, 1)]),
      DegenerateVertices, r"^vertices 1 and 2 are 0\.000e\+00 apart"),
     ("diameter inf", lambda: validate(_square(1e308)),
+     OutOfDomain, r"^quadrilateral diameter inf is out of double range$"),
+    # finite differences whose modulus overflows: complex abs raises, not inf
+    ("diameter overflows", lambda: validate(OVERFLOWING),
      OutOfDomain, r"^quadrilateral diameter inf is out of double range$"),
     ("collinear", lambda: validate([(0, 0), (1, 0), (2, 0), (3, 0)]),
      ZeroArea, r"^quadrilateral has zero signed area$"),
@@ -255,6 +259,8 @@ CLI = [
     *((f"analyze: square {s}", ("analyze", "-"), _doc(_square(s)), OutOfDomain,
        rf"^report leaf center\.{leaf} = \S+ is out of double range$")
       for s, leaf in ((1e-160, "curvature"), (1e154, "curvature_bound"))),
+    ("analyze: diameter overflows", ("analyze", "-"), _doc(OVERFLOWING), OutOfDomain,
+     r"^quadrilateral diameter inf is out of double range$"),
     ("mesh: --rmax 0.9999999999", (*MESH_ARGS, "--rmax", "0.9999999999"), None,
      OutOfDomain, r"^r_max=0\.9999999999 puts samples past \|z\| = 1 - 1e-9$"),
     *((f"mesh: --hmax {h}", (*MESH_ARGS, "--hmax", h), None, OutOfDomain,
