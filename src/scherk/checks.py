@@ -26,15 +26,13 @@ from .oracles import (TAYLOR_RADII, TAYLOR_Z, _N, _jet,
 from .params import gauss_map_q
 from .weierstrass import kernel_K, map_and_height
 
-# The contour and Poisson rows' points, the Jacobian grid, the winding circle,
-# and the dilatation row's 40 points of |z| < 0.9 on a Vogel spiral.
+# The contour and Poisson rows' points, the winding circle, and the 40 points
+# of |z| < 0.9 on a Vogel spiral where the dilatation and Jacobian rows read
+# h' and g'.
 _POINTS = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
-_GRID = np.outer(np.linspace(0.03, 0.999, 30), np.exp(1j * np.linspace(
-    0.0, 2.0 * np.pi, 60, endpoint=False))).ravel()
 _CIRCLE = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
 _SPIRAL = 0.9 * np.sqrt((np.arange(40) + 0.5) / 40) * np.exp(
     1j * np.pi * (3.0 - np.sqrt(5.0)) * np.arange(40))
-_DERIV_POINTS = np.concatenate((_SPIRAL, _GRID))  # evaluate's h', g' points
 # the inner Taylor circle's rho^|n|, which weights the harmonicity row
 _INNER_WEIGHTS = TAYLOR_RADII[0] ** np.abs(_N)
 GROWTH_RADII = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
@@ -51,8 +49,9 @@ def evaluate(d):
     One map_and_height call on 908 points gives {part: (f, T)} on "points"
     (_POINTS), "circle" (_CIRCLE), "mids" (1 - 1e-6 in from the arc
     midpoints) and "rays" (growth_rays(d)), and "jet", taylor(d) bit for bit,
-    from its last 2 x 64 points, TAYLOR_Z.  "hp", "gp" are h', g' on _SPIRAL
-    then _GRID from one _derivatives call, and "arcs" is step_boundary(d).
+    from its last 2 x 64 points, TAYLOR_Z.  "hp", "gp" are h', g' on the 40
+    points of _SPIRAL from one _derivatives call, and "arcs" is
+    step_boundary(d).
     """
     arcs = step_boundary(d)
     mids = np.array([0.5 * (lo + hi) for (lo, hi), _ in arcs])
@@ -64,14 +63,13 @@ def evaluate(d):
         ev[name], lo = (f[lo:lo + z.size], T[lo:lo + z.size]), lo + z.size
     ev["jet"] = _jet(f[lo:].reshape(TAYLOR_Z.shape),
                      T[lo:].reshape(TAYLOR_Z.shape))
-    ev["hp"], ev["gp"] = _derivatives(_DERIV_POINTS, d)
+    ev["hp"], ev["gp"] = _derivatives(_SPIRAL, d)
     return ev
 
 
 def _dilatation(d, ev):
     # dilatation g'/h' is exactly the square of the Moebius Gauss-map factor
-    hp, gp = (ev[k][:_SPIRAL.size] for k in ("hp", "gp"))
-    return np.max(np.abs(gp / hp - gauss_map_q(_SPIRAL, d) ** 2))
+    return np.max(np.abs(ev["gp"] / ev["hp"] - gauss_map_q(_SPIRAL, d) ** 2))
 
 
 def _center_modulus(d, ev):
@@ -144,9 +142,20 @@ def _graph_normal(d, ev):
 
 
 def _jacobian(d, ev):
-    # the harmonic map is sense-preserving: |h'|^2 - |g'|^2 > 0
-    hp, gp = (ev[k][_SPIRAL.size:] for k in ("hp", "gp"))
-    return max(0.0, -float(np.min(np.abs(hp) ** 2 - np.abs(gp) ** 2)))
+    # the harmonic map is sense-preserving, J = |h'|^2 - |g'|^2 > 0 on the
+    # whole disk; three rows and one test certify it, so no grid samples it:
+    # - g' = q^2 h' (dilatation_is_moebius_square).  Over the poles' product
+    #   (1 - z^2)(e^{2ip} - z^2) the numerators of h' and g' have degree <= 2,
+    #   since each residue set sums to 0, so g'(1 - z conj z0)^2
+    #   - X (z - z0)^2 h' has a numerator of degree <= 4: zero at 5 of the
+    #   row's 40 points, it is zero everywhere.  So J = |h'|^2 (1 - |q|^4);
+    # - |q| < 1 on the disk, as q = sqrtX (z - z0)/(1 - z conj z0) with
+    #   |X| = 1 (unimodular_factor_modulus) and |z0|^2 = (cosh k - cos m)/
+    #   (cosh k + cos m) < 1 (center_modulus_squared_law);
+    # - h' = B (1 - z conj z0)^2 / ((1 - z^2)(e^{2ip} - z^2)) has its only
+    #   zero at 1/conj z0, off the disk (tests/test_harmonic.py).
+    # The row reads J on those 40 points, where it catches h' and g' confused.
+    return max(0.0, -float(np.min(np.abs(ev["hp"]) ** 2 - np.abs(ev["gp"]) ** 2)))
 
 
 def _winding(d, ev):
@@ -217,8 +226,8 @@ def run_checks(d, profile="default"):
     with err = inf, and a note naming the check and the error goes to
     stderr.  evaluate(d) runs before any row, so an error there is verify's
     exit 2; none arises on a scherk_data record, since its fixed points
-    nearest a pole (the grid ring at 0.999, the growth rays' 1 - 1e-6) pass
-    the 1e-9 guard and R_HEIGHT.
+    nearest a pole, the growth rays' 1 - 1e-6, pass R_HEIGHT, and h' and g'
+    are read at |z| < 0.9, far from the 1e-9 guard.
     """
     if profile not in ("default", "strict"):
         raise OutOfDomain(f"profile must be 'default' or 'strict'; got {profile!r}")

@@ -3,12 +3,13 @@
 Each criterion test checks its closed form against a route that does not
 use the constant under test: a numeric oracle, or the Weierstrass factors
 h' and q evaluated directly.  The stored constants themselves are verify's
-rows (checks.CHECKS), which tests/test_cli.py runs on 159 surfaces;
+rows (checks.CHECKS), which tests/test_cli.py runs on 160 surfaces;
 criterion 3 calls two of those rows on its own 1000 surfaces.  The routes
 no row has stay here: K as h' q (criteria 4, 5 and 7), finite differences
 of T o f^{-1} through Newton (criterion 9, conftest.graph_derivatives,
-whose companions hold the evaluators to the same differences), the
-minimal-surface equation and Scherk's square.  The minimal-surface
+whose companions hold the evaluators to the same differences), the dense
+Jacobian grid that the Jacobian row leaves to its certificate (criterion
+10), the minimal-surface equation and Scherk's square.  The minimal-surface
 test checks that the height over the quadrilateral solves the equation and
 that a rescaled height does not; that is what fixes the scale and sign of
 the height-related constants in criteria 4, 5, 7 and 9.
@@ -295,15 +296,19 @@ def test_criterion_09_companion_mixed_derivative_route_and_fd(case1, case2):
 #     interior image points, Poisson-extension agreement.
 
 
-def test_criterion_10_diffeomorphism_evidence(case1, case2):
+def test_criterion_10_diffeomorphism_evidence(case1, case2, sweep_cases,
+                                             near_edge_cases):
+    # the dense grid that the Jacobian row leaves to its certificate, on 193
+    # surfaces; near m = pi/2, J/|h'|^2 = 1 - |q|^4 falls to about 8e-10
+    rr = 0.999 * np.sqrt(np.linspace(1.0 / 100, 1.0, 100))
+    th = np.linspace(0.0, TWO_PI, 100, endpoint=False)
+    grid = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
+    for _, _, c, d in [case1, case2] + sweep_cases + near_edge_cases:
+        jac = jacobian(grid, d)
+        assert float(np.min(jac)) > 0.0, (c, f"min Jacobian {np.min(jac):.3e}")
+
     gen = np.random.default_rng(SEED + 10)
     for _, _, _, d in (case1, case2):
-        rr = 0.999 * np.sqrt(np.linspace(1.0 / 100, 1.0, 100))
-        th = np.linspace(0.0, TWO_PI, 100, endpoint=False)
-        grid = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
-        jac = jacobian(grid, d)
-        assert float(np.min(jac)) > 0.0, f"min Jacobian {np.min(jac):.3e}"
-
         angles = np.linspace(0.0, TWO_PI, 4001)
         curve = harmonic_map((1.0 - 1e-4) * np.exp(1j * angles), d)
         rel = curve[:, None] - harmonic_map(disk_points(gen, 20, 0.9), d)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from scherk import (PoleProximity, analytic_parts, dilatation, g_prime,
-                    gauss_map_q, h_prime, harmonic_map, normalize,
+                    gauss_map_q, h_prime, harmonic_map, jacobian, normalize,
                     poisson_extension, step_boundary, validate_quadrilateral)
 from scherk.cli import build_report
-from conftest import assert_same_bits, disk_points
+from conftest import LARGE_K_PARAMS, assert_same_bits, build_case, disk_points
 
 C0_CASE1 = 0.298933832635220044875722312242 + 0.5524457420684848288083219245j
 C0_CASE2 = 0.234294879480996107591142024427 + 0.254774756337459863218731547597j
@@ -43,6 +43,29 @@ def test_dilatation_is_moebius_square(sweep_cases, rng):
     for _, _, _, d in sweep_cases[:40]:
         err = np.max(np.abs(dilatation(pts, d) - gauss_map_q(pts, d) ** 2))
         assert err < 1e-12
+
+
+def test_jacobian_certificate_premises(sweep_cases, near_edge_cases):
+    # what the Jacobian row's certificate reads beyond the rows: h' is the
+    # factored B (1 - z conj z0)^2 / ((1 - z^2)(e^{2ip} - z^2)), whose only
+    # zero 1/conj z0 is off the disk, and J = |h'|^2 (1 - |q|^4), on the 40
+    # spiral points r = 0.9 sqrt((i + 1/2)/40), theta = i pi (3 - sqrt 5)
+    i = np.arange(40)
+    zs = 0.9 * np.sqrt((i + 0.5) / 40) * np.exp(
+        1j * np.pi * (3.0 - np.sqrt(5.0)) * i)
+    cases = sweep_cases + near_edge_cases + [build_case(*p) for p in LARGE_K_PARAMS]
+    for _, _, c, d in cases:
+        assert abs(d.z0) < 1.0 and d.B != 0.0, c
+        hp = d.B * (1.0 - zs * d.z0.conjugate()) ** 2 / (
+            (1.0 - zs ** 2) * (d.e_2ip - zs ** 2))
+        # the partial fractions' rounding, relative to the sum of their moduli
+        # (measured 1.1e-15)
+        terms = sum(np.abs(r / (zs - pole))
+                    for r, pole in zip(d.h_residues, d.poles))
+        assert np.max(np.abs(h_prime(zs, d) - hp) / terms) < 1e-14, c
+        # J cancels as |q| -> 1, so relative to |h'|^2 (measured 4.7e-13)
+        want = np.abs(hp) ** 2 * (1.0 - np.abs(gauss_map_q(zs, d)) ** 4)
+        assert np.max(np.abs(jacobian(zs, d) - want) / np.abs(hp) ** 2) < 5e-12, c
 
 
 def test_dilatation_modulus_below_one(case1, rng):

@@ -97,6 +97,9 @@ MUTANTS = {
         ev["mids"][0] + 2e-3 * max(abs(v) for _, v in ev["arcs"]), ev["mids"][1])),
     "ev: T at points + 1e-6": _ev("points", lambda ev: (ev["points"][0],
                                                       ev["points"][1] + 1e-6)),
+    # only the winding row reads the circle: it winds -1 times backwards
+    "ev: circle traversed backwards": _ev("circle", lambda ev: tuple(
+        v[::-1] for v in ev["circle"])),
     # code; gauss_map_q * -1 survives
     "kernel_K: conj z0": _code("kernel_K", lambda K: lambda z, d: K(
         z, d._replace(z0=d.z0.conjugate()))),
@@ -123,9 +126,10 @@ MUTANTS = {
 }
 SURVIVORS = {"sqrtX * -1", "B * (1+1e-6)", "cj * (1+1e-6)", "gauss_map_q * -1"}
 
-# what the row-rejection tests this matrix replaced asserted: (row, mutants[,
-# profiles[, surfaces]]), the row kills each mutant in both profiles (0 default,
-# 1 strict) and on every surface unless fewer are named
+# what the row-rejection tests this matrix replaced asserted, and the kills of
+# the Jacobian and winding rows: (row, mutants[, profiles[, surfaces]]), the
+# row kills each mutant in both profiles (0 default, 1 strict) and on every
+# surface unless fewer are named
 _SCALED = ("1/sin p", "4 pi", "height * -1/2")
 _RES = tuple(f"k_residues[{n}] * (1+1e-12)" for n in range(4))
 EXPECTED = (
@@ -144,7 +148,11 @@ EXPECTED = (
      ("ev: arc values rotated", "ev: arc limits + 2e-3 max|b|")),
     ("poisson_extension_agreement", ("h0 + 1e-5",)),
     ("height_vs_contour_quadrature", ("ev: T at points + 1e-6",)),
+    ("jacobian_positive_on_grid", ("h', g' swapped",)),
+    ("boundary_winding_number", ("f conjugated", "ev: circle traversed backwards")),
 )
+# mutants that one row alone kills, in both profiles and on every surface
+ALONE = {"ev: circle traversed backwards": "boundary_winding_number"}
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +191,13 @@ def test_the_replaced_tests_kills_hold(errs):
                 for s in surfaces if row not in by_profile[pr][m, s]]
     lost = [miss for entry in EXPECTED for miss in missing(*entry)]
     assert not lost, f"{lost}\n{matrix(errs)}"
+
+
+def test_the_lone_kills_are_alone(errs):
+    by_profile = kills(errs, 0), kills(errs, 1)
+    shared = [(m, pr, s, by_profile[pr][m, s]) for m, row in ALONE.items()
+              for pr in (0, 1) for s in SURFACES if by_profile[pr][m, s] != {row}]
+    assert not shared, f"{shared}\n{matrix(errs)}"
 
 
 def test_every_mutant_but_the_survivors_dies_and_every_row_kills(errs):

@@ -288,17 +288,14 @@ def test_taylor_jet_matches_the_center_closed_forms(sweep_cases,
 
 
 def _per_row_errs(d):
-    """The shared-pass rows' errs and the growth fit, each row evaluating its
-    own points with the public harmonic_map, height_T, dilatation and
-    jacobian, one call per row."""
+    """The shared-pass rows' errs, the growth fit and the Jacobian on the
+    spiral, each row evaluating its own points with the public harmonic_map,
+    height_T, dilatation and jacobian, one call per row."""
     # the Vogel spiral r = 0.9 sqrt((i + 1/2)/40), theta = i pi (3 - sqrt 5)
     i = np.arange(40)
     zs = 0.9 * np.sqrt((i + 0.5) / 40) * np.exp(
         1j * np.pi * (3.0 - np.sqrt(5.0)) * i)
     points = np.array([0.3 + 0.2j, -0.41 + 0.37j, 0.1 - 0.55j])
-    rr = np.linspace(0.03, 0.999, 30)
-    th = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
-    grid = np.outer(rr, np.exp(1j * th)).ravel()
     circle = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
     vals = harmonic_map(circle, d) - d.h0
     arcs = step_boundary(d)
@@ -307,6 +304,7 @@ def _per_row_errs(d):
     rs = np.array([1.0 - 10.0 ** (-2 - qq / 3.0) for qq in range(13)])
     slopes = np.polyfit(np.log(1.0 - rs),
                         height_T(np.outer(rs, d.poles), d), 1)[0]
+    jac = jacobian(zs, d)
     errs = {
         "dilatation_is_moebius_square": np.max(np.abs(
             dilatation(zs, d) - gauss_map_q(zs, d) ** 2)),
@@ -315,8 +313,7 @@ def _per_row_errs(d):
         "radial_growth_slopes": max(
             abs(slope - sg * 2.0 * cjv) / abs(2.0 * cjv) for slope, sg, cjv
             in zip(slopes, (1.0, -1.0, 1.0, -1.0), d.cj)),
-        "jacobian_positive_on_grid": max(0.0, -float(np.min(
-            jacobian(grid, d)))),
+        "jacobian_positive_on_grid": max(0.0, -float(np.min(jac))),
         "boundary_winding_number": abs(float(np.sum(np.angle(
             vals[1:] / vals[:-1]))) / (2.0 * np.pi) - 1.0),
         "poisson_extension_agreement": np.max(np.abs(
@@ -325,7 +322,7 @@ def _per_row_errs(d):
             abs(limit - value) for (_, value), limit in zip(arcs, limits))
         / max(abs(value) for _, value in arcs),
     }
-    return errs, slopes
+    return errs, slopes, jac
 
 
 def _square():
@@ -343,12 +340,16 @@ def test_shared_pass_rows_are_bitwise_the_per_row_route(case1, case2, seed):
                 build_case(0.7, 7.5, 6.5)[3],   # Scherk's square, k = 7
                 build_case(m, s, t)[3]]
     for d in surfaces:
-        errs, slopes = _per_row_errs(d)
+        errs, slopes, jac = _per_row_errs(d)
         rows = {name: err_of for name, _, err_of in CHECKS}
         ev = evaluate(d)
         for name, want in errs.items():
             got = rows[name](d, ev)
             assert float(got) == float(want), (name, d.coords, got, want)
+        # the Jacobian row's err is 0.0 on both routes; the values it reads are
+        # jacobian's bits on the same 40 points
+        assert np.array_equal(np.abs(ev["hp"]) ** 2 - np.abs(ev["gp"]) ** 2,
+                              jac), d.coords
         fit = growth_fit(d, ev["rays"][1])
         assert np.array_equal([s for s, *_ in fit], slopes), d.coords
 
